@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .errors import ValidationError
 from .multrep import MultVector, coefficient, deepen, inner
-from .words import Alphabet, Cylinder, Word, cylinder_image, multiply, sphere
+from .words import (DEFAULT_CAP, Alphabet, Cylinder, Word, cylinder_image,
+                    multiply, sphere)
 
 
 class CylinderMeasure:
@@ -49,25 +50,27 @@ class CylinderMeasure:
         return abs(self(stem) - children)
 
 
-def spectral_measure(v: MultVector) -> CylinderMeasure:
+def spectral_measure(v: MultVector, cap: int = DEFAULT_CAP) -> CylinderMeasure:
     """The boundary mass distribution of a vector: the cylinder indicator's
     operator compressed at ``v``.  Nonnegative and additive because those
     operators are commuting orthogonal projections.
 
     At depth max(|stem|, presentation depth) the compressed inner product
     collapses to the single form pairing at the stem, so one deepened table
-    per depth serves a whole partition.
+    per depth serves a whole partition.  The measure caches those tables and
+    its cylinder masses, so one measure serves every word of a ball.  Tables
+    are deepened one level at a time from the deepest cached one, so
+    propagation runs once along each branch.  ``cap`` bounds the number of
+    words a table may track.
     """
     alphabet = v.space.alphabet
     forms = v.space.forms
-    tables: Dict[int, MultVector] = {}
+    tables: List[MultVector] = [v]  # tables[k] sits at depth v.depth + k
 
     def table_at(depth: int) -> MultVector:
-        t = tables.get(depth)
-        if t is None:
-            t = deepen(v, depth)
-            tables[depth] = t
-        return t
+        while v.depth + len(tables) <= depth:
+            tables.append(deepen(tables[-1], v.depth + len(tables), cap=cap))
+        return tables[depth - v.depth]
 
     def evaluator(stem: Word) -> float:
         depth = max(len(stem), v.depth)
@@ -98,7 +101,7 @@ def uniform_measure(alphabet: Alphabet) -> CylinderMeasure:
 
 
 def quasi_regular_coefficient(mu: CylinderMeasure, x: Word, depth: int,
-                              cap: int = 10_000_000) -> float:
+                              cap: int = DEFAULT_CAP) -> float:
     """Hellinger sum over the depth-``depth`` cylinder partition:
     sum_C sqrt(mu(x.C) mu(C)).
 
@@ -134,7 +137,8 @@ class HerzResult:
 
 
 def herz_check(v: MultVector, x: Word, depth: int, tol: float = 1e-9,
-               backend: str = "fast") -> HerzResult:
+               backend: str = "fast", mu: Optional[CylinderMeasure] = None,
+               cap: int = DEFAULT_CAP) -> HerzResult:
     """Majorization of the matrix coefficient by the quasi-regular
     coefficient of the vector's own spectral measure.
 
@@ -142,9 +146,14 @@ def herz_check(v: MultVector, x: Word, depth: int, tol: float = 1e-9,
     applying Cauchy-Schwarz cylinder by cylinder dominates the left side by
     the Hellinger sum, so a failure beyond tolerance is a bug, not a
     counterexample.
+
+    ``mu`` is ``spectral_measure(v)``, built here when omitted; pass one
+    measure to every check over a ball so its tables and masses are shared.
     """
-    lhs = abs(coefficient(x, v, v, backend=backend))
-    rhs = quasi_regular_coefficient(spectral_measure(v), x, depth)
+    if mu is None:
+        mu = spectral_measure(v, cap=cap)
+    lhs = abs(coefficient(x, v, v, backend=backend, cap=cap))
+    rhs = quasi_regular_coefficient(mu, x, depth, cap=cap)
     return HerzResult(lhs, rhs, lhs <= rhs + tol)
 
 

@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from . import _kernels, fileio
-from ._exact import exact_coefficient
 from .boundary_measure import (herz_check, no_harish_chandra_demo,
                                quasi_regular_coefficient, spectral_measure,
                                uniform_measure)
@@ -97,8 +95,6 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tolerance", type=float, default=None, help="override the default tolerance")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="word-enumeration cap")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for independent evaluations (results are thread-count independent)")
     p.add_argument("--backend", choices=["fast", "brute", "both"], default="fast")
     p.add_argument("--output", default=None, help="output file (reports default to stdout)")
 
@@ -158,24 +154,14 @@ def cmd_coefficients(args) -> int:
         columns.append("discrepancy")
     report = Report(columns, meta)
 
-    def one(w: Word):
-        if args.backend == "both":
-            fast = coefficient(w, vec, vec, backend="fast", cap=args.cap)
-            brute = coefficient(w, vec, vec, backend="brute", cap=args.cap)
-            return w, fast, abs(fast - brute)
-        val = coefficient(w, vec, vec, backend=args.backend, cap=args.cap)
-        return w, val, None
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(one, words))
-    else:
-        results = [one(w) for w in words]
-    for w, val, disc in results:
+    backend = args.backend if args.backend != "both" else "fast"
+    for w in words:
+        val = coefficient(w, vec, vec, backend=backend, cap=args.cap)
         row = [str(w), _fmt(val.real), _fmt(val.imag), args.backend,
                str(vec.depth + len(w) + 1)]
-        if disc is not None:
-            row.append(_fmt(disc))
+        if args.backend == "both":
+            brute = coefficient(w, vec, vec, backend="brute", cap=args.cap)
+            row.append(_fmt(abs(val - brute)))
         report.add(*row)
     report.write(args.output)
     return EXIT_OK
@@ -299,24 +285,17 @@ def cmd_herz(args) -> int:
             "tolerance": _fmt(tol)}
     report = Report(["x", "N", "lhs", "rhs", "margin", "pass"], meta)
     words = list(ball(space.alphabet, args.radius, cap=args.cap))
-
-    def one(w):
-        n = len(w) + 1
-        backend = args.backend if args.backend != "both" else "fast"
-        return w, n, herz_check(vec, w, n, tol=tol, backend=backend)
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(one, words))
-    else:
-        results = [one(w) for w in words]
+    backend = args.backend if args.backend != "both" else "fast"
+    mu = spectral_measure(vec, cap=args.cap)
     failures = 0
-    for w, n, hz in results:
+    for w in words:
+        n = len(w) + 1
+        hz = herz_check(vec, w, n, tol=tol, backend=backend, mu=mu, cap=args.cap)
         report.add(str(w), n, hz.lhs, hz.rhs, hz.margin, "pass" if hz.passed else "FAIL")
         failures += 0 if hz.passed else 1
     report.meta["failures"] = failures
     report.write(args.output)
-    print(f"herz: {len(results) - failures}/{len(results)} pass")
+    print(f"herz: {len(words) - failures}/{len(words)} pass")
     return EXIT_OK if failures == 0 else EXIT_MATH
 
 
@@ -333,7 +312,7 @@ def cmd_demo_no_hc(args) -> int:
         nrm2 = inner(vec, vec).real
         if abs(nrm2 - 1.0) > 1e-9:
             raise ValidationError("demo vector must have unit norm")
-        mu = spectral_measure(vec)
+        mu = spectral_measure(vec, cap=args.cap)
         alphabet = space.alphabet
         source = "spectral"
     w = Word.parse(alphabet, args.word)

@@ -5,7 +5,7 @@ from mbrep.boundary_measure import (herz_check, no_harish_chandra_demo,
                                     quasi_regular_coefficient, spectral_measure,
                                     uniform_measure)
 from mbrep.errors import ValidationError
-from mbrep.multrep import inner, vscale
+from mbrep.multrep import deepen, inner, vscale
 from mbrep.words import Alphabet, Word, ball, sphere
 
 from helpers import random_system, random_vector, random_word
@@ -139,6 +139,27 @@ class TestHerz:
             x = random_word(A2, rng, int(rng.integers(1, 5)))
             res = herz_check(v, x, len(x) + 1)
             assert res.passed, (str(x), res)
+
+    def test_shared_measure_changes_no_result(self):
+        rng = np.random.default_rng(5)
+        space, _ = random_system(rng)
+        v = random_vector(space, rng)
+        shared = spectral_measure(v)
+        for x in ball(A2, 3):
+            n = len(x) + 1
+            res = herz_check(v, x, n, mu=shared)
+            ref = herz_check(v, x, n)
+            assert res.lhs == ref.lhs and res.rhs == ref.rhs, str(x)
+
+    def test_incremental_deepen_is_bit_identical(self):
+        # the shared measure deepens from its cached tables, not from v
+        rng = np.random.default_rng(5)
+        space, _ = random_system(rng)
+        v = random_vector(space, rng)
+        stepped, direct = deepen(deepen(v, 3), 6), deepen(v, 6)
+        assert list(stepped.values) == list(direct.values)
+        for key, val in direct.values.items():
+            assert np.array_equal(stepped.values[key], val), str(key)
 
 
 class TestDemo:

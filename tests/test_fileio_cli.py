@@ -182,14 +182,6 @@ class TestCli:
         lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert lines == ["word,re,im,backend,depth"]
 
-    def test_coefficients_threads_match_serial(self, tmp_path):
-        serial, threaded = tmp_path / "s.csv", tmp_path / "t.csv"
-        args = ["coefficients", "--system", "builtin:spherical2",
-                "--vector", "builtin:seed-a", "--words", "e,a,ab,aB,bb"]
-        assert cli.main(args + ["--output", str(serial)]) == 0
-        assert cli.main(args + ["--threads", "4", "--output", str(threaded)]) == 0
-        assert serial.read_bytes() == threaded.read_bytes()
-
     def test_cap_exit_code(self):
         code = cli.main(["coefficients", "--system", "builtin:spherical2",
                          "--vector", "builtin:seed-a", "--words", "ab",
@@ -217,6 +209,45 @@ class TestCli:
         body = out.read_text()
         assert "FAIL" not in body
         assert "# failures=0" in body
+
+    def test_herz_cap_exit_code(self, capsys):
+        # the radius-3 check deepens to depth 7; depth 6 already tracks 243 words
+        code = cli.main(["herz", "--system", "builtin:spherical2",
+                         "--vector", "builtin:seed-a", "--radius", "3",
+                         "--cap", "200"])
+        assert code == cli.EXIT_CAP
+        err = capsys.readouterr().err
+        assert err.startswith("resource cap:")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_herz_builds_one_measure(self, tmp_path, monkeypatch):
+        from mbrep import boundary_measure
+
+        counts = {"spectral_measure": 0, "deepen": 0, "levels": 0}
+        build, propagate = boundary_measure.spectral_measure, boundary_measure.deepen
+
+        def spectral_measure(*args, **kwargs):
+            counts["spectral_measure"] += 1
+            return build(*args, **kwargs)
+
+        def deepen(f, new_depth, **kwargs):
+            counts["deepen"] += 1
+            counts["levels"] += new_depth - f.depth
+            return propagate(f, new_depth, **kwargs)
+
+        monkeypatch.setattr(boundary_measure, "spectral_measure", spectral_measure)
+        monkeypatch.setattr(cli, "spectral_measure", spectral_measure)
+        monkeypatch.setattr(boundary_measure, "deepen", deepen)
+        radius = 3
+        code = cli.main(["herz", "--system", "builtin:spherical2",
+                         "--vector", "builtin:seed-a", "--radius", str(radius),
+                         "--output", str(tmp_path / "herz.csv")])
+        assert code == 0
+        assert counts["spectral_measure"] == 1
+        assert counts["deepen"] <= 2 * radius + 1
+        # incremental tables: each propagation level runs once, from the
+        # depth-1 vector out to depth 2 * radius + 1
+        assert counts["levels"] <= 2 * radius
 
     def test_vf_induce(self, tmp_path):
         out = tmp_path / "vf.csv"
