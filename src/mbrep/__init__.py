@@ -9,7 +9,6 @@ intertwiner), ``vfree`` (free products of finite cyclic groups),
 ``cli``.
 """
 
-from . import _kernels
 from .words import Alphabet, Cylinder, CylinderUnion, Word, cylinder_image, multiply, refine, sphere
 from .system import (FormTuple, MatrixSystem, NormalizationResult, Subsystem,
                      compatibility_residual, decompose, find_invariant_subsystem,
@@ -30,5 +29,3 @@ from .boundary_measure import (CylinderMeasure, HerzResult, herz_check,
                                spectral_measure, uniform_measure)
 
 __version__ = "0.1.0"
-
-kernel_backend = _kernels.backend_name

@@ -2,9 +2,10 @@
 
 Normalized systems generically carry an irrational map scale sqrt(rho), so
 plain rationals cannot express them; scalars a + b*sqrt(k) with rational a, b
-can, and they close under the arithmetic of the brute sphere sum.  This mode
-exists to pin desk-scale values exactly (squares of coefficients come out as
-honest fractions); it supports real entries only.
+can, and they close under the arithmetic of the literal sphere sum
+(``multrep.sphere_coefficient``).  This mode exists to pin desk-scale values
+exactly (squares of coefficients come out as honest fractions); it supports
+real entries only.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import DepthError, ValidationError
-from .words import Alphabet, Word, multiply, sphere
+from .multrep import sphere_coefficient
+from .words import Alphabet, Word
 
 
 class QuadExt:
@@ -172,20 +174,14 @@ def exact_coefficient(x: Word, f: ExactVector, g: ExactVector,
                       cap: int = 200_000) -> QuadExt:
     """Literal truncated sphere sum of the matrix coefficient, exactly."""
     system = f.system
-    m_depth = max(f.depth, g.depth) + len(x) + 1
-    xinv = x.inverse()
-    total = system.zero()
-    for y in sphere(system.alphabet, m_depth, cap=cap):
-        fv = exact_evaluate(f, multiply(xinv, y))
-        gv = exact_evaluate(g, y)
-        form = system.forms[y.last()]
-        d = system.dims[y.last()]
-        for i in range(d):
-            if gv[i].is_zero():
-                continue
-            for j in range(d):
-                total = total + gv[i] * form[i][j] * fv[j]
-    return total
+
+    def pair(letter: int, fv: Tuple[QuadExt, ...], gv: Tuple[QuadExt, ...]) -> QuadExt:
+        form, d = system.forms[letter], system.dims[letter]
+        return sum((gv[i] * form[i][j] * fv[j] for i in range(d) if not gv[i].is_zero()
+                    for j in range(d)), system.zero())
+
+    return sphere_coefficient(system.alphabet, x, f, g, exact_evaluate, pair,
+                              system.zero(), cap)
 
 
 def exact_inner(f: ExactVector, g: ExactVector) -> QuadExt:

@@ -1,37 +1,17 @@
-"""Hot kernels for the brute-force sphere pairing.
+"""Hot kernel for the brute-force sphere pairing.
 
 The literal inner-product sum over a whole word sphere is the package's
-exponential inner loop.  Two interchangeable implementations are provided:
-
-* a numba ``@njit`` depth-first kernel (default when numba imports), and
-* a vectorized numpy fallback that enumerates the same terms level by level.
-
-Set ``MBREP_DISABLE_NUMBA=1`` to force the numpy path; the benchmark script
-under ``benchmarks/`` compares the two.
+exponential inner loop.  ``brute_pairing`` evaluates it with numpy: it
+splits the sphere by where each word leaves the geodesic of the acting word
+and grows each branch level by level, one batched matmul per letter pair.
+It is the independent oracle for the cone-collapsed ``fast`` backend.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
-
-_DISABLED = os.environ.get("MBREP_DISABLE_NUMBA", "").strip().lower() in ("1", "true", "yes")
-
-if not _DISABLED:
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:  # pragma: no cover - environment without numba
-        HAS_NUMBA = False
-else:
-    HAS_NUMBA = False
-
-
-def backend_name() -> str:
-    return "numba" if HAS_NUMBA else "numpy"
 
 
 def pack_system(system, forms) -> Tuple[np.ndarray, np.ndarray, int]:
@@ -50,187 +30,6 @@ def pack_system(system, forms) -> Tuple[np.ndarray, np.ndarray, int]:
         f = forms[a]
         bmat[a, : f.shape[0], : f.shape[1]] = f
     return h, bmat, dmax
-
-
-def dense_sphere_table(vector, dmax: int) -> np.ndarray:
-    """Dense (sphere_size, dmax) table of a vector's values at its own depth,
-    indexed by the dense sphere order."""
-    from .words import sphere_size, word_index
-
-    alphabet = vector.space.system.alphabet
-    size = sphere_size(alphabet, vector.depth)
-    table = np.zeros((size, dmax), dtype=np.complex128)
-    for w, v in vector.values.items():
-        table[word_index(w), : v.shape[0]] = v
-    return table
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _brute_dfs(n, inv, h, bmat, dmax, xinv, f_table, df, g_table, dg, m_depth):  # pragma: no cover - compiled
-        acc = 0.0 + 0.0j
-        lx = xinv.shape[0]
-
-        path = np.zeros(m_depth + 2, dtype=np.int64)
-        cand = np.zeros(m_depth + 2, dtype=np.int64)
-        gidx = np.zeros(m_depth + 2, dtype=np.int64)
-        gval = np.zeros((m_depth + 2, dmax), dtype=np.complex128)
-        wbuf = np.zeros(lx + m_depth + 2, dtype=np.int64)
-        wop = np.zeros(m_depth + 2, dtype=np.int64)  # 0 push, 1 pop
-        wpop = np.zeros(m_depth + 2, dtype=np.int64)
-        fval = np.zeros((m_depth + lx + 2, dmax), dtype=np.complex128)
-
-        for k in range(lx):
-            wbuf[k] = xinv[k]
-        wlen = lx
-
-        # seed the f propagation stack along the initial w = x^-1
-        if lx >= df:
-            idx0 = wbuf[0]
-            for k in range(1, df):
-                cc = wbuf[k]
-                pp = wbuf[k - 1]
-                pos = cc if cc < inv[pp] else cc - 1
-                idx0 = idx0 * (n - 1) + pos
-            for j in range(dmax):
-                fval[0, j] = f_table[idx0, j]
-            for k in range(df, lx):
-                cc = wbuf[k]
-                pp = wbuf[k - 1]
-                for i in range(dmax):
-                    s = 0.0 + 0.0j
-                    for j in range(dmax):
-                        s += h[cc, pp, i, j] * fval[k - df, j]
-                    fval[k - df + 1, i] = s
-
-        depth = 0
-        cand[1] = -1
-        while depth >= 0:
-            if depth == m_depth:
-                c_last = path[depth]
-                fv = fval[wlen - df]
-                gv = gval[depth]
-                for i in range(dmax):
-                    gi = np.conj(gv[i])
-                    if gi != 0.0:
-                        row = bmat[c_last, i]
-                        s = 0.0 + 0.0j
-                        for j in range(dmax):
-                            s += row[j] * fv[j]
-                        acc += gi * s
-                # retreat
-                if wop[depth] == 1:
-                    wbuf[wlen] = wpop[depth]
-                    wlen += 1
-                    # sibling subtrees may have overwritten this stack level
-                    if wlen == df:
-                        idx = wbuf[0]
-                        for k in range(1, df):
-                            cc = wbuf[k]
-                            pp = wbuf[k - 1]
-                            pos = cc if cc < inv[pp] else cc - 1
-                            idx = idx * (n - 1) + pos
-                        for j in range(dmax):
-                            fval[0, j] = f_table[idx, j]
-                    elif wlen > df:
-                        cc = wbuf[wlen - 1]
-                        pp = wbuf[wlen - 2]
-                        for i in range(dmax):
-                            s = 0.0 + 0.0j
-                            for j in range(dmax):
-                                s += h[cc, pp, i, j] * fval[wlen - 1 - df, j]
-                            fval[wlen - df, i] = s
-                else:
-                    wlen -= 1
-                depth -= 1
-                continue
-
-            # advance to the next allowed letter at depth+1
-            c = cand[depth + 1] + 1
-            forbidden = -1
-            if depth >= 1:
-                forbidden = inv[path[depth]]
-            while c < n and c == forbidden:
-                c += 1
-            if c >= n:
-                # no more candidates here; retreat
-                if depth >= 1:
-                    if wop[depth] == 1:
-                        wbuf[wlen] = wpop[depth]
-                        wlen += 1
-                        if wlen == df:
-                            idx = wbuf[0]
-                            for k in range(1, df):
-                                cc = wbuf[k]
-                                pp = wbuf[k - 1]
-                                pos = cc if cc < inv[pp] else cc - 1
-                                idx = idx * (n - 1) + pos
-                            for j in range(dmax):
-                                fval[0, j] = f_table[idx, j]
-                        elif wlen > df:
-                            cc = wbuf[wlen - 1]
-                            pp = wbuf[wlen - 2]
-                            for i in range(dmax):
-                                s = 0.0 + 0.0j
-                                for j in range(dmax):
-                                    s += h[cc, pp, i, j] * fval[wlen - 1 - df, j]
-                                fval[wlen - df, i] = s
-                    else:
-                        wlen -= 1
-                depth -= 1
-                continue
-            cand[depth + 1] = c
-            d = depth + 1
-            path[d] = c
-
-            # g bookkeeping along y
-            if d == 1:
-                gidx[1] = c
-            elif d <= dg:
-                p = path[d - 1]
-                pos = c if c < inv[p] else c - 1
-                gidx[d] = gidx[d - 1] * (n - 1) + pos
-            if d == dg:
-                for j in range(dmax):
-                    gval[d, j] = g_table[gidx[d], j]
-            elif d > dg:
-                p = path[d - 1]
-                for i in range(dmax):
-                    s = 0.0 + 0.0j
-                    for j in range(dmax):
-                        s += h[c, p, i, j] * gval[d - 1, j]
-                    gval[d, i] = s
-
-            # w = reduce(x^-1 . prefix) bookkeeping
-            if wlen > 0 and wbuf[wlen - 1] == inv[c]:
-                wop[d] = 1
-                wpop[d] = wbuf[wlen - 1]
-                wlen -= 1
-            else:
-                wop[d] = 0
-                wbuf[wlen] = c
-                wlen += 1
-                if wlen == df:
-                    idx = wbuf[0]
-                    for k in range(1, df):
-                        cc = wbuf[k]
-                        pp = wbuf[k - 1]
-                        pos = cc if cc < inv[pp] else cc - 1
-                        idx = idx * (n - 1) + pos
-                    for j in range(dmax):
-                        fval[0, j] = f_table[idx, j]
-                elif wlen > df:
-                    prev = wbuf[wlen - 2]
-                    for i in range(dmax):
-                        s = 0.0 + 0.0j
-                        for j in range(dmax):
-                            s += h[c, prev, i, j] * fval[wlen - 1 - df, j]
-                        fval[wlen - df, i] = s
-
-            cand[d + 1] = -1
-            depth = d
-        return acc
 
 
 def _expand_pairing_numpy(n, inv, h, bmat, seeds, rest, chunk=1 << 18):
@@ -291,29 +90,21 @@ def _expand_pairing_numpy(n, inv, h, bmat, seeds, rest, chunk=1 << 18):
 def brute_pairing(space, x, f, g, m_depth: int) -> complex:
     """Literal sphere-sum pairing <pi(x) f, g> at truncation depth ``m_depth``.
 
-    Dispatches to the numba kernel or the numpy fallback; both enumerate the
-    identical finite sum.
+    The sphere is partitioned by the longest common prefix with ``x``; each
+    part is seeded at the depth where both vectors have values and then
+    expanded by ``_expand_pairing_numpy``.
     """
+    from .multrep import evaluate
     from .words import Word, multiply
 
     system = space.system
     alphabet = system.alphabet
     n = len(alphabet)
-    inv = np.array(alphabet.inv, dtype=np.int64)
     h, bmat, dmax = space.padded()
     df, dg = f.depth, g.depth
     if m_depth < max(df + len(x), dg):
         raise ValueError("truncation depth too small for the brute sum")
     xinv = np.array(x.inverse().letters, dtype=np.int64)
-
-    if HAS_NUMBA:
-        f_table = dense_sphere_table(f, dmax)
-        g_table = dense_sphere_table(g, dmax)
-        return complex(_brute_dfs(n, inv, h, bmat, dmax, xinv, f_table, df,
-                                  g_table, dg, m_depth))
-
-    # numpy fallback: partition the sphere by the longest common prefix with x
-    from .multrep import evaluate
 
     xl = x.letters
     lx = len(xl)
@@ -356,17 +147,3 @@ def brute_pairing(space, x, f, g, m_depth: int) -> complex:
             total += _expand_pairing_numpy(n, np.array(alphabet.inv), h, bmat, seeds, rest)
     return complex(total)
 
-
-def warmup() -> None:
-    """Trigger jit compilation once so timings exclude compile cost."""
-    if not HAS_NUMBA:
-        return
-    from .system import spherical_system
-    from .multrep import RepSpace, MultVector, coefficient
-    from .words import Alphabet, Word
-
-    alphabet = Alphabet.rank(2)
-    sys_, forms = spherical_system(alphabet)
-    space = RepSpace(sys_, forms)
-    f = MultVector.seed(space, {Word.parse(alphabet, "a"): np.array([1.0])})
-    coefficient(Word.parse(alphabet, "a"), f, f, backend="brute")

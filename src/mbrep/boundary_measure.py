@@ -157,13 +157,14 @@ def herz_check(v: MultVector, x: Word, depth: int, tol: float = 1e-9,
     return HerzResult(lhs, rhs, lhs <= rhs + tol)
 
 
-def no_harish_chandra_demo(mu: CylinderMeasure, w: Word,
-                           max_power: int) -> List[Tuple[int, int, float]]:
+def no_harish_chandra_demo(mu: CylinderMeasure, w: Word, max_power: int,
+                           cap: int = DEFAULT_CAP) -> List[Tuple[int, int, float]]:
     """Decay table phi(w^n) for one fixed probability measure.
 
     A measure working uniformly for every tempered representation would force
     these diagonal values to stay at one; the strict decay below one exhibits
     the dependence of the majorizing measure on the representation.
+    ``cap`` bounds each Hellinger sum's cylinder partition.
     """
     if w.is_identity():
         raise ValidationError("the demo needs a nontrivial group element")
@@ -173,6 +174,6 @@ def no_harish_chandra_demo(mu: CylinderMeasure, w: Word,
     power = Word.identity(w.alphabet)
     for n in range(1, max_power + 1):
         power = multiply(power, w)
-        phi = quasi_regular_coefficient(mu, power, len(power) + 1)
+        phi = quasi_regular_coefficient(mu, power, len(power) + 1, cap=cap)
         rows.append((n, len(power), phi))
     return rows

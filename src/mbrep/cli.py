@@ -16,9 +16,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from . import _kernels, fileio
-from .boundary_measure import (herz_check, no_harish_chandra_demo,
-                               quasi_regular_coefficient, spectral_measure,
+from . import fileio
+from .boundary_measure import (herz_check, no_harish_chandra_demo, spectral_measure,
                                uniform_measure)
 from .errors import (CapExceededError, DegenerateSystemError, MbrepError,
                      NormalizationError, ValidationError)
@@ -91,12 +90,27 @@ def _load_space(path: str) -> RepSpace:
     return RepSpace(system, forms)
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tolerance", type=float, default=None, help="override the default tolerance")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="word-enumeration cap")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    p.add_argument("--backend", choices=["fast", "brute", "both"], default="fast")
-    p.add_argument("--output", default=None, help="output file (reports default to stdout)")
+_FLAGS = {
+    "tolerance": dict(type=float, default=None, help="override the default tolerance"),
+    "cap": dict(type=int, default=DEFAULT_CAP, help="word-enumeration cap"),
+    "seed": dict(type=int, default=0, help="seed for randomized checks"),
+    "backend": dict(choices=["fast", "brute", "both"], default="fast"),
+    "output": dict(default=None, help="output file (reports default to stdout)"),
+}
+
+
+def _flags(p: argparse.ArgumentParser, *names: str) -> None:
+    """Declare the shared flags a subcommand reads, in the order given."""
+    for name in names:
+        p.add_argument(f"--{name}", **_FLAGS[name])
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are validation failures (exit 1, one stderr line), not
+    argparse's exit 2, which here means a mathematical-invariant failure."""
+
+    def error(self, message: str):
+        raise ValidationError(f"{self.prog}: {message}")
 
 
 def cmd_normalize(args) -> int:
@@ -148,7 +162,7 @@ def cmd_coefficients(args) -> int:
     texts = [t for t in (args.words.split(",") if args.words else []) if t != ""]
     words = [Word.parse(space.alphabet, t) for t in texts]
     meta = {"command": "coefficients", "backend": args.backend, "seed": args.seed,
-            "depth": vec.depth, "kernel": _kernels.backend_name()}
+            "depth": vec.depth}
     columns = ["word", "re", "im", "backend", "depth"]
     if args.backend == "both":
         columns.append("discrepancy")
@@ -316,7 +330,7 @@ def cmd_demo_no_hc(args) -> int:
         alphabet = space.alphabet
         source = "spectral"
     w = Word.parse(alphabet, args.word)
-    rows = no_harish_chandra_demo(mu, w, args.max_power)
+    rows = no_harish_chandra_demo(mu, w, args.max_power, cap=args.cap)
     meta = {"command": "demo-no-hc", "measure": source, "word": str(w)}
     report = Report(["n", "word_length", "phi"], meta)
     decreasing = True
@@ -383,25 +397,24 @@ def cmd_selftest(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="mbrep",
-                                     description="multiplicative boundary representations toolkit")
+    parser = _Parser(prog="mbrep", description="multiplicative boundary representations toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("normalize", help="scale a system to transfer radius one and solve the fixed point")
     p.add_argument("--input", required=True)
-    _common_flags(p)
+    _flags(p, "tolerance", "seed", "output")
     p.set_defaults(fn=cmd_normalize)
 
     p = sub.add_parser("decompose", help="split a system with forms into irreducible components")
     p.add_argument("--input", required=True)
-    _common_flags(p)
+    _flags(p, "seed", "output")
     p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("coefficients", help="matrix coefficients of a vector over a word list")
     p.add_argument("--system", required=True)
     p.add_argument("--vector", required=True)
     p.add_argument("--words", default="", help="comma-separated reduced words ('e' for identity)")
-    _common_flags(p)
+    _flags(p, "cap", "seed", "backend", "output")
     p.set_defaults(fn=cmd_coefficients)
 
     p = sub.add_parser("induce", help="induce a subgroup system through a finite-quotient kernel")
@@ -411,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base-system", default=None,
                    help="optional ambient system file fixing the ambient alphabet")
     p.add_argument("--trials", type=int, default=10, help="random checks of the intertwiner")
-    _common_flags(p)
+    _flags(p, "tolerance", "seed", "output")
     p.set_defaults(fn=cmd_induce)
 
     p = sub.add_parser("vf-induce", help="matrix coefficients induced to a virtually free group")
@@ -419,14 +432,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", required=True, help="system over the free-basis alphabet")
     p.add_argument("--vector", required=True, help="block vector at the identity coset")
     p.add_argument("--radius", type=int, default=3)
-    _common_flags(p)
+    _flags(p, "cap", "seed", "backend", "output")
     p.set_defaults(fn=cmd_vf_induce)
 
     p = sub.add_parser("herz", help="majorization report over a word ball")
     p.add_argument("--system", required=True)
     p.add_argument("--vector", required=True)
     p.add_argument("--radius", type=int, default=3)
-    _common_flags(p)
+    _flags(p, "tolerance", "cap", "seed", "backend", "output")
     p.set_defaults(fn=cmd_herz)
 
     p = sub.add_parser("demo-no-hc", help="decay table showing the majorizing measure depends on the vector")
@@ -436,20 +449,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vector", default=None)
     p.add_argument("--uniform-rank", type=int, default=None,
                    help="use the uniform measure on the rank-r boundary instead of a vector")
-    _common_flags(p)
+    _flags(p, "cap", "output")
     p.set_defaults(fn=cmd_demo_no_hc)
 
     p = sub.add_parser("selftest", help="compact seeded end-to-end checks")
-    _common_flags(p)
+    _flags(p, "seed")
     p.set_defaults(fn=cmd_selftest)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except CapExceededError as err:
         print(f"resource cap: {err}", file=sys.stderr)

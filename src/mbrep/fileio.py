@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -58,31 +58,49 @@ def _parse_exact(entry: str, radicand) -> QuadExt:
     return QuadExt(a, b, radicand)
 
 
-def _alphabet_from_doc(doc: dict) -> Alphabet:
+def _read_json(path: str) -> dict:
+    """The top-level object of a JSON file; malformed text is a
+    ``ValidationError`` naming the file."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as err:
+            raise ValidationError(f"{path}: invalid JSON ({err})") from None
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path}: top level must be a JSON object")
+    return doc
+
+
+def _require(doc: dict, key: str, path: str):
     try:
-        names = doc["alphabet"]
-        pairs = [tuple(p) for p in doc["involution"]]
-    except KeyError as err:
-        raise ValidationError(f"system file misses field {err}") from None
-    return Alphabet(names, pairs)
+        return doc[key]
+    except KeyError:
+        raise ValidationError(f"{path}: missing field {key!r}") from None
+
+
+def _cast(kind: Callable, value, path: str, field: str):
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{path}: field {field!r} has bad value {value!r}") from None
 
 
 def load_system(path: str) -> Tuple[MatrixSystem, Optional[FormTuple], Optional[ExactSystem]]:
     """Read a system file; returns the float system, its forms when present,
     and the exact shadow when the file declares exact entries."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    alphabet = _alphabet_from_doc(doc)
+    doc = _read_json(path)
+    alphabet = Alphabet(_require(doc, "alphabet", path),
+                        [tuple(p) for p in _require(doc, "involution", path)])
     n = len(alphabet)
     dims_doc = doc.get("dims")
     if not isinstance(dims_doc, dict):
-        raise ValidationError("system file needs a 'dims' table keyed by letter name")
+        raise ValidationError(f"{path}: system file needs a 'dims' table keyed by letter name")
     dims = [0] * n
     for name, d in dims_doc.items():
-        dims[alphabet.letter(name)] = int(d)
+        dims[alphabet.letter(name)] = _cast(int, d, path, f"dims.{name}")
 
     exact = bool(doc.get("exact"))
-    radicand = Fraction(str(doc.get("radicand", 1)))
+    radicand = _cast(lambda r: Fraction(str(r)), doc.get("radicand", 1), path, "radicand")
 
     def parse_matrix(rows, shape) -> Tuple[np.ndarray, Optional[tuple]]:
         if len(rows) != shape[0] or any(len(r) != shape[1] for r in rows):
@@ -156,10 +174,9 @@ def save_system(path: str, system: MatrixSystem, forms: Optional[FormTuple] = No
         fh.write("\n")
 
 
-def load_vector(path: str, space: RepSpace) -> Union[MultVector, Tuple[MultVector, ExactVector]]:
-    with open(path) as fh:
-        doc = json.load(fh)
-    depth = int(doc.get("depth", 0))
+def load_vector(path: str, space: RepSpace) -> MultVector:
+    doc = _read_json(path)
+    depth = _cast(int, doc.get("depth", 0), path, "depth")
     values = {}
     for text, entries in (doc.get("values") or {}).items():
         w = Word.parse(space.alphabet, text)
@@ -168,9 +185,8 @@ def load_vector(path: str, space: RepSpace) -> Union[MultVector, Tuple[MultVecto
 
 
 def load_exact_vector(path: str, exact_system: ExactSystem) -> ExactVector:
-    with open(path) as fh:
-        doc = json.load(fh)
-    depth = int(doc.get("depth", 0))
+    doc = _read_json(path)
+    depth = _cast(int, doc.get("depth", 0), path, "depth")
     values = {}
     for text, entries in (doc.get("values") or {}).items():
         w = Word.parse(exact_system.alphabet, text)
@@ -192,21 +208,21 @@ def save_vector(path: str, vector: MultVector) -> None:
 def load_quotient(path: str, alphabet: Alphabet) -> CosetTable:
     """Quotient specification: a finite group (cyclic order or multiplication
     table) and letter images; the subgroup is the kernel."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _read_json(path)
     spec = doc.get("quotient")
     if not isinstance(spec, dict):
-        raise ValidationError("quotient file needs a 'quotient' object")
+        raise ValidationError(f"{path}: quotient file needs a 'quotient' object")
     if "cyclic" in spec:
-        group = FiniteGroup.cyclic(int(spec["cyclic"]))
+        group = FiniteGroup.cyclic(_cast(int, spec["cyclic"], path, "quotient.cyclic"))
     elif "table" in spec:
         group = FiniteGroup(spec["table"])
     else:
-        raise ValidationError("quotient needs either 'cyclic' or 'table' order data")
+        raise ValidationError(f"{path}: quotient needs either 'cyclic' or 'table' order data")
     images_doc = spec.get("images")
     if not isinstance(images_doc, dict):
-        raise ValidationError("quotient needs an 'images' table keyed by letter name")
-    images = {alphabet.letter(name): int(v) for name, v in images_doc.items()}
+        raise ValidationError(f"{path}: quotient needs an 'images' table keyed by letter name")
+    images = {alphabet.letter(name): _cast(int, v, path, f"quotient.images.{name}")
+              for name, v in images_doc.items()}
     return coset_table_from_quotient(alphabet, group, images)
 
 
@@ -230,11 +246,12 @@ def dump_schreier(path: str, data: SchreierData) -> None:
 def load_vf_datum(path_or_name: str) -> VFGroupDatum:
     if path_or_name == "psl2z":
         return psl2z_datum()
-    with open(path_or_name) as fh:
-        doc = json.load(fh)
-    group = FreeProduct([int(m) for m in doc["factors"]], list(doc["generators"]))
-    transversal = [group.parse(t) for t in doc["transversal"]]
-    basis_texts = list(doc["free_basis"])
+    path = path_or_name
+    doc = _read_json(path)
+    group = FreeProduct([_cast(int, m, path, "factors") for m in _require(doc, "factors", path)],
+                        list(_require(doc, "generators", path)))
+    transversal = [group.parse(t) for t in _require(doc, "transversal", path)]
+    basis_texts = list(_require(doc, "free_basis", path))
     alphabet = Alphabet.rank(len(basis_texts))
     basis = []
     for t in basis_texts:
@@ -243,9 +260,11 @@ def load_vf_datum(path_or_name: str) -> VFGroupDatum:
     t_pos = {group.format(t): i for i, t in enumerate(transversal)}
     gen_pos = {nm: i for i, nm in enumerate(group.names)}
     table = {}
-    for key, val in doc["table"].items():
-        t_txt, s_txt = key.split("|")
-        word = Word.parse(alphabet, val[1])
-        table[(t_pos[t_txt], gen_pos[s_txt])] = (word, t_pos[val[0]])
+    for key, val in _require(doc, "table", path).items():
+        try:
+            t_txt, s_txt = key.split("|")
+            table[(t_pos[t_txt], gen_pos[s_txt])] = (Word.parse(alphabet, val[1]), t_pos[val[0]])
+        except (KeyError, IndexError, TypeError, ValueError):
+            raise ValidationError(f"{path}: bad table entry {key!r}: {val!r}") from None
     return VFGroupDatum(group, transversal, alphabet, basis, table,
                         name=doc.get("name", ""))

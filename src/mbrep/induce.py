@@ -18,11 +18,11 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import DepthError, LayoutError, ValidationError
-from .multrep import (MultVector, RepSpace, act, cylinder_op, deepen, evaluate,
-                      inner, vadd, vscale, zero_vector)
-from .subgroups import SchreierData, expand_from_subgroup, rewrite_to_subgroup
+from .multrep import (MultVector, RepSpace, act, cylinder_op, evaluate, inner, vadd,
+                      vscale, zero_vector)
+from .subgroups import SchreierData, rewrite_to_subgroup
 from .system import FormTuple, MatrixSystem
-from .words import Alphabet, Cylinder, Word, cylinder_image, multiply, sphere
+from .words import Cylinder, Word, cylinder_image, multiply, sphere
 
 
 @dataclass

@@ -2,24 +2,26 @@
 coefficients, boundary cylinder operators, and crossed-product elements.
 
 A vector is a finite germ: values on one word sphere, propagated outward by
-the system maps.  Matrix coefficients come in two backends: a literal
-sphere-sum oracle (exponential, see ``_kernels``) and an accelerated cone
-decomposition along the geodesic of the acting word whose tail sums collapse
-through the compatibility identity.
+the system maps.  Matrix coefficients come in three backends: ``fast``, a
+cone decomposition along the geodesic of the acting word whose tail sums
+collapse through the compatibility identity; ``brute``, the literal
+sphere-sum oracle in numpy (exponential, see ``_kernels``); and
+``reference``, the same literal sum word by word through
+:func:`sphere_coefficient`, which the exact mode in ``_exact`` shares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import _kernels
 from .errors import CapExceededError, DepthError, ValidationError
 from .system import FormTuple, MatrixSystem, compatibility_residual
-from .words import (DEFAULT_CAP, Alphabet, Cylinder, CylinderUnion, Word,
-                    cylinder_image, multiply, refine, sphere, sphere_size)
+from .words import (DEFAULT_CAP, Alphabet, Cylinder, Word, cylinder_image, multiply,
+                    refine, sphere, sphere_size)
 
 
 class RepSpace:
@@ -303,18 +305,28 @@ def _fast_coefficient(x: Word, f: MultVector, g: MultVector) -> complex:
     return complex(total)
 
 
-def _reference_coefficient(x: Word, f: MultVector, g: MultVector, cap: int) -> complex:
-    """Plain literal sphere sum; the small-case gate for both hot backends."""
+def sphere_coefficient(alphabet: Alphabet, x: Word, f, g, value_at: Callable,
+                       pair: Callable, zero, cap: int):
+    """Literal truncated sphere sum of the matrix coefficient <act(x, f), g>
+    over any scalar type: ``zero`` plus ``pair(letter, f(x^-1 y), g(y))``
+    over every y on the sphere of radius max(depths) + |x| + 1, where
+    ``letter`` is the last letter of y and ``value_at(f, w)`` evaluates a
+    vector.  The small-case gate for the hot backends, and the exact oracle
+    over Q(sqrt(k)).
+    """
     m_depth = max(f.depth, g.depth) + len(x) + 1
-    space = f.space
-    forms = space.forms
     xinv = x.inverse()
-    total = 0.0 + 0.0j
-    for y in sphere(space.alphabet, m_depth, cap=cap):
-        fv = evaluate(f, multiply(xinv, y))
-        gv = evaluate(g, y)
-        total += np.vdot(gv, forms[y.last()] @ fv)
-    return complex(total)
+    total = zero
+    for y in sphere(alphabet, m_depth, cap=cap):
+        total = total + pair(y.last(), value_at(f, multiply(xinv, y)), value_at(g, y))
+    return total
+
+
+def _reference_coefficient(x: Word, f: MultVector, g: MultVector, cap: int) -> complex:
+    forms = f.space.forms
+    return complex(sphere_coefficient(
+        f.space.alphabet, x, f, g, evaluate,
+        lambda a, fv, gv: np.vdot(gv, forms[a] @ fv), 0.0 + 0.0j, cap))
 
 
 def coefficient(x: Word, f: MultVector, g: MultVector, backend: str = "fast",
@@ -324,7 +336,9 @@ def coefficient(x: Word, f: MultVector, g: MultVector, backend: str = "fast",
     ``fast`` decomposes the sphere by where words branch off the geodesic of
     ``x`` and collapses each branch through compatibility (cost linear in
     |x|); ``brute`` evaluates the literal truncated sphere sum and is the
-    independent oracle; ``reference`` is a slow pure-python literal sum.
+    independent oracle (numpy, see ``_kernels``); ``reference`` is the plain
+    word-by-word sum of :func:`sphere_coefficient`, the small-case gate for
+    both.
     """
     if f.space != g.space:
         raise ValidationError("vectors live on different systems")
@@ -419,17 +433,6 @@ def precompose(coefficient_fn: Callable[[Word], complex],
         return coefficient_fn(substituted(w))
 
     return composed
-
-
-def coefficient_function(f: MultVector, g: Optional[MultVector] = None,
-                         backend: str = "fast") -> Callable[[Word], complex]:
-    """The map x -> <act(x, f), g> as a callable."""
-    gg = f if g is None else g
-
-    def fn(x: Word) -> complex:
-        return coefficient(x, f, gg, backend=backend)
-
-    return fn
 
 
 def gram_matrix(words: Sequence[Word], f: MultVector, backend: str = "fast") -> np.ndarray:

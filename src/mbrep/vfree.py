@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ValidationError
-from .multrep import MultVector, coefficient, inner
+from .multrep import MultVector, coefficient
 from .words import Alphabet, Word, multiply
 
 Element = Tuple[Tuple[int, int], ...]  # alternating (factor, exponent) syllables
@@ -64,9 +64,6 @@ class FreeProduct:
 
     def inverse(self, x: Element) -> Element:
         return tuple((f, self.orders[f] - e) for f, e in reversed(x))
-
-    def syllable_length(self, x: Element) -> int:
-        return len(x)
 
     def parse(self, text: str) -> Element:
         if text in ("", "e"):
@@ -130,12 +127,6 @@ class VFGroupDatum:
     basis_elements: List[Element]  # one per basis letter, inverse-closed
     table: Dict[Tuple[int, int], Tuple[Word, int]]  # (t_idx, factor) -> (word, t'_idx)
     name: str = ""
-
-    def transversal_index(self, x: Element) -> Optional[int]:
-        for i, t in enumerate(self.transversal):
-            if t == x:
-                return i
-        return None
 
     def expand_basis_word(self, w: Word) -> Element:
         out: Element = ()

@@ -1,19 +1,8 @@
-import sys
-from pathlib import Path
-
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parent))
-
-from mbrep import _kernels
 from mbrep.multrep import MultVector, RepSpace
 from mbrep.system import spherical_system
 from mbrep.words import Alphabet, Word
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _compile_kernels():
-    _kernels.warmup()
 
 
 @pytest.fixture(scope="session")

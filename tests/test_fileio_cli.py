@@ -267,11 +267,47 @@ class TestCli:
         phis = [float(r.split(",")[2]) for r in rows]
         assert all(p < 1 for p in phis)
 
+    def test_demo_cap_exit_code(self, capsys):
+        # the first Hellinger sum already partitions 324 depth-5 cylinders
+        code = cli.main(["demo-no-hc", "--uniform-rank", "2", "--word", "abab",
+                         "--max-power", "3", "--cap", "5"])
+        assert code == cli.EXIT_CAP
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("resource cap:")
+
+    @pytest.mark.parametrize("case", ["json", "dims", "depth", "factors"])
+    def test_malformed_file_exits_validation(self, case, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        with open(cli._resolve("builtin:spherical2-unscaled")) as fh:
+            system_doc = json.load(fh)
+        system_doc["dims"]["a"] = "x"
+        text, argv, field = {
+            "json": ('{"alphabet": [', ["normalize", "--input", str(path)], "invalid JSON"),
+            "dims": (json.dumps(system_doc), ["normalize", "--input", str(path)], "dims.a"),
+            "depth": ('{"depth": "two", "values": {}}',
+                      ["coefficients", "--system", "builtin:spherical2", "--vector", str(path)],
+                      "depth"),
+            "factors": ('{"generators": ["s", "t"]}',
+                        ["vf-induce", "--datum", str(path), "--system", "builtin:spherical2",
+                         "--vector", "builtin:seed-a"], "factors"),
+        }[case]
+        path.write_text(text)
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("validation failure:")
+        assert str(path) in err[0] and field in err[0]
+
+    @pytest.mark.parametrize("argv", [
+        ["herz", "--system", "builtin:spherical2", "--vector", "builtin:seed-a", "--radius", "x"],
+        ["selftest", "--output", "report.csv"],
+    ], ids=["bad-value", "removed-flag"])
+    def test_usage_error_exits_validation(self, argv, capsys):
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("validation failure:")
+
     def test_decompose_command(self, tmp_path, capsys):
         # build a reducible two-block file, then split it from the CLI
-        import sys
-
-        sys.path.insert(0, "tests")
         from test_system import two_block_system
 
         system, forms = two_block_system()
