@@ -472,7 +472,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValidationError as err:
         print(f"validation failure: {err}", file=sys.stderr)
         return EXIT_VALIDATION
-    except FileNotFoundError as err:
+    except OSError as err:  # a missing, unreadable or directory path
         print(f"validation failure: {err}", file=sys.stderr)
         return EXIT_VALIDATION
     except MbrepError as err:

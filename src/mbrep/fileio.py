@@ -85,6 +85,15 @@ def _cast(kind: Callable, value, path: str, field: str):
         raise ValidationError(f"{path}: field {field!r} has bad value {value!r}") from None
 
 
+def _table(doc: dict, key: str, path: str) -> dict:
+    """An optional field holding a JSON object keyed by name; absent reads
+    as empty."""
+    table = doc.get(key) or {}
+    if not isinstance(table, dict):
+        raise ValidationError(f"{path}: field {key!r} must be a JSON object")
+    return table
+
+
 def load_system(path: str) -> Tuple[MatrixSystem, Optional[FormTuple], Optional[ExactSystem]]:
     """Read a system file; returns the float system, its forms when present,
     and the exact shadow when the file declares exact entries."""
@@ -115,7 +124,7 @@ def load_system(path: str) -> Tuple[MatrixSystem, Optional[FormTuple], Optional[
 
     maps: Dict[Tuple[int, int], np.ndarray] = {}
     exact_maps = {}
-    for key, rows in (doc.get("maps") or {}).items():
+    for key, rows in _table(doc, "maps", path).items():
         try:
             bn, an = key.split("|")
         except ValueError:
@@ -130,7 +139,7 @@ def load_system(path: str) -> Tuple[MatrixSystem, Optional[FormTuple], Optional[
     exact_forms = {}
     if doc.get("forms"):
         mats = [np.zeros((d, d), dtype=np.complex128) for d in dims]
-        for name, rows in doc["forms"].items():
+        for name, rows in _table(doc, "forms", path).items():
             a = alphabet.letter(name)
             m, q = parse_matrix(rows, (dims[a], dims[a]))
             mats[a] = m
@@ -178,7 +187,7 @@ def load_vector(path: str, space: RepSpace) -> MultVector:
     doc = _read_json(path)
     depth = _cast(int, doc.get("depth", 0), path, "depth")
     values = {}
-    for text, entries in (doc.get("values") or {}).items():
+    for text, entries in _table(doc, "values", path).items():
         w = Word.parse(space.alphabet, text)
         values[w] = np.array([_entry_to_complex(e) for e in entries], dtype=np.complex128)
     return MultVector(space, depth, values)
@@ -188,7 +197,7 @@ def load_exact_vector(path: str, exact_system: ExactSystem) -> ExactVector:
     doc = _read_json(path)
     depth = _cast(int, doc.get("depth", 0), path, "depth")
     values = {}
-    for text, entries in (doc.get("values") or {}).items():
+    for text, entries in _table(doc, "values", path).items():
         w = Word.parse(exact_system.alphabet, text)
         values[w] = tuple(_parse_exact(str(e), exact_system.radicand) for e in entries)
     return ExactVector(exact_system, depth, values)

@@ -86,8 +86,6 @@ def induce_system(sub_system: MatrixSystem, sub_forms: FormTuple,
     layout = _build_layout(data, sub_system.dims)
     dims = [layout.letter_dim(a) for a in range(n)]
 
-    rep_words = {t.letters: i for i, t in enumerate(data.transversal)}
-
     maps: Dict[Tuple[int, int], np.ndarray] = {}
     for b in range(n):
         for a in range(n):
@@ -97,38 +95,27 @@ def induce_system(sub_system: MatrixSystem, sub_forms: FormTuple,
             if db == 0 or da == 0:
                 continue
             block = np.zeros((db, da), dtype=np.complex128)
-            filled = False
             for row_k, (v_idx, jd) in enumerate(layout.pairs[b]):
                 r_off = layout.offsets[b][row_k]
                 r_dim = layout.block_dims[b][row_k]
-                v = data.transversal[v_idx]
-                va = multiply(v, Word(alphabet, (inv[a],)))
-                hit = rep_words.get(va.letters)
-                if hit is not None:
-                    # copy block: the shifted element stays inside the tree
-                    c_off, c_dim = layout.locate(a, hit, jd)
+                # the edge by letter a into the coset of v
+                coset = data.table.step(data.coset_of_transversal(v_idx), inv[a])
+                u_idx = data.transversal_of_coset(coset)
+                jc = data.edge_gen[coset][a]
+                if jc < 0:
+                    # copy block: a tree edge keeps the block inside the tree
+                    c_off, c_dim = layout.locate(a, u_idx, jd)
                     if c_dim != r_dim:
                         raise LayoutError("copy block dimensions disagree")
                     block[r_off:r_off + r_dim, c_off:c_off + c_dim] = np.eye(r_dim)
-                    filled = True
                 else:
-                    coset = data.table.walk(va)
-                    u_idx = data.transversal_of_coset(coset)
-                    u = data.transversal[u_idx]
-                    gen = multiply(multiply(u, Word(alphabet, (a,))), v.inverse())
-                    jc = data.generator_index(gen)
-                    if jc is None:
-                        raise LayoutError(f"crossing element {gen} is not a Schreier generator")
                     if sub_inv[jc] == jd:
                         raise LayoutError("crossing generator pairs with an inverse letter")
                     c_off, c_dim = layout.locate(a, u_idx, jc)
                     m = sub_system.maps[jd][jc]
-                    if m is None:
-                        filled = True  # structurally zero subgroup map
-                        continue
-                    block[r_off:r_off + r_dim, c_off:c_off + c_dim] = m
-                    filled = True
-            if filled and np.any(block != 0):
+                    if m is not None:  # None is a structurally zero subgroup map
+                        block[r_off:r_off + r_dim, c_off:c_off + c_dim] = m
+            if np.any(block != 0):
                 maps[(b, a)] = block
 
     forms = []
@@ -154,19 +141,13 @@ class InducedVector:
         self.space = space
         self.blocks = {u: v for u, v in blocks.items() if not v.is_zero()}
 
-    def block(self, u_idx: int, depth: int = 1) -> MultVector:
-        v = self.blocks.get(u_idx)
-        if v is None:
-            return zero_vector(self.space, depth)
-        return v
 
-
-def _decompose_element(data: SchreierData, g: Word) -> Tuple[int, Word]:
-    """g = u . h with u in the transversal and h in the subgroup."""
-    coset = data.table.walk(g)
-    u_idx = data.transversal_of_coset(coset)
-    h = multiply(data.transversal[u_idx].inverse(), g)
-    return u_idx, h
+def _decompose_element(data: SchreierData, g: Tuple[int, ...]) -> Tuple[int, Tuple[int, ...]]:
+    """g = u . h with u in the transversal and h in the subgroup, for g given
+    by its letters: the index of u and the letters of u^-1 . g, not freely
+    reduced, for :func:`rewrite_to_subgroup`."""
+    u_idx = data.transversal_of_coset(data.table.walk(g))
+    return u_idx, data.transversal[u_idx].inverse().letters + g
 
 
 def induced_inner(f: InducedVector, g: InducedVector) -> complex:
@@ -180,24 +161,27 @@ def induced_inner(f: InducedVector, g: InducedVector) -> complex:
 
 def induced_action(x: Word, f: InducedVector) -> InducedVector:
     """The induced representation acting in block form."""
-    xinv = x.inverse()
+    data = f.data
+    xinv = x.inverse().letters
     blocks: Dict[int, MultVector] = {}
-    for u_idx in range(len(f.data.transversal)):
-        g = multiply(xinv, f.data.transversal[u_idx])
-        src_idx, h = _decompose_element(f.data, g)
+    for u_idx, u in enumerate(data.transversal):
+        src_idx, h = _decompose_element(data, xinv + u.letters)
         src = f.blocks.get(src_idx)
         if src is None:
             continue
-        word_h = rewrite_to_subgroup(h, f.data)
+        word_h = rewrite_to_subgroup(h, data)
         moved = act(word_h.inverse(), src)
         if not moved.is_zero():
             blocks[u_idx] = moved
-    return InducedVector(f.data, f.space, blocks)
+    return InducedVector(data, f.space, blocks)
+
+
+#: deepest presentation depth the intertwiner's depth search tries
+MAX_INTERTWINER_DEPTH = 16
 
 
 def intertwiner_J(f: InducedVector, layout: InducedLayout,
-                  induced_space: RepSpace, depth: Optional[int] = None,
-                  max_depth: int = 16) -> MultVector:
+                  induced_space: RepSpace, depth: Optional[int] = None) -> MultVector:
     """The unitary identification of the induced space with the induced
     system's multiplicative vectors: the value at a word x.a collects, block
     by block, the source function at x u^-1 evaluated on the crossing
@@ -209,36 +193,37 @@ def intertwiner_J(f: InducedVector, layout: InducedLayout,
     if depth is not None:
         return _intertwine_at(f, layout, induced_space, depth)
     last_err: Optional[Exception] = None
-    for d in range(1, max_depth + 1):
+    for d in range(1, MAX_INTERTWINER_DEPTH + 1):
         try:
             return _intertwine_at(f, layout, induced_space, d)
         except DepthError as err:
             last_err = err
-    raise DepthError(f"no admissible presentation depth up to {max_depth}: {last_err}")
+    raise DepthError(
+        f"no admissible presentation depth up to {MAX_INTERTWINER_DEPTH}: {last_err}")
 
 
 def _intertwine_at(f: InducedVector, layout: InducedLayout,
                    induced_space: RepSpace, depth: int) -> MultVector:
     data = f.data
     alphabet = data.table.alphabet
-    inverses = [t.inverse() for t in data.transversal]
+    inverses = [t.inverse().letters for t in data.transversal]
     values: Dict[Word, np.ndarray] = {}
     # (prefix, transversal) decompositions are shared across the last letter
     # and the generator of each block
     cache: Dict[Tuple[Tuple[int, ...], int], Tuple[int, Word]] = {}
 
-    def routed(x: Word, u_idx: int) -> Tuple[int, Word]:
-        key = (x.letters, u_idx)
+    def routed(x: Tuple[int, ...], u_idx: int) -> Tuple[int, Word]:
+        key = (x, u_idx)
         hit = cache.get(key)
         if hit is None:
-            src_idx, h = _decompose_element(data, multiply(x, inverses[u_idx]))
+            src_idx, h = _decompose_element(data, x + inverses[u_idx])
             hit = (src_idx, rewrite_to_subgroup(h, data))
             cache[key] = hit
         return hit
 
     for y in sphere(alphabet, depth):
         a = y.last()
-        x = Word(alphabet, y.letters[:-1])
+        x = y.letters[:-1]
         out = np.zeros(layout.letter_dim(a), dtype=np.complex128)
         any_nonzero = False
         for k, (u_idx, j) in enumerate(layout.pairs[a]):

@@ -10,12 +10,12 @@ rewriting trivially correct.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import MembershipError, ValidationError
-from .words import Alphabet, Word, multiply
+from .words import Alphabet, Word, concat, multiply
 
 
 class FiniteGroup:
@@ -53,7 +53,8 @@ class FiniteGroup:
 
 class CosetTable:
     """Right action of the letters on the cosets of a finite-index subgroup;
-    the basepoint coset 0 is the subgroup itself."""
+    the basepoint coset 0 is the subgroup itself.  ``action[s][c]`` is the
+    coset reached from coset s by letter c."""
 
     def __init__(self, alphabet: Alphabet, action: np.ndarray):
         action = np.asarray(action, dtype=np.int64)
@@ -61,27 +62,25 @@ class CosetTable:
         if na != len(alphabet):
             raise ValidationError("action table has wrong number of letter columns")
         self.alphabet = alphabet
-        self.action = action
+        self.action: List[List[int]] = action.tolist()
         self.index = n
         self._check()
 
     def _check(self) -> None:
         n = self.index
         for c in range(len(self.alphabet)):
-            col = self.action[:, c]
-            if sorted(col) != list(range(n)):
+            if sorted(row[c] for row in self.action) != list(range(n)):
                 raise ValidationError(f"letter {self.alphabet.names[c]} does not permute the cosets")
         for c in range(len(self.alphabet)):
             ci = self.alphabet.inv[c]
             for s in range(n):
-                if self.action[self.action[s, c], ci] != s:
+                if self.action[self.action[s][c]][ci] != s:
                     raise ValidationError("inverse letters do not act inversely")
         seen = {0}
         frontier = [0]
         while frontier:
             s = frontier.pop()
-            for c in range(len(self.alphabet)):
-                t = int(self.action[s, c])
+            for t in self.action[s]:
                 if t not in seen:
                     seen.add(t)
                     frontier.append(t)
@@ -89,17 +88,19 @@ class CosetTable:
             raise ValidationError("coset graph is not connected")
 
     def step(self, coset: int, letter: int) -> int:
-        return int(self.action[coset, letter])
+        return self.action[coset][letter]
 
-    def walk(self, w: Word, start: int = 0) -> int:
-        s = start
-        for c in w.letters:
-            s = int(self.action[s, c])
+    def walk(self, letters: Sequence[int]) -> int:
+        """The coset reached from the subgroup along a letter sequence (a
+        word's letters, or any concatenation of them)."""
+        s = 0
+        for c in letters:
+            s = self.action[s][c]
         return s
 
     def contains(self, w: Word) -> bool:
         """Membership of a word in the subgroup."""
-        return self.walk(w) == 0
+        return self.walk(w.letters) == 0
 
 
 def coset_table_from_quotient(alphabet: Alphabet, group: FiniteGroup,
@@ -162,6 +163,13 @@ class SchreierData:
     and the middle letter with generator j equal to u . c . v^-1; the pairs
     under Gamma-letter ``a`` are exactly those (u, j) whose reduced word
     u^-1 . gen_j starts with ``a``.
+
+    ``edge_gen[s][c]`` labels the edge of the coset graph from coset s by
+    letter c: the index j of the Schreier generator t_s . c . t_{s.c}^-1
+    (t_s the transversal element of coset s) on an edge outside the
+    transversal tree, and -1 on a tree edge.  Each generator labels exactly
+    one directed edge and the reverse edge carries its inverse, so the labels
+    along a walk from coset 0 back to coset 0 spell the walked element.
     """
 
     table: CosetTable
@@ -170,7 +178,7 @@ class SchreierData:
     generator_words: List[Word]
     generator_factors: List[Tuple[int, int, int]]
     pairs: List[List[Tuple[int, int]]]
-    _gen_index: Dict[Tuple[int, ...], int]
+    edge_gen: List[List[int]]
     _coset_of_transversal: List[int]
     _transversal_of_coset: List[int]
 
@@ -185,15 +193,13 @@ class SchreierData:
     def transversal_of_coset(self, coset: int) -> int:
         return self._transversal_of_coset[coset]
 
-    def generator_index(self, w: Word) -> Optional[int]:
-        return self._gen_index.get(w.letters)
+    def coset_of_transversal(self, u_idx: int) -> int:
+        return self._coset_of_transversal[u_idx]
 
     def pair_words(self, a: int) -> List[Word]:
         """The reduced words u^-1 . gen indexing the blocks at letter a."""
-        out = []
-        for u_idx, j in self.pairs[a]:
-            out.append(multiply(self.transversal[u_idx].inverse(), self.generator_words[j]))
-        return out
+        return [multiply(self.transversal[u_idx].inverse(), self.generator_words[j])
+                for u_idx, j in self.pairs[a]]
 
 
 def schreier(table: CosetTable) -> SchreierData:
@@ -218,7 +224,7 @@ def schreier(table: CosetTable) -> SchreierData:
         for c in range(n_letters):
             t = table.step(s, c)
             if rep_of_coset[t] is None:
-                rep_of_coset[t] = multiply(u, Word(alphabet, (c,)))
+                rep_of_coset[t] = concat(u, c)
                 order.append(t)
     if any(r is None for r in rep_of_coset):
         raise ValidationError("coset table is not connected")
@@ -229,39 +235,25 @@ def schreier(table: CosetTable) -> SchreierData:
     for i, s in enumerate(order):
         transversal_of_coset[s] = i
 
-    # nontrivial Schreier generators with their (u, c, v) factorizations
-    raw: Dict[Tuple[int, ...], Tuple[Word, int, int, int]] = {}
+    # nontrivial Schreier generators with their (u, c, v) factorizations; the
+    # rank check below also proves that no two edges share a generator
+    raw: Dict[Tuple[int, ...], Tuple[Word, Tuple[int, int, int]]] = {}
     for u_idx, u in enumerate(transversal):
         s = coset_of_transversal[u_idx]
         for c in range(n_letters):
-            t = table.step(s, c)
-            v_idx = transversal_of_coset[t]
-            v = transversal[v_idx]
-            gen = multiply(multiply(u, Word(alphabet, (c,))), v.inverse())
-            if gen.is_identity():
-                continue
-            if gen.letters not in raw:
-                raw[gen.letters] = (gen, u_idx, c, v_idx)
+            v_idx = transversal_of_coset[table.step(s, c)]
+            gen = multiply(concat(u, c), transversal[v_idx].inverse())
+            if not gen.is_identity():
+                raw[gen.letters] = (gen, (u_idx, c, v_idx))
 
-    def shortlex_key(letters: Tuple[int, ...]):
-        return (len(letters), letters)
-
-    ordered = sorted(raw, key=shortlex_key)
+    # shortlex order, each generator followed by its inverse
     placed: List[Tuple[int, ...]] = []
-    placed_set = set()
-    inv_of: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-    for letters in ordered:
-        gen = raw[letters][0]
-        inv_letters = gen.inverse().letters
+    for letters in sorted(raw, key=lambda l: (len(l), l)):
+        inv_letters = raw[letters][0].inverse().letters
         if inv_letters not in raw:
             raise ValidationError("generator set is not closed under inversion")
-        inv_of[letters] = inv_letters
-        if letters in placed_set:
-            continue
-        placed.append(letters)
-        placed.append(inv_letters)
-        placed_set.add(letters)
-        placed_set.add(inv_letters)
+        if letters not in placed:
+            placed += [letters, inv_letters]
 
     rank = len(placed) // 2
     expected_rank = 1 + table.index * (n_letters // 2 - 1)
@@ -271,9 +263,10 @@ def schreier(table: CosetTable) -> SchreierData:
             f"(expected rank {expected_rank})")
     sub_alphabet = Alphabet.rank(rank)
     generator_words = [raw[letters][0] for letters in placed]
-    generator_factors = [(raw[letters][1], raw[letters][2], raw[letters][3])
-                         for letters in placed]
-    gen_index = {letters: j for j, letters in enumerate(placed)}
+    generator_factors = [raw[letters][1] for letters in placed]
+    edge_gen = [[-1] * n_letters for _ in range(table.index)]
+    for j, (u_idx, c, _v_idx) in enumerate(generator_factors):
+        edge_gen[coset_of_transversal[u_idx]][c] = j
 
     pairs: List[List[Tuple[int, int]]] = [[] for _ in range(n_letters)]
     for u_idx in range(len(transversal)):
@@ -285,31 +278,39 @@ def schreier(table: CosetTable) -> SchreierData:
             pairs[w.first()].append((u_idx, j))
 
     return SchreierData(table, transversal, sub_alphabet, generator_words,
-                        generator_factors, pairs, gen_index,
+                        generator_factors, pairs, edge_gen,
                         coset_of_transversal, transversal_of_coset)
 
 
-def rewrite_to_subgroup(w: Word, data: SchreierData) -> Word:
+def rewrite_to_subgroup(w: Union[Word, Sequence[int]], data: SchreierData) -> Word:
     """Express a subgroup element as a reduced word over the Schreier
-    generator alphabet; expansion recovers the original element."""
-    table = data.table
-    if not table.contains(w):
-        raise MembershipError(f"{w} is not in the subgroup")
-    out = Word.identity(data.subgroup_alphabet)
+    generator alphabet; expansion recovers the original element.
+
+    ``w`` is a word, or the letters of a product of words that need not be
+    freely reduced: the walk reads each edge's generator from
+    ``data.edge_gen`` and cancels it against the tail of the output, so any
+    spelling of the element gives the same reduced result.
+    """
+    letters = w.letters if isinstance(w, Word) else w
+    action, edge_gen = data.table.action, data.edge_gen
+    sub_inv = data.subgroup_alphabet.inv
+    out: List[int] = []
     s = 0
-    for c in w.letters:
-        u_idx = data.transversal_of_coset(s)
-        t = table.step(s, c)
-        v_idx = data.transversal_of_coset(t)
-        gen = multiply(multiply(data.transversal[u_idx], Word(table.alphabet, (c,))),
-                       data.transversal[v_idx].inverse())
-        if not gen.is_identity():
-            j = data.generator_index(gen)
-            if j is None:
-                raise ValidationError("rewriting met an unknown Schreier generator")
-            out = multiply(out, Word(data.subgroup_alphabet, (j,)))
-        s = t
-    return out
+    for c in letters:
+        j = edge_gen[s][c]
+        if j >= 0:
+            if out and out[-1] == sub_inv[j]:
+                out.pop()
+            else:
+                out.append(j)
+        s = action[s][c]
+    if s != 0:
+        spelled = "".join(data.table.alphabet.names[c] for c in letters) or "e"
+        raise MembershipError(f"{spelled} is not in the subgroup")
+    h = Word.__new__(Word)
+    h.alphabet = data.subgroup_alphabet
+    h.letters = tuple(out)
+    return h
 
 
 def expand_from_subgroup(w: Word, data: SchreierData) -> Word:

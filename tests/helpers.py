@@ -47,3 +47,18 @@ def random_word(alphabet, rng, length):
         if c != alphabet.inv[letters[-1]]:
             letters.append(c)
     return Word(alphabet, letters)
+
+
+def s3_quotient(alphabet):
+    """S3 as a multiplication table, with the letter images of the rank-2
+    homomorphism a -> a transposition, b -> a 3-cycle (index 6, subgroup
+    rank 7)."""
+    from itertools import permutations
+
+    from mbrep.subgroups import FiniteGroup
+
+    perms = list(permutations(range(3)))  # the identity comes first
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(q[p[k]] for k in range(3))] for q in perms] for p in perms]
+    return FiniteGroup(table), {alphabet.letter("a"): index[(1, 0, 2)],
+                                alphabet.letter("b"): index[(1, 2, 0)]}

@@ -275,11 +275,12 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("resource cap:")
 
-    @pytest.mark.parametrize("case", ["json", "dims", "depth", "factors"])
+    @pytest.mark.parametrize("case", ["json", "dims", "depth", "factors", "values", "maps"])
     def test_malformed_file_exits_validation(self, case, tmp_path, capsys):
         path = tmp_path / "bad.json"
         with open(cli._resolve("builtin:spherical2-unscaled")) as fh:
             system_doc = json.load(fh)
+        bad_maps = json.dumps(dict(system_doc, maps=[1]))
         system_doc["dims"]["a"] = "x"
         text, argv, field = {
             "json": ('{"alphabet": [', ["normalize", "--input", str(path)], "invalid JSON"),
@@ -290,12 +291,27 @@ class TestCli:
             "factors": ('{"generators": ["s", "t"]}',
                         ["vf-induce", "--datum", str(path), "--system", "builtin:spherical2",
                          "--vector", "builtin:seed-a"], "factors"),
+            "values": ('{"depth": 1, "values": [1]}',
+                       ["coefficients", "--system", "builtin:spherical2", "--vector", str(path)],
+                       "values"),
+            "maps": (bad_maps, ["normalize", "--input", str(path)], "maps"),
         }[case]
         path.write_text(text)
         assert cli.main(argv) == cli.EXIT_VALIDATION
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("validation failure:")
         assert str(path) in err[0] and field in err[0]
+
+    @pytest.mark.parametrize("argv", [
+        ["normalize", "--input", "{dir}"],
+        ["herz", "--system", "builtin:spherical2", "--vector", "builtin:seed-a",
+         "--radius", "1", "--output", "{dir}"],
+    ], ids=["input", "output"])
+    def test_directory_path_exits_validation(self, argv, tmp_path, capsys):
+        assert cli.main([a.format(dir=tmp_path) for a in argv]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("validation failure:")
+        assert str(tmp_path) in err[0]
 
     @pytest.mark.parametrize("argv", [
         ["herz", "--system", "builtin:spherical2", "--vector", "builtin:seed-a", "--radius", "x"],

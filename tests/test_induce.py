@@ -11,6 +11,8 @@ from mbrep.subgroups import FiniteGroup, coset_table_from_quotient, schreier
 from mbrep.system import compatibility_residual, spherical_system, validate
 from mbrep.words import Alphabet, Word, multiply, sphere
 
+from helpers import s3_quotient
+
 A2 = Alphabet.rank(2)
 
 
@@ -18,11 +20,8 @@ def w(text):
     return Word.parse(A2, text)
 
 
-@pytest.fixture(scope="module")
-def setup():
-    table = coset_table_from_quotient(A2, FiniteGroup.cyclic(2),
-                                      {A2.letter("a"): 1, A2.letter("b"): 0})
-    data = schreier(table)
+def induced_setup(group, images):
+    data = schreier(coset_table_from_quotient(A2, group, images))
     sub_system, sub_forms = spherical_system(data.subgroup_alphabet)
     ind_system, ind_forms, layout = induce_system(sub_system, sub_forms, data)
     return {
@@ -33,11 +32,22 @@ def setup():
     }
 
 
-def rand_blocks(setup_dict, rng, depth=1, cosets=(0, 1)):
+@pytest.fixture(scope="module")
+def setup():
+    return induced_setup(FiniteGroup.cyclic(2), {A2.letter("a"): 1, A2.letter("b"): 0})
+
+
+@pytest.fixture(scope="module")
+def s3_setup():
+    """Induction through the non-abelian quotient S3 (index 6)."""
+    return induced_setup(*s3_quotient(A2))
+
+
+def rand_blocks(setup_dict, rng, depth=1):
     data = setup_dict["data"]
     space = setup_dict["sub_space"]
     blocks = {}
-    for u in cosets:
+    for u in range(data.index):
         vals = {}
         for word in sphere(space.alphabet, depth):
             d = space.dim(word.last())
@@ -84,6 +94,12 @@ class TestInducedSystem:
                 got = ind_system.map(relabel[jb], relabel[ja])
                 assert np.allclose(got, m)
 
+    def test_s3_valid_and_compatible(self, s3_setup):
+        system = s3_setup["ind_space"].system
+        assert system.dims == (12, 12, 30, 30)
+        assert validate(system) == []
+        assert compatibility_residual(system, s3_setup["ind_space"].forms) <= 1e-12
+
     def test_forms_are_block_diagonal_copies(self, setup):
         forms = setup["ind_space"].forms
         for a in range(4):
@@ -98,6 +114,15 @@ class TestIntertwiner:
             g = rand_blocks(setup, rng)
             jf = intertwiner_J(f, setup["layout"], setup["ind_space"])
             jg = intertwiner_J(g, setup["layout"], setup["ind_space"])
+            assert abs(inner(jf, jg) - induced_inner(f, g)) <= 1e-10
+
+    def test_s3_inner_products_preserved(self, s3_setup):
+        rng = np.random.default_rng(31)
+        for _ in range(3):
+            f = rand_blocks(s3_setup, rng)
+            g = rand_blocks(s3_setup, rng)
+            jf = intertwiner_J(f, s3_setup["layout"], s3_setup["ind_space"])
+            jg = intertwiner_J(g, s3_setup["layout"], s3_setup["ind_space"])
             assert abs(inner(jf, jg) - induced_inner(f, g)) <= 1e-10
 
     def test_image_is_multiplicative(self, setup):

@@ -6,9 +6,19 @@ from mbrep.subgroups import (CosetTable, FiniteGroup, coset_table_from_quotient,
                              expand_from_subgroup, rewrite_to_subgroup, schreier)
 from mbrep.words import Alphabet, Word, multiply
 
-from helpers import random_word
+from helpers import random_word, s3_quotient
 
 A2 = Alphabet.rank(2)
+
+QUOTIENTS = {
+    "cyclic2": lambda: (FiniteGroup.cyclic(2), {A2.letter("a"): 1, A2.letter("b"): 0}),
+    "cyclic3": lambda: (FiniteGroup.cyclic(3), {A2.letter("a"): 1, A2.letter("b"): 0}),
+    "s3": lambda: s3_quotient(A2),
+}
+
+
+def quotient_data(name):
+    return schreier(coset_table_from_quotient(A2, *QUOTIENTS[name]()))
 
 
 def w(text):
@@ -16,9 +26,7 @@ def w(text):
 
 
 def index2_data():
-    table = coset_table_from_quotient(A2, FiniteGroup.cyclic(2),
-                                      {A2.letter("a"): 1, A2.letter("b"): 0})
-    return schreier(table)
+    return quotient_data("cyclic2")
 
 
 class TestFiniteGroup:
@@ -122,10 +130,36 @@ class TestSchreier:
             assert len(data.transversal) == t.index
 
     def test_rank_formula_various(self):
-        for m, images in ((2, {0: 1, 2: 0}), (3, {0: 1, 2: 0}), (5, {0: 1, 2: 2})):
-            t = coset_table_from_quotient(A2, FiniteGroup.cyclic(m), images)
+        quotients = [(FiniteGroup.cyclic(m), images)
+                     for m, images in ((2, {0: 1, 2: 0}), (3, {0: 1, 2: 0}), (5, {0: 1, 2: 2}))]
+        for group, images in quotients + [s3_quotient(A2)]:
+            t = coset_table_from_quotient(A2, group, images)
             data = schreier(t)
+            assert t.index == group.order
             assert data.rank == 1 + t.index * (len(A2) // 2 - 1)
+
+    @pytest.mark.parametrize("quotient", sorted(QUOTIENTS))
+    def test_edge_gen_labels_schreier_generators(self, quotient):
+        data = quotient_data(quotient)
+        sub_inv = data.subgroup_alphabet.inv
+        labelled = {}
+        for s in range(data.index):
+            u = data.transversal[data.transversal_of_coset(s)]
+            for c in range(len(A2)):
+                t = data.table.step(s, c)
+                v = data.transversal[data.transversal_of_coset(t)]
+                j = data.edge_gen[s][c]
+                back = data.edge_gen[t][A2.inv[c]]
+                gen = multiply(multiply(u, Word(A2, (c,))), v.inverse())
+                if j < 0:
+                    assert gen.is_identity() and back == -1
+                else:
+                    assert gen == data.generator_words[j]
+                    assert back == sub_inv[j]
+                    assert j not in labelled
+                    labelled[j] = (s, c)
+        # each generator labels exactly one directed edge
+        assert sorted(labelled) == list(range(len(data.generator_words)))
 
     def test_generators_move_tree_by_one(self):
         data = index2_data()
@@ -159,8 +193,9 @@ class TestRewriting:
         with pytest.raises(MembershipError):
             rewrite_to_subgroup(w("a"), data)
 
-    def test_roundtrip_random(self):
-        data = index2_data()
+    @pytest.mark.parametrize("quotient", sorted(QUOTIENTS))
+    def test_roundtrip_random(self, quotient):
+        data = quotient_data(quotient)
         rng = np.random.default_rng(13)
         done = 0
         while done < 200:
@@ -169,10 +204,15 @@ class TestRewriting:
                 continue
             rewritten = rewrite_to_subgroup(word, data)
             assert expand_from_subgroup(rewritten, data) == word
+            # an unreduced spelling of the same element rewrites the same
+            k, c = len(word) // 2, done % len(A2)
+            spelled = word.letters[:k] + (c, A2.inv[c]) + word.letters[k:]
+            assert rewrite_to_subgroup(spelled, data) == rewritten
             done += 1
 
-    def test_output_is_reduced(self):
-        data = index2_data()
+    @pytest.mark.parametrize("quotient", sorted(QUOTIENTS))
+    def test_output_is_reduced(self, quotient):
+        data = quotient_data(quotient)
         rng = np.random.default_rng(29)
         for _ in range(100):
             word = random_word(A2, rng, 2 * int(rng.integers(0, 7)))
