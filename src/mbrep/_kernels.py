@@ -1,149 +1,95 @@
-"""Hot kernel for the brute-force sphere pairing.
+"""Sphere propagation by levels, and the brute-force sphere pairing.
+
+A level holds the values of a function on one word sphere, grouped by the
+last letter of the word: one array per letter whose rows (the trailing axis
+is the letter's space) are the values at the words ending in it.
+``level_step`` moves a level one step outward with one matmul per (parent,
+child) letter pair; ``multrep.deepen`` and ``brute_pairing`` both propagate
+through it.
 
 The literal inner-product sum over a whole word sphere is the package's
-exponential inner loop.  ``brute_pairing`` evaluates it with numpy: it
-splits the sphere by where each word leaves the geodesic of the acting word
-and grows each branch level by level, one batched matmul per letter pair.
-It is the independent oracle for the cone-collapsed ``fast`` backend.
+exponential inner loop.  ``brute_pairing`` seeds each geodesic cone of
+``multrep.cone_walk`` with the (f, g) values at its roots and steps those
+pairs out to the truncation sphere.  It is the independent oracle for the
+cone-collapsed ``fast`` backend.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+#: a level: last letter -> (rows, keys), where keys names each row's word as
+#: a letter tuple, or is None when the caller does not track words
+Level = Dict[int, Tuple[np.ndarray, Optional[List[Tuple[int, ...]]]]]
 
-def pack_system(system, forms) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Pad the ragged per-letter maps/forms into dense arrays.
+#: the brute sum halves a level while its next step would exceed this many rows
+CHUNK_ROWS = 1 << 18
 
-    Padding is exact: spurious rows/columns are zero, so padded matvecs agree
-    with the unpadded ones.
+
+def level_step(maps, inv, level: Level) -> Level:
+    """The next level outward: each row at a word ending in ``p`` grows one
+    child row ``maps[c][p] @ row`` for every letter c other than the inverse
+    of p.  A ``None`` map is zero and adds no rows.  Each child array holds
+    its rows by parent letter, then parent row; rows of any leading shape
+    go through one 2-D matmul per letter pair.
     """
-    n = len(system.alphabet)
-    dmax = max(system.dims) if system.dims else 0
-    h = np.zeros((n, n, dmax, dmax), dtype=np.complex128)
-    bmat = np.zeros((n, dmax, dmax), dtype=np.complex128)
-    for b, a, m in system.nonzero_pairs():
-        h[b, a, : m.shape[0], : m.shape[1]] = m
-    for a in range(n):
-        f = forms[a]
-        bmat[a, : f.shape[0], : f.shape[1]] = f
-    return h, bmat, dmax
+    grown: Dict[int, list] = {}
+    for p, (rows, keys) in level.items():
+        flat = rows.reshape(-1, rows.shape[-1])
+        for c, row_of_maps in enumerate(maps):
+            m = row_of_maps[p]
+            if m is None or c == inv[p]:
+                continue
+            child = (flat @ m.T).reshape(rows.shape[:-1] + (m.shape[0],))
+            grown.setdefault(c, []).append(
+                (child, None if keys is None else [k + (c,) for k in keys]))
+    return {c: (np.concatenate([r for r, _ in parts]),
+                None if parts[0][1] is None else [k for _, ks in parts for k in ks])
+            for c, parts in grown.items()}
 
 
-def _expand_pairing_numpy(n, inv, h, bmat, seeds, rest, chunk=1 << 18):
-    """Sum conj(g)^T B f over all non-backtracking tails of length ``rest``
-    grown from (letter, fvec, gvec) seeds; seeds at the same tree level."""
-    total = 0.0 + 0.0j
-    # group seeds by last letter
-    by_letter = {}
-    for last, fv, gv in seeds:
-        by_letter.setdefault(last, []).append((fv, gv))
-    frontier = {}
-    for last, pairs in by_letter.items():
-        fmat = np.array([p[0] for p in pairs], dtype=np.complex128)
-        gmat = np.array([p[1] for p in pairs], dtype=np.complex128)
-        frontier[last] = (fmat, gmat)
-
-    def reduce_frontier(front):
-        s = 0.0 + 0.0j
-        for last, (fmat, gmat) in front.items():
-            s += np.einsum("ni,ij,nj->", gmat.conj(), bmat[last], fmat)
-        return s
-
-    def grow(front, levels):
-        if levels == 0:
-            return reduce_frontier(front)
-        width = sum(fm.shape[0] for fm, _ in front.values())
-        if width * (n - 1) > chunk and width > 1:
-            # split the frontier and recurse to bound memory
-            s = 0.0 + 0.0j
-            for last, (fmat, gmat) in front.items():
-                half = fmat.shape[0] // 2
-                if half == 0:
-                    s += grow({last: (fmat, gmat)}, levels)
-                else:
-                    s += grow({last: (fmat[:half], gmat[:half])}, levels)
-                    s += grow({last: (fmat[half:], gmat[half:])}, levels)
-            return s
-        nxt = {}
-        for last, (fmat, gmat) in front.items():
-            for c in range(n):
-                if c == inv[last]:
-                    continue
-                step = h[c, last].T
-                fnew = fmat @ step
-                gnew = gmat @ step
-                if c in nxt:
-                    of, og = nxt[c]
-                    nxt[c] = (np.vstack([of, fnew]), np.vstack([og, gnew]))
-                else:
-                    nxt[c] = (fnew, gnew)
-        return grow(nxt, levels - 1)
-
-    if frontier:
-        total += grow(frontier, rest)
-    return total
+def _pair_sum(maps, inv, forms, level: Level, rest: int) -> complex:
+    """Sum conj(g)^T B f over every word ``rest`` steps beyond a level of
+    stacked (f, g) rows, each of shape (2, d)."""
+    if rest == 0:
+        return sum(np.einsum("ni,ij,nj->", rows[:, 1].conj(), forms[p], rows[:, 0])
+                   for p, (rows, _) in level.items())
+    width = sum(len(rows) for rows, _ in level.values())
+    if width > 1 and width * (len(maps) - 1) > CHUNK_ROWS:
+        # split the level to bound the memory of the next step
+        total = 0.0 + 0.0j
+        for p, (rows, _) in level.items():
+            half = len(rows) // 2
+            for part in ((rows[:half], rows[half:]) if half else (rows,)):
+                total += _pair_sum(maps, inv, forms, {p: (part, None)}, rest)
+        return total
+    return _pair_sum(maps, inv, forms, level_step(maps, inv, level), rest - 1)
 
 
 def brute_pairing(space, x, f, g, m_depth: int) -> complex:
     """Literal sphere-sum pairing <pi(x) f, g> at truncation depth ``m_depth``.
 
-    The sphere is partitioned by the longest common prefix with ``x``; each
-    part is seeded at the depth where both vectors have values and then
-    expanded by ``_expand_pairing_numpy``.
+    The sphere is partitioned into the cones of ``multrep.cone_walk``; each
+    cone's (f, g) root values are stepped out to the sphere of radius
+    ``m_depth`` and paired there.
     """
-    from .multrep import evaluate
-    from .words import Word, multiply
+    from .multrep import cone_walk, evaluate
 
-    system = space.system
-    alphabet = system.alphabet
-    n = len(alphabet)
-    h, bmat, dmax = space.padded()
-    df, dg = f.depth, g.depth
-    if m_depth < max(df + len(x), dg):
+    if m_depth < max(f.depth + len(x), g.depth):
         raise ValueError("truncation depth too small for the brute sum")
-    xinv = np.array(x.inverse().letters, dtype=np.int64)
-
-    xl = x.letters
-    lx = len(xl)
+    maps = space.system.maps
+    inv = space.alphabet.inv
+    forms = space.forms
     total = 0.0 + 0.0j
-    xinv_letters = tuple(int(t) for t in xinv)
-    for i in range(lx + 1):
-        for c in range(n):
-            if i < lx and c == xl[i]:
-                continue
-            if i > 0 and c == alphabet.inv[xl[i - 1]]:
-                continue
-            if i == lx and lx > 0 and c == alphabet.inv[xl[lx - 1]]:
-                continue
-            froot = Word(alphabet, xinv_letters[: lx - i] + (c,))
-            groot = Word(alphabet, xl[:i] + (c,))
-            warm = max(0, df - len(froot), dg - len(groot))
-            rest = m_depth - len(groot) - warm
-            if rest < 0:
-                raise ValueError("truncation depth too small for the brute sum")
-            seeds = []
-            stack = [(froot, groot)]
-            for _ in range(warm):
-                nxt = []
-                for fw, gw in stack:
-                    last = fw.last()
-                    for d in range(n):
-                        if d == alphabet.inv[last]:
-                            continue
-                        nxt.append((multiply(fw, Word(alphabet, (d,))),
-                                    multiply(gw, Word(alphabet, (d,)))))
-                stack = nxt
-            for fw, gw in stack:
-                fv = evaluate(f, fw)
-                gv = evaluate(g, gw)
-                fpad = np.zeros(dmax, dtype=np.complex128)
-                gpad = np.zeros(dmax, dtype=np.complex128)
-                fpad[: fv.shape[0]] = fv
-                gpad[: gv.shape[0]] = gv
-                seeds.append((fw.last(), fpad, gpad))
-            total += _expand_pairing_numpy(n, np.array(alphabet.inv), h, bmat, seeds, rest)
+    for roots in cone_walk(x, f.depth, g.depth):
+        # every root is at most max(|x| + f.depth, g.depth) long
+        rest = m_depth - len(roots[0][1])
+        grouped: Dict[int, list] = {}
+        for fw, gw in roots:
+            grouped.setdefault(gw.last(), []).append((evaluate(f, fw), evaluate(g, gw)))
+        level = {p: (np.array(pairs, dtype=np.complex128), None)
+                 for p, pairs in grouped.items()}
+        total += _pair_sum(maps, inv, forms, level, rest)
     return complex(total)
-

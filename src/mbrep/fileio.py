@@ -224,7 +224,13 @@ def load_quotient(path: str, alphabet: Alphabet) -> CosetTable:
     if "cyclic" in spec:
         group = FiniteGroup.cyclic(_cast(int, spec["cyclic"], path, "quotient.cyclic"))
     elif "table" in spec:
-        group = FiniteGroup(spec["table"])
+        table = spec["table"]
+        n = len(table) if isinstance(table, list) else 0
+        if not n or not all(isinstance(row, list) and len(row) == n
+                            and all(type(e) is int for e in row) for row in table):
+            raise ValidationError(
+                f"{path}: field 'quotient.table' must be a square list of integer lists")
+        group = FiniteGroup(table)
     else:
         raise ValidationError(f"{path}: quotient needs either 'cyclic' or 'table' order data")
     images_doc = spec.get("images")

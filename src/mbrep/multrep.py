@@ -2,18 +2,26 @@
 coefficients, boundary cylinder operators, and crossed-product elements.
 
 A vector is a finite germ: values on one word sphere, propagated outward by
-the system maps.  Matrix coefficients come in three backends: ``fast``, a
-cone decomposition along the geodesic of the acting word whose tail sums
-collapse through the compatibility identity; ``brute``, the literal
-sphere-sum oracle in numpy (exponential, see ``_kernels``); and
-``reference``, the same literal sum word by word through
-:func:`sphere_coefficient`, which the exact mode in ``_exact`` shares.
+the system maps.  :func:`deepen` propagates a whole table through
+``_kernels.level_step``, one level at a time; :func:`evaluate` propagates
+one value along one word.
+
+Matrix coefficients come in three backends.  ``fast`` and ``brute`` share
+:func:`cone_walk`, which partitions the sphere into cones by where a word
+leaves the geodesic of the acting word and yields the root pairs of each
+cone.  ``fast`` pairs the values at the roots, because compatibility
+collapses each cone's tail sum onto its roots; ``brute``, the literal
+sphere-sum oracle (exponential, see ``_kernels``), steps the root values
+out to the truncation sphere with the same level step as ``deepen``.
+``reference`` is the same literal sum word by word through
+:func:`sphere_coefficient`, which the exact mode in ``_exact`` shares; it
+walks no cones, so it checks the partition independently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -41,12 +49,6 @@ class RepSpace:
             if self.residual > 1e-6 * max(1.0, scale):
                 raise ValidationError(
                     f"forms are not compatible with the maps (residual {self.residual:.3e})")
-        self._padded: Optional[Tuple[np.ndarray, np.ndarray, int]] = None
-
-    def padded(self) -> Tuple[np.ndarray, np.ndarray, int]:
-        if self._padded is None:
-            self._padded = _kernels.pack_system(self.system, self.forms)
-        return self._padded
 
     @property
     def alphabet(self) -> Alphabet:
@@ -103,6 +105,16 @@ class MultVector:
         self.values = table
 
     @classmethod
+    def _of(cls, space: RepSpace, depth: int, values: Dict[Word, np.ndarray]) -> "MultVector":
+        """Trusted constructor for a table the program built itself: keys of
+        length ``depth``, values of the right shapes, no zero values."""
+        out = cls.__new__(cls)
+        out.space = space
+        out.depth = depth
+        out.values = values
+        return out
+
+    @classmethod
     def seed(cls, space: RepSpace, values: Dict[Word, Sequence[complex]]) -> "MultVector":
         depths = {len(w) for w in values}
         if len(depths) != 1:
@@ -116,58 +128,55 @@ class MultVector:
         return f"MultVector(depth={self.depth}, support={len(self.values)})"
 
 
-def _propagated(space: RepSpace, v: np.ndarray, prev: int, letter: int) -> np.ndarray:
-    m = space.system.maps[letter][prev]
-    if m is None:
-        return np.zeros(space.dim(letter), dtype=np.complex128)
-    return m @ v
-
-
 def evaluate(f: MultVector, w: Word) -> np.ndarray:
     """Value of the propagated function at a word of length >= the depth."""
     if len(w) < f.depth:
         raise DepthError(f"cannot evaluate at {w}: below presentation depth {f.depth}")
-    prefix = Word(w.alphabet, w.letters[: f.depth])
-    v = f.values.get(prefix)
+    v = f.values.get(Word._of(w.alphabet, w.letters[: f.depth]))
+    maps = f.space.system.maps
+    letters = w.letters
+    for k in range(f.depth, len(letters)):
+        if v is None:
+            break
+        m = maps[letters[k]][letters[k - 1]]
+        v = None if m is None else m @ v
     if v is None:
         return np.zeros(f.space.dim(w.last()), dtype=np.complex128)
-    for k in range(f.depth, len(w)):
-        v = _propagated(f.space, v, w.letters[k - 1], w.letters[k])
     return v
 
 
 def deepen(f: MultVector, new_depth: int, cap: int = DEFAULT_CAP) -> MultVector:
-    """Re-present the same function on a deeper sphere by propagation."""
+    """Re-present the same function on a deeper sphere by propagation.
+
+    The table is stepped out one level at a time by
+    :func:`_kernels.level_step`; rows that become zero are dropped at each
+    level, so the new table, like every table, holds no zero values.
+    """
     if new_depth < f.depth:
         raise ValidationError(f"cannot deepen from {f.depth} to shallower {new_depth}")
     if new_depth == f.depth:
         return f
-    n = len(f.space.alphabet)
-    growth = (n - 1) ** (new_depth - f.depth)
+    space = f.space
+    alphabet = space.alphabet
+    growth = (len(alphabet) - 1) ** (new_depth - f.depth)
     if len(f.values) * growth > cap:
         raise CapExceededError(
             f"deepening to {new_depth} would track {len(f.values) * growth} words, cap {cap}")
-    inv = f.space.alphabet.inv
-    frontier = list(f.values.items())
+    grouped: Dict[int, Tuple[list, list]] = {}
+    for w, v in f.values.items():
+        rows, keys = grouped.setdefault(w.last(), ([], []))
+        rows.append(v)
+        keys.append(w.letters)
+    level = {p: (np.array(rows), keys) for p, (rows, keys) in grouped.items()}
     for _ in range(new_depth - f.depth):
-        nxt = []
-        for w, v in frontier:
-            last = w.last()
-            for c in range(n):
-                if c == inv[last]:
-                    continue
-                child = _propagated(f.space, v, last, c)
-                if np.any(child != 0):
-                    cw = Word.__new__(Word)
-                    cw.alphabet = w.alphabet
-                    cw.letters = w.letters + (c,)
-                    nxt.append((cw, child))
-        frontier = nxt
-    out = MultVector.__new__(MultVector)
-    out.space = f.space
-    out.depth = new_depth
-    out.values = dict(frontier)
-    return out
+        level = _kernels.level_step(space.system.maps, alphabet.inv, level)
+        for c, (rows, keys) in level.items():
+            live = np.any(rows != 0, axis=1)
+            if not live.all():
+                level[c] = (rows[live], [k for k, keep in zip(keys, live) if keep])
+    return MultVector._of(space, new_depth, {
+        Word._of(alphabet, k): row
+        for rows, keys in level.values() for k, row in zip(keys, rows)})
 
 
 def _common_depth(f: MultVector, g: MultVector, cap: int = DEFAULT_CAP) -> Tuple[MultVector, MultVector]:
@@ -249,11 +258,7 @@ def act(x: Word, f: MultVector, cap: int = DEFAULT_CAP) -> MultVector:
                 v = evaluate(f, w)
                 if np.any(v != 0):
                     values[y] = v
-    out = MultVector.__new__(MultVector)
-    out.space = space
-    out.depth = new_depth
-    out.values = values
-    return out
+    return MultVector._of(space, new_depth, values)
 
 
 def _brute_coefficient(x: Word, f: MultVector, g: MultVector, cap: int) -> complex:
@@ -264,44 +269,41 @@ def _brute_coefficient(x: Word, f: MultVector, g: MultVector, cap: int) -> compl
     return _kernels.brute_pairing(f.space, x, f, g, m_depth)
 
 
+def cone_walk(x: Word, f_depth: int, g_depth: int) -> Iterator[List[Tuple[Word, Word]]]:
+    """The root pairs (x^-1 y, y) of each geodesic cone of ``x``.
+
+    Every reduced y of length > |x| leaves the geodesic of ``x`` after a
+    common prefix x[:i] with one letter c, so y lies in the cone of
+    x[:i] c and x^-1 y in the cone of x^-1[:|x|-i] c.  Per cone this yields
+    the pairs at the shallowest common extension of those two roots where
+    both vectors have values (depths ``f_depth`` and ``g_depth``); all pairs
+    of one cone share their length and, within a pair, their last letter.
+    """
+    alphabet = x.alphabet
+    n = len(alphabet)
+    inv = alphabet.inv
+    xl = x.letters
+    lx = len(xl)
+    xinv = x.inverse().letters
+    for i in range(lx + 1):
+        for c in range(n):
+            if (i < lx and c == xl[i]) or (i > 0 and c == inv[xl[i - 1]]):
+                continue
+            tails = [(c,)]
+            for _ in range(max(0, f_depth - (lx - i + 1), g_depth - (i + 1))):
+                tails = [t + (d,) for t in tails for d in range(n) if d != inv[t[-1]]]
+            yield [(Word._of(alphabet, xinv[: lx - i] + t), Word._of(alphabet, xl[:i] + t))
+                   for t in tails]
+
+
 def _fast_coefficient(x: Word, f: MultVector, g: MultVector) -> complex:
     if x.is_identity():
         return inner(f, g)
-    space = f.space
-    alphabet = space.alphabet
-    n = len(alphabet)
-    inv = alphabet.inv
-    forms = space.forms
-    xl = x.letters
-    lx = len(xl)
-    xinv_letters = x.inverse().letters
+    forms = f.space.forms
     total = 0.0 + 0.0j
-    for i in range(lx + 1):
-        for c in range(n):
-            if i < lx and c == xl[i]:
-                continue
-            if i > 0 and c == inv[xl[i - 1]]:
-                continue
-            if i == lx and c == inv[xl[lx - 1]]:
-                continue
-            froot = Word(alphabet, xinv_letters[: lx - i] + (c,))
-            groot = Word(alphabet, xl[:i] + (c,))
-            warm = max(0, f.depth - len(froot), g.depth - len(groot))
-            stack = [(froot, groot)]
-            for _ in range(warm):
-                nxt = []
-                for fw, gw in stack:
-                    last = fw.last()
-                    for d in range(n):
-                        if d == inv[last]:
-                            continue
-                        dw = Word(alphabet, (d,))
-                        nxt.append((multiply(fw, dw), multiply(gw, dw)))
-                stack = nxt
-            for fw, gw in stack:
-                fv = evaluate(f, fw)
-                gv = evaluate(g, gw)
-                total += np.vdot(gv, forms[fw.last()] @ fv)
+    for roots in cone_walk(x, f.depth, g.depth):
+        for fw, gw in roots:
+            total += np.vdot(evaluate(g, gw), forms[fw.last()] @ evaluate(f, fw))
     return complex(total)
 
 
@@ -333,12 +335,15 @@ def coefficient(x: Word, f: MultVector, g: MultVector, backend: str = "fast",
                 cap: int = DEFAULT_CAP) -> complex:
     """Matrix coefficient <act(x, f), g>.
 
-    ``fast`` decomposes the sphere by where words branch off the geodesic of
-    ``x`` and collapses each branch through compatibility (cost linear in
-    |x|); ``brute`` evaluates the literal truncated sphere sum and is the
-    independent oracle (numpy, see ``_kernels``); ``reference`` is the plain
-    word-by-word sum of :func:`sphere_coefficient`, the small-case gate for
-    both.
+    ``fast`` pairs f and g at the roots of the O(|x|) cones of
+    :func:`cone_walk` and collapses each cone's tail through compatibility;
+    each root value is propagated along its root, a word of length up to
+    |x| + depth, so the cost grows as |x|^2 matvecs.  ``brute`` steps the
+    same root values out to the truncated sphere with
+    ``_kernels.level_step`` and sums there, the independent oracle whose
+    cost grows as (|A|-1)^|x|; ``reference`` is the plain word-by-word sum
+    of :func:`sphere_coefficient`, which walks no cones, the small-case
+    gate for both.
     """
     if f.space != g.space:
         raise ValidationError("vectors live on different systems")
@@ -360,11 +365,7 @@ def cylinder_op(z: Union[Word, Cylinder], f: MultVector, cap: int = DEFAULT_CAP)
     d = max(f.depth, len(stem))
     fd = deepen(f, d, cap=cap)
     kept = {w: v for w, v in fd.values.items() if w.starts_with(stem)}
-    out = MultVector.__new__(MultVector)
-    out.space = f.space
-    out.depth = d
-    out.values = kept
-    return out
+    return MultVector._of(f.space, d, kept)
 
 
 def covariance_check(x: Word, z: Word, f: MultVector, cap: int = DEFAULT_CAP) -> float:

@@ -307,10 +307,7 @@ def rewrite_to_subgroup(w: Union[Word, Sequence[int]], data: SchreierData) -> Wo
     if s != 0:
         spelled = "".join(data.table.alphabet.names[c] for c in letters) or "e"
         raise MembershipError(f"{spelled} is not in the subgroup")
-    h = Word.__new__(Word)
-    h.alphabet = data.subgroup_alphabet
-    h.letters = tuple(out)
-    return h
+    return Word._of(data.subgroup_alphabet, tuple(out))
 
 
 def expand_from_subgroup(w: Word, data: SchreierData) -> Word:

@@ -104,6 +104,15 @@ class Word:
         self.letters = letters
 
     @classmethod
+    def _of(cls, alphabet: Alphabet, letters: Tuple[int, ...]) -> "Word":
+        """Trusted constructor for a reduced letter tuple the program built
+        itself; skips the checks ``__init__`` makes on outside input."""
+        w = cls.__new__(cls)
+        w.alphabet = alphabet
+        w.letters = letters
+        return w
+
+    @classmethod
     def identity(cls, alphabet: Alphabet) -> "Word":
         return cls(alphabet, ())
 
@@ -162,10 +171,7 @@ def multiply(x: Word, y: Word) -> Word:
             out.pop()
         else:
             out.append(c)
-    w = Word.__new__(Word)
-    w.alphabet = x.alphabet
-    w.letters = tuple(out)
-    return w
+    return Word._of(x.alphabet, tuple(out))
 
 
 def concat(x: Word, c: int) -> Word:
@@ -175,10 +181,7 @@ def concat(x: Word, c: int) -> Word:
         letters = x.letters[:-1]
     else:
         letters = x.letters + (c,)
-    w = Word.__new__(Word)
-    w.alphabet = x.alphabet
-    w.letters = letters
-    return w
+    return Word._of(x.alphabet, letters)
 
 
 def sphere_size(alphabet: Alphabet, r: int) -> int:
@@ -214,10 +217,7 @@ def sphere(alphabet: Alphabet, r: int, cap: Optional[int] = DEFAULT_CAP) -> Iter
             continue
         path.append(c)
         if len(path) == r:
-            w = Word.__new__(Word)
-            w.alphabet = alphabet
-            w.letters = tuple(path)
-            yield w
+            yield Word._of(alphabet, tuple(path))
             path.pop()
         else:
             stack.append(-1)
@@ -307,13 +307,7 @@ def refine(c: Cylinder, depth: int, cap: Optional[int] = DEFAULT_CAP) -> Cylinde
             forbidden = inv[s[-1]]
             nxt.extend(s + (d,) for d in range(n) if d != forbidden)
         out = nxt
-    cylinders = []
-    for s in out:
-        w = Word.__new__(Word)
-        w.alphabet = alphabet
-        w.letters = s
-        cylinders.append(Cylinder(w))
-    return CylinderUnion(cylinders)
+    return CylinderUnion(Cylinder(Word._of(alphabet, s)) for s in out)
 
 
 def _image_one(x: Word, stem: Word, acc: List[Cylinder]) -> None:

@@ -5,7 +5,8 @@ from mbrep.boundary_measure import (herz_check, no_harish_chandra_demo,
                                     quasi_regular_coefficient, spectral_measure,
                                     uniform_measure)
 from mbrep.errors import ValidationError
-from mbrep.multrep import deepen, inner, vscale
+from mbrep.multrep import MultVector, RepSpace, deepen, evaluate, inner, vscale
+from mbrep.system import MatrixSystem
 from mbrep.words import Alphabet, Word, ball, sphere
 
 from helpers import random_system, random_vector, random_word
@@ -155,11 +156,27 @@ class TestHerz:
         # the shared measure deepens from its cached tables, not from v
         rng = np.random.default_rng(5)
         space, _ = random_system(rng)
-        v = random_vector(space, rng)
-        stepped, direct = deepen(deepen(v, 3), 6), deepen(v, 6)
-        assert list(stepped.values) == list(direct.values)
-        for key, val in direct.values.items():
-            assert np.array_equal(stepped.values[key], val), str(key)
+        # the same maps with one removed: a None map grows no rows
+        b, a, _ = next(space.system.nonzero_pairs())
+        cut = MatrixSystem(space.alphabet, space.system.dims,
+                           {(q, p): m for q, p, m in space.system.nonzero_pairs()
+                            if (q, p) != (b, a)})
+        values = random_vector(space, rng).values
+        for sp in (space, RepSpace(cut, space.forms, check=False)):
+            v = MultVector(sp, 1, values)
+            stepped, direct = deepen(deepen(v, 3), 6), deepen(v, 6)
+            assert list(stepped.values) == list(direct.values)
+            for key, val in direct.values.items():
+                assert np.array_equal(stepped.values[key], val), str(key)
+            # every word of the sphere: its table value, or zero off the
+            # table; batched and one-by-one matmuls may round differently
+            for y in sphere(A2, 6):
+                want = evaluate(v, y)
+                got = direct.values.get(y)
+                if got is None:
+                    assert not np.any(want), str(y)
+                else:
+                    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), str(y)
 
 
 class TestDemo:

@@ -275,13 +275,15 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("resource cap:")
 
-    @pytest.mark.parametrize("case", ["json", "dims", "depth", "factors", "values", "maps"])
+    @pytest.mark.parametrize("case", ["json", "dims", "depth", "factors", "values", "maps",
+                                      "table-scalar", "table-ragged"])
     def test_malformed_file_exits_validation(self, case, tmp_path, capsys):
         path = tmp_path / "bad.json"
         with open(cli._resolve("builtin:spherical2-unscaled")) as fh:
             system_doc = json.load(fh)
         bad_maps = json.dumps(dict(system_doc, maps=[1]))
         system_doc["dims"]["a"] = "x"
+        induce = ["induce", "--system", "builtin:spherical3", "--quotient", str(path)]
         text, argv, field = {
             "json": ('{"alphabet": [', ["normalize", "--input", str(path)], "invalid JSON"),
             "dims": (json.dumps(system_doc), ["normalize", "--input", str(path)], "dims.a"),
@@ -295,6 +297,10 @@ class TestCli:
                        ["coefficients", "--system", "builtin:spherical2", "--vector", str(path)],
                        "values"),
             "maps": (bad_maps, ["normalize", "--input", str(path)], "maps"),
+            "table-scalar": ('{"quotient": {"table": 5, "images": {"a": 1, "b": 0}}}',
+                             induce, "quotient.table"),
+            "table-ragged": ('{"quotient": {"table": [[0, 1], [1]], "images": {"a": 1, "b": 0}}}',
+                             induce, "quotient.table"),
         }[case]
         path.write_text(text)
         assert cli.main(argv) == cli.EXIT_VALIDATION

@@ -135,6 +135,21 @@ class TestCoefficient:
         assert abs(vals[0] - vals[1]) <= 1e-12
         assert abs(vals[1] - vals[2]) <= 1e-12
 
+    def test_brute_chunked_sum_matches(self, monkeypatch):
+        # a chunk bound of one row halves every level down to single rows
+        rng = np.random.default_rng(41)
+        for trial in range(4):
+            space, _ = random_system(rng)
+            f = random_vector(space, rng, depth=1 + trial % 2)
+            g = random_vector(space, rng, depth=1)
+            x = random_word(space.alphabet, rng, trial + 1)
+            m_depth = max(f.depth, g.depth) + len(x) + 1
+            whole = _kernels.brute_pairing(space, x, f, g, m_depth)
+            with monkeypatch.context() as patch:
+                patch.setattr(_kernels, "CHUNK_ROWS", 1)
+                split = _kernels.brute_pairing(space, x, f, g, m_depth)
+            assert abs(whole - split) <= 1e-13
+
     def test_gram_psd(self, seed_a):
         words = list(ball(A2, 2))[:8]
         g = gram_matrix(words, seed_a)
