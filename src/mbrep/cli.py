@@ -26,9 +26,9 @@ from .induce import (InducedVector, induce_system, induced_action,
 from .multrep import (MultVector, RepSpace, act, coefficient, cylinder_op,
                       deepen, distance, inner)
 from .subgroups import schreier
-from .system import (compatibility_residual, decompose, normalize,
+from .system import (NORMALIZE_TOL, compatibility_residual, decompose, normalize,
                      radical_quotient, validate)
-from .vfree import induce_to_vf, vf_gram, vf_validate
+from .vfree import vf_gram, vf_validate
 from .words import DEFAULT_CAP, Word, ball, sphere
 
 EXIT_OK = 0
@@ -120,7 +120,7 @@ def cmd_normalize(args) -> int:
         for p in problems:
             print(f"invalid: {p}", file=sys.stderr)
         return EXIT_VALIDATION
-    tol = args.tolerance if args.tolerance else 1e-10
+    tol = args.tolerance if args.tolerance else NORMALIZE_TOL
     result = normalize(system, tol=tol, seed=args.seed)
     print(f"spectral_radius={_fmt(result.spectral_radius)}")
     print(f"residual={_fmt(result.residual)}")
@@ -273,14 +273,14 @@ def cmd_vf_induce(args) -> int:
         return coefficient(w, u, v, backend=args.backend if args.backend != "both" else "fast",
                            cap=args.cap)
 
-    elements = grp.ball(args.radius)
+    elements = grp.ball(args.radius, cap=args.cap)
     meta = {"command": "vf-induce", "datum": datum.name or args.datum,
             "radius": args.radius, "seed": args.seed}
     report = Report(["lambda", "re", "im"], meta)
-    for lam in elements:
-        val = induce_to_vf(datum, coeff, lam, blocks)
-        report.add(grp.format(lam), val.real, val.imag)
     gram = vf_gram(datum, coeff, elements, blocks)
+    # the ball starts at the identity, so row 0 holds the values at each lambda
+    for lam, val in zip(elements, gram[0]):
+        report.add(grp.format(lam), val.real, val.imag)
     eig_min = float(np.linalg.eigvalsh((gram + gram.conj().T) / 2).min())
     report.meta["gram_min_eigenvalue"] = _fmt(eig_min)
     report.write(args.output)

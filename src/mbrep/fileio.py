@@ -26,12 +26,14 @@ from .vfree import FreeProduct, VFGroupDatum, psl2z_datum
 from .words import Alphabet, Word
 
 
-def _entry_to_complex(entry) -> complex:
+def _entry_to_complex(entry, path: str, field: str) -> complex:
     if isinstance(entry, (int, float)):
         return complex(entry)
-    if isinstance(entry, list) and len(entry) == 2:
+    if (isinstance(entry, list) and len(entry) == 2
+            and all(isinstance(part, (int, float)) for part in entry)):
         return complex(entry[0], entry[1])
-    raise ValidationError(f"bad matrix entry {entry!r}: expected number or [re, im]")
+    raise ValidationError(
+        f"{path}: field {field!r} has bad entry {entry!r}: expected a number or [re, im]")
 
 
 def _complex_to_entry(z: complex):
@@ -111,14 +113,15 @@ def load_system(path: str) -> Tuple[MatrixSystem, Optional[FormTuple], Optional[
     exact = bool(doc.get("exact"))
     radicand = _cast(lambda r: Fraction(str(r)), doc.get("radicand", 1), path, "radicand")
 
-    def parse_matrix(rows, shape) -> Tuple[np.ndarray, Optional[tuple]]:
-        if len(rows) != shape[0] or any(len(r) != shape[1] for r in rows):
-            raise ValidationError(f"matrix has wrong shape, expected {shape}")
+    def parse_matrix(rows, shape, field: str) -> Tuple[np.ndarray, Optional[tuple]]:
+        if (not isinstance(rows, list) or len(rows) != shape[0]
+                or any(not isinstance(r, list) or len(r) != shape[1] for r in rows)):
+            raise ValidationError(f"{path}: field {field!r} has wrong shape, expected {shape}")
         if exact:
             q = tuple(tuple(_parse_exact(e, radicand) for e in row) for row in rows)
             f = np.array([[float(e) for e in row] for row in q], dtype=np.complex128)
             return f, q
-        f = np.array([[_entry_to_complex(e) for e in row] for row in rows],
+        f = np.array([[_entry_to_complex(e, path, field) for e in row] for row in rows],
                      dtype=np.complex128)
         return f, None
 
@@ -130,7 +133,7 @@ def load_system(path: str) -> Tuple[MatrixSystem, Optional[FormTuple], Optional[
         except ValueError:
             raise ValidationError(f"map key {key!r} must look like 'b|a'") from None
         b, a = alphabet.letter(bn), alphabet.letter(an)
-        m, q = parse_matrix(rows, (dims[b], dims[a]))
+        m, q = parse_matrix(rows, (dims[b], dims[a]), f"maps.{key}")
         maps[(b, a)] = m
         if q is not None:
             exact_maps[(b, a)] = q
@@ -141,7 +144,7 @@ def load_system(path: str) -> Tuple[MatrixSystem, Optional[FormTuple], Optional[
         mats = [np.zeros((d, d), dtype=np.complex128) for d in dims]
         for name, rows in _table(doc, "forms", path).items():
             a = alphabet.letter(name)
-            m, q = parse_matrix(rows, (dims[a], dims[a]))
+            m, q = parse_matrix(rows, (dims[a], dims[a]), f"forms.{name}")
             mats[a] = m
             if q is not None:
                 exact_forms[a] = q
@@ -189,7 +192,10 @@ def load_vector(path: str, space: RepSpace) -> MultVector:
     values = {}
     for text, entries in _table(doc, "values", path).items():
         w = Word.parse(space.alphabet, text)
-        values[w] = np.array([_entry_to_complex(e) for e in entries], dtype=np.complex128)
+        if not isinstance(entries, list):
+            raise ValidationError(f"{path}: field 'values.{text}' must be a list of entries")
+        values[w] = np.array([_entry_to_complex(e, path, f"values.{text}") for e in entries],
+                             dtype=np.complex128)
     return MultVector(space, depth, values)
 
 

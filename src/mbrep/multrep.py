@@ -10,7 +10,8 @@ Matrix coefficients come in three backends.  ``fast`` and ``brute`` share
 :func:`cone_walk`, which partitions the sphere into cones by where a word
 leaves the geodesic of the acting word and yields the root pairs of each
 cone.  ``fast`` pairs the values at the roots, because compatibility
-collapses each cone's tail sum onto its roots; ``brute``, the literal
+collapses each cone's tail sum onto its roots; it branches each root value
+off one walk of each vector along the geodesic.  ``brute``, the literal
 sphere-sum oracle (exponential, see ``_kernels``), steps the root values
 out to the truncation sphere with the same level step as ``deepen``.
 ``reference`` is the same literal sum word by word through
@@ -128,18 +129,25 @@ class MultVector:
         return f"MultVector(depth={self.depth}, support={len(self.values)})"
 
 
-def evaluate(f: MultVector, w: Word) -> np.ndarray:
-    """Value of the propagated function at a word of length >= the depth."""
-    if len(w) < f.depth:
-        raise DepthError(f"cannot evaluate at {w}: below presentation depth {f.depth}")
-    v = f.values.get(Word._of(w.alphabet, w.letters[: f.depth]))
+def _step_out(f: MultVector, v: Optional[np.ndarray], letters: Tuple[int, ...],
+              k: int) -> Optional[np.ndarray]:
+    """Propagate ``v``, the value of f at letters[:k], out along the rest of
+    ``letters`` with one matvec per letter; None is the zero value."""
     maps = f.space.system.maps
-    letters = w.letters
-    for k in range(f.depth, len(letters)):
+    for k in range(k, len(letters)):
         if v is None:
             break
         m = maps[letters[k]][letters[k - 1]]
         v = None if m is None else m @ v
+    return v
+
+
+def evaluate(f: MultVector, w: Word) -> np.ndarray:
+    """Value of the propagated function at a word of length >= the depth."""
+    if len(w) < f.depth:
+        raise DepthError(f"cannot evaluate at {w}: below presentation depth {f.depth}")
+    v = _step_out(f, f.values.get(Word._of(w.alphabet, w.letters[: f.depth])),
+                  w.letters, f.depth)
     if v is None:
         return np.zeros(f.space.dim(w.last()), dtype=np.complex128)
     return v
@@ -269,15 +277,16 @@ def _brute_coefficient(x: Word, f: MultVector, g: MultVector, cap: int) -> compl
     return _kernels.brute_pairing(f.space, x, f, g, m_depth)
 
 
-def cone_walk(x: Word, f_depth: int, g_depth: int) -> Iterator[List[Tuple[Word, Word]]]:
+def cone_walk(x: Word, f_depth: int, g_depth: int) -> Iterator[Tuple[int, List[Tuple[Word, Word]]]]:
     """The root pairs (x^-1 y, y) of each geodesic cone of ``x``.
 
     Every reduced y of length > |x| leaves the geodesic of ``x`` after a
     common prefix x[:i] with one letter c, so y lies in the cone of
     x[:i] c and x^-1 y in the cone of x^-1[:|x|-i] c.  Per cone this yields
-    the pairs at the shallowest common extension of those two roots where
-    both vectors have values (depths ``f_depth`` and ``g_depth``); all pairs
-    of one cone share their length and, within a pair, their last letter.
+    i and the pairs at the shallowest common extension of those two roots
+    where both vectors have values (depths ``f_depth`` and ``g_depth``); all
+    pairs of one cone share their length and, within a pair, their last
+    letter.
     """
     alphabet = x.alphabet
     n = len(alphabet)
@@ -292,18 +301,53 @@ def cone_walk(x: Word, f_depth: int, g_depth: int) -> Iterator[List[Tuple[Word, 
             tails = [(c,)]
             for _ in range(max(0, f_depth - (lx - i + 1), g_depth - (i + 1))):
                 tails = [t + (d,) for t in tails for d in range(n) if d != inv[t[-1]]]
-            yield [(Word._of(alphabet, xinv[: lx - i] + t), Word._of(alphabet, xl[:i] + t))
-                   for t in tails]
+            yield i, [(Word._of(alphabet, xinv[: lx - i] + t), Word._of(alphabet, xl[:i] + t))
+                      for t in tails]
+
+
+def _prefix_values(f: MultVector, letters: Tuple[int, ...]) -> List[Optional[np.ndarray]]:
+    """The values of f at every prefix letters[:k], k >= f.depth, propagated
+    along ``letters`` as :func:`evaluate` would (None where zero, and below
+    the depth)."""
+    out: List[Optional[np.ndarray]] = [None] * (len(letters) + 1)
+    d = f.depth
+    if len(letters) >= d:
+        out[d] = f.values.get(Word._of(f.space.alphabet, letters[:d]))
+        for k in range(d, len(letters)):
+            out[k + 1] = _step_out(f, out[k], letters[: k + 1], k)
+    return out
+
+
+def _branch(f: MultVector, prefix: List[Optional[np.ndarray]], p: int,
+            w: Tuple[int, ...]) -> Optional[np.ndarray]:
+    """Value of f at a word ``w`` of length >= f.depth whose first ``p``
+    letters are those of the walk behind ``prefix``: the stored value at the
+    shared prefix, stepped out along the rest of ``w`` (None where zero).
+    The chain of products is the one :func:`evaluate` makes."""
+    d = f.depth
+    if p < d:
+        return _step_out(f, f.values.get(Word._of(f.space.alphabet, w[:d])), w, d)
+    return _step_out(f, prefix[p], w, p)
 
 
 def _fast_coefficient(x: Word, f: MultVector, g: MultVector) -> complex:
     if x.is_identity():
         return inner(f, g)
     forms = f.space.forms
+    lx = len(x)
+    f_prefix = _prefix_values(f, x.inverse().letters)
+    g_prefix = _prefix_values(g, x.letters)
     total = 0.0 + 0.0j
-    for roots in cone_walk(x, f.depth, g.depth):
+    for i, roots in cone_walk(x, f.depth, g.depth):
         for fw, gw in roots:
-            total += np.vdot(evaluate(g, gw), forms[fw.last()] @ evaluate(f, fw))
+            # a root where either vector is zero adds an exact zero
+            fv = _branch(f, f_prefix, lx - i, fw.letters)
+            if fv is None:
+                continue
+            gv = _branch(g, g_prefix, i, gw.letters)
+            if gv is None:
+                continue
+            total += np.vdot(gv, forms[fw.last()] @ fv)
     return complex(total)
 
 
@@ -337,8 +381,9 @@ def coefficient(x: Word, f: MultVector, g: MultVector, backend: str = "fast",
 
     ``fast`` pairs f and g at the roots of the O(|x|) cones of
     :func:`cone_walk` and collapses each cone's tail through compatibility;
-    each root value is propagated along its root, a word of length up to
-    |x| + depth, so the cost grows as |x|^2 matvecs.  ``brute`` steps the
+    f is propagated once along x^-1 and g once along x, and each root value
+    branches off the stored value at its geodesic prefix with one matvec
+    per tail letter, so the cost grows as O(|x|) matvecs.  ``brute`` steps the
     same root values out to the truncated sphere with
     ``_kernels.level_step`` and sums there, the independent oracle whose
     cost grows as (|A|-1)^|x|; ``reference`` is the plain word-by-word sum
@@ -438,11 +483,17 @@ def precompose(coefficient_fn: Callable[[Word], complex],
 
 def gram_matrix(words: Sequence[Word], f: MultVector, backend: str = "fast") -> np.ndarray:
     """Gram matrix [<act(x_i^-1 x_j, f), f>]; positive semidefinite for any
-    unitary representation's coefficient."""
+    unitary representation's coefficient.  Each distinct x_i^-1 x_j is
+    evaluated once."""
     k = len(words)
     g = np.zeros((k, k), dtype=np.complex128)
+    values: Dict[Word, complex] = {}
     for i, wi in enumerate(words):
         wii = wi.inverse()
         for j, wj in enumerate(words):
-            g[i, j] = coefficient(multiply(wii, wj), f, f, backend=backend)
+            x = multiply(wii, wj)
+            val = values.get(x)
+            if val is None:
+                val = values[x] = coefficient(x, f, f, backend=backend)
+            g[i, j] = val
     return g

@@ -16,9 +16,9 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ValidationError
-from .multrep import MultVector, coefficient
-from .words import Alphabet, Word, multiply
+from .errors import CapExceededError, ValidationError
+from .multrep import MultVector
+from .words import DEFAULT_CAP, Alphabet, Word, multiply
 
 Element = Tuple[Tuple[int, int], ...]  # alternating (factor, exponent) syllables
 
@@ -93,8 +93,11 @@ class FreeProduct:
             img[f] = (img[f] + e) % self.orders[f]
         return tuple(img)
 
-    def ball(self, radius: int) -> List[Element]:
-        """All normal forms of syllable length <= radius."""
+    def ball(self, radius: int, cap: int = DEFAULT_CAP) -> List[Element]:
+        """All normal forms of syllable length <= radius, the identity
+        first; more than ``cap`` of them is a :class:`CapExceededError`."""
+        if radius < 0:
+            raise ValidationError(f"radius must be nonnegative, got {radius}")
         out = [()]
         frontier: List[Element] = [()]
         for _ in range(radius):
@@ -105,8 +108,10 @@ class FreeProduct:
                     if f == last:
                         continue
                     for e in range(1, self.orders[f]):
-                        y = x + ((f, e),)
-                        nxt.append(y)
+                        nxt.append(x + ((f, e),))
+                if len(out) + len(nxt) > cap:
+                    raise CapExceededError(
+                        f"ball of radius {radius} exceeds the cap of {cap} elements")
             out.extend(nxt)
             frontier = nxt
         return out
@@ -146,13 +151,20 @@ class VFGroupDatum:
         return int(rank)
 
     def route(self, t_idx: int, lam: Element) -> Tuple[Word, int]:
-        """Accumulated basis word and final transversal index of t . lam."""
-        word = Word.identity(self.basis_alphabet)
+        """Accumulated basis word and final transversal index of t . lam:
+        the letters of the table words along the route, cancelled in one
+        pass."""
+        inv = self.basis_alphabet.inv
+        out: List[int] = []
         cur = t_idx
         for f in self.group.generator_letters(lam):
             step_word, cur = self.table[(cur, f)]
-            word = multiply(word, step_word)
-        return word, cur
+            for c in step_word.letters:
+                if out and out[-1] == inv[c]:
+                    out.pop()
+                else:
+                    out.append(c)
+        return Word._of(self.basis_alphabet, tuple(out)), cur
 
 
 def vf_validate(datum: VFGroupDatum, probes: int = 500, seed: int = 0) -> List[str]:
@@ -257,15 +269,38 @@ def induce_to_vf(datum: VFGroupDatum, coeff: Callable[[Word, MultVector, MultVec
     return complex(total)
 
 
-def vf_gram(datum: VFGroupDatum, coeff, elements: Sequence[Element],
-            blocks: Dict[int, MultVector]) -> np.ndarray:
+def vf_gram(datum: VFGroupDatum, coeff: Callable[[Word, MultVector, MultVector], complex],
+            elements: Sequence[Element], blocks: Dict[int, MultVector]) -> np.ndarray:
+    """Gram matrix [phi(lam_i^-1 lam_j)] of the induced coefficient phi.
+
+    Many pairs share lam_i^-1 lam_j, and many routed terms share their
+    basis word and blocks, so the matrix keeps two memos: the value of
+    :func:`induce_to_vf` per distinct normal form, and the value of ``coeff``
+    per distinct (word, fe, ft) key (a ``MultVector`` hashes by identity).
+    Equal keys give equal values, so the matrix equals the plain double
+    loop's.
+    """
+    memo: Dict[Tuple[Word, MultVector, MultVector], complex] = {}
+
+    def cached(word: Word, fe: MultVector, ft: MultVector) -> complex:
+        key = (word, fe, ft)
+        val = memo.get(key)
+        if val is None:
+            val = memo[key] = coeff(word, fe, ft)
+        return val
+
     grp = datum.group
     k = len(elements)
     g = np.zeros((k, k), dtype=np.complex128)
+    values: Dict[Element, complex] = {}
     for i in range(k):
         li = grp.inverse(elements[i])
         for j in range(k):
-            g[i, j] = induce_to_vf(datum, coeff, grp.multiply(li, elements[j]), blocks)
+            lam = grp.multiply(li, elements[j])
+            val = values.get(lam)
+            if val is None:
+                val = values[lam] = induce_to_vf(datum, cached, lam, blocks)
+            g[i, j] = val
     return g
 
 

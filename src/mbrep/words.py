@@ -227,6 +227,8 @@ def sphere(alphabet: Alphabet, r: int, cap: Optional[int] = DEFAULT_CAP) -> Iter
 
 def ball(alphabet: Alphabet, r: int, cap: Optional[int] = DEFAULT_CAP) -> Iterator[Word]:
     """All reduced words of length at most ``r``."""
+    if r < 0:
+        raise ValidationError(f"radius must be nonnegative, got {r}")
     for k in range(r + 1):
         yield from sphere(alphabet, k, cap=cap)
 

@@ -200,6 +200,28 @@ class TestCli:
         assert validate(system) == []
         assert compatibility_residual(system, forms) <= 1e-9
 
+    def test_normalize_defaults_compose_with_induce(self, tmp_path, capsys):
+        # a random rank-3 subgroup system prepared at the CLI's default
+        # tolerance must pass induction's absolute intertwiner gates
+        alphabet = Alphabet.rank(3)
+        names = alphabet.names
+        rng = np.random.default_rng(1)
+        dims = [int(d) for d in rng.integers(1, 3, size=len(names))]
+        maps = {}
+        for b in range(len(names)):
+            for a in range(len(names)):
+                if alphabet.inv[a] != b:
+                    re, im = (rng.normal(size=(dims[b], dims[a])).tolist() for _ in range(2))
+                    maps[f"{names[b]}|{names[a]}"] = [
+                        [[x, y] for x, y in zip(r1, r2)] for r1, r2 in zip(re, im)]
+        raw, sub = tmp_path / "raw.json", tmp_path / "sub.json"
+        raw.write_text(json.dumps({
+            "alphabet": list(names), "involution": [["a", "A"], ["b", "B"], ["c", "C"]],
+            "dims": dict(zip(names, dims)), "maps": maps}))
+        assert cli.main(["normalize", "--input", str(raw), "--output", str(sub)]) == 0
+        code = cli.main(["induce", "--system", str(sub), "--quotient", "builtin:index2-quotient"])
+        assert code == 0, capsys.readouterr().out
+
     def test_herz_pass(self, tmp_path):
         out = tmp_path / "herz.csv"
         code = cli.main(["herz", "--system", "builtin:spherical2",
@@ -258,6 +280,23 @@ class TestCli:
         assert code == 0
         assert "gram_min_eigenvalue" in out.read_text()
 
+    def test_vf_induce_cap_exit_code(self, capsys):
+        # the radius-6 ball of PSL(2,Z) has 62 elements
+        code = cli.main(["vf-induce", "--datum", "psl2z", "--system", "builtin:spherical2",
+                         "--vector", "builtin:seed-a", "--radius", "6", "--cap", "10"])
+        assert code == cli.EXIT_CAP
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("resource cap:")
+
+    @pytest.mark.parametrize("command", ["vf-induce", "herz"])
+    def test_negative_radius_exits_validation(self, command, capsys):
+        argv = [command, "--system", "builtin:spherical2", "--vector", "builtin:seed-a",
+                "--radius", "-1"]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("validation failure:")
+        assert "radius" in err[0]
+
     def test_demo_uniform(self, tmp_path):
         out = tmp_path / "demo.csv"
         code = cli.main(["demo-no-hc", "--word", "ab", "--max-power", "3",
@@ -276,12 +315,14 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("resource cap:")
 
     @pytest.mark.parametrize("case", ["json", "dims", "depth", "factors", "values", "maps",
-                                      "table-scalar", "table-ragged"])
+                                      "table-scalar", "table-ragged", "entry-pair",
+                                      "entry-list", "map-rows"])
     def test_malformed_file_exits_validation(self, case, tmp_path, capsys):
         path = tmp_path / "bad.json"
         with open(cli._resolve("builtin:spherical2-unscaled")) as fh:
             system_doc = json.load(fh)
         bad_maps = json.dumps(dict(system_doc, maps=[1]))
+        bad_rows = json.dumps(dict(system_doc, maps={"a|a": 5}))
         system_doc["dims"]["a"] = "x"
         induce = ["induce", "--system", "builtin:spherical3", "--quotient", str(path)]
         text, argv, field = {
@@ -301,6 +342,13 @@ class TestCli:
                              induce, "quotient.table"),
             "table-ragged": ('{"quotient": {"table": [[0, 1], [1]], "images": {"a": 1, "b": 0}}}',
                              induce, "quotient.table"),
+            "entry-pair": ('{"depth": 1, "values": {"a": [[1, "q"]]}}',
+                           ["coefficients", "--system", "builtin:spherical2", "--vector", str(path)],
+                           "values.a"),
+            "entry-list": ('{"depth": 1, "values": {"a": 5}}',
+                           ["coefficients", "--system", "builtin:spherical2", "--vector", str(path)],
+                           "values.a"),
+            "map-rows": (bad_rows, ["normalize", "--input", str(path)], "maps.a|a"),
         }[case]
         path.write_text(text)
         assert cli.main(argv) == cli.EXIT_VALIDATION

@@ -7,10 +7,10 @@ from mbrep import _kernels
 from mbrep._exact import exact_coefficient, exact_inner, exact_spherical, ExactVector
 from mbrep.errors import DepthError, ValidationError
 from mbrep.multrep import (CrossedElement, MultVector, RepSpace, act,
-                           apply_crossed, coefficient, covariance_check,
+                           apply_crossed, coefficient, cone_walk, covariance_check,
                            cylinder_op, deepen, distance, evaluate,
                            gram_matrix, inner, norm, precompose, vadd, vscale)
-from mbrep.system import spherical_system
+from mbrep.system import MatrixSystem, spherical_system
 from mbrep.words import Alphabet, Cylinder, Word, ball, multiply, sphere
 
 from helpers import random_system, random_vector, random_word
@@ -149,6 +149,41 @@ class TestCoefficient:
                 patch.setattr(_kernels, "CHUNK_ROWS", 1)
                 split = _kernels.brute_pairing(space, x, f, g, m_depth)
             assert abs(whole - split) <= 1e-13
+
+    def test_fast_walk_matches_per_root_sum(self):
+        # the fast sum as it was: every root value evaluated from the
+        # vector's depth along its whole root word
+        def per_root(x, f, g):
+            forms = f.space.forms
+            total = 0.0 + 0.0j
+            for _, roots in cone_walk(x, f.depth, g.depth):
+                for fw, gw in roots:
+                    total += np.vdot(evaluate(g, gw), forms[fw.last()] @ evaluate(f, fw))
+            return complex(total)
+
+        rng = np.random.default_rng(29)
+        space, _ = random_system(rng)
+        # the same maps with one removed: a None map zeroes every value past it
+        b, a, _ = next(space.system.nonzero_pairs())
+        cut = MatrixSystem(space.alphabet, space.system.dims,
+                           {(q, p): m for q, p, m in space.system.nonzero_pairs()
+                            if (q, p) != (b, a)})
+        for sp in (space, RepSpace(cut, space.forms, check=False)):
+            for f_depth, g_depth in ((2, 2), (1, 2), (2, 1)):
+                f = MultVector(sp, f_depth, random_vector(space, rng, depth=f_depth).values)
+                g = MultVector(sp, g_depth, random_vector(space, rng, depth=g_depth).values)
+                for length in range(1, 13):
+                    x = random_word(A2, rng, length)
+                    assert coefficient(x, f, g) == per_root(x, f, g), str(x)
+
+    def test_gram_memo_matches_double_loop(self):
+        rng = np.random.default_rng(31)
+        space, _ = random_system(rng)
+        f = random_vector(space, rng, depth=2)
+        words = list(ball(A2, 2))
+        naive = np.array([[coefficient(multiply(wi.inverse(), wj), f, f) for wj in words]
+                          for wi in words])
+        assert np.array_equal(gram_matrix(words, f), naive)
 
     def test_gram_psd(self, seed_a):
         words = list(ball(A2, 2))[:8]

@@ -1,12 +1,16 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from mbrep.errors import ValidationError
+from mbrep.errors import CapExceededError, ValidationError
 from mbrep.multrep import MultVector, RepSpace, coefficient, inner
 from mbrep.system import spherical_system
 from mbrep.vfree import (FreeProduct, VFGroupDatum, induce_to_vf, psl2z_datum,
                          vf_gram, vf_validate)
-from mbrep.words import Alphabet, Word, sphere
+from mbrep.words import Alphabet, Word, multiply, sphere
+
+from helpers import random_system, random_vector
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +60,17 @@ class TestFreeProduct:
         assert len(grp.ball(1)) == 4
         assert len(grp.ball(2)) == 8
         assert len(grp.ball(3)) == 14
+        assert grp.ball(3)[0] == grp.identity
+
+    def test_ball_cap_and_radius(self):
+        grp = FreeProduct([2, 3], ["s", "r"])
+        assert len(grp.ball(3, cap=14)) == 14
+        with pytest.raises(CapExceededError):
+            grp.ball(3, cap=13)
+        with pytest.raises(CapExceededError):
+            grp.ball(10**6, cap=10)
+        with pytest.raises(ValidationError):
+            grp.ball(-1)
 
 
 class TestDatum:
@@ -124,6 +139,27 @@ class TestRouting:
             assert t12 == t2
             assert w12 == wmul(w1, w2)
 
+    def test_route_matches_multiply_fold(self, datum):
+        # the one-pass route against the product of the table words, step by
+        # step; syllables are drawn freely, so a factor may repeat and the
+        # table words then cancel across steps
+        grp = datum.group
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            lam = []
+            for _ in range(int(rng.integers(0, 12))):
+                f = int(rng.integers(len(grp.orders)))
+                lam.append((f, int(rng.integers(1, grp.orders[f]))))
+            lam = tuple(lam)
+            t_idx = int(rng.integers(len(datum.transversal)))
+            word, cur = Word.identity(datum.basis_alphabet), t_idx
+            for f in grp.generator_letters(lam):
+                step, cur = datum.table[(cur, f)]
+                word = multiply(word, step)
+            got = datum.route(t_idx, lam)
+            assert got == (word, cur)
+            assert Word(datum.basis_alphabet, got[0].letters) == word  # reduced
+
 
 class TestInducedCoefficients:
     def _blocks(self, datum, block_space, support=(0,)):
@@ -159,6 +195,25 @@ class TestInducedCoefficients:
         gram = vf_gram(datum, coeff_fast, elements, blocks)
         eigs = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
         assert eigs.min() >= -1e-8 * max(1.0, float(np.abs(gram).max()))
+
+    def test_gram_memo_matches_double_loop(self, datum):
+        rng = np.random.default_rng(17)
+        space, _ = random_system(rng, datum.basis_alphabet)
+        blocks = {u: random_vector(space, rng, depth=1 + u % 2) for u in (0, 2, 3)}
+        calls = Counter()
+
+        def counting(word, fe, ft):
+            calls[(word, fe, ft)] += 1
+            return coefficient(word, fe, ft, backend="fast")
+
+        grp = datum.group
+        elements = grp.ball(3)
+        gram = vf_gram(datum, counting, elements, blocks)
+        naive = np.array([[induce_to_vf(datum, coeff_fast,
+                                        grp.multiply(grp.inverse(li), lj), blocks)
+                           for lj in elements] for li in elements])
+        assert np.array_equal(gram, naive)
+        assert len(calls) > len(blocks) and set(calls.values()) == {1}
 
     def test_unitarity_diagonal(self, datum, block_space):
         blocks = self._blocks(datum, block_space, support=(0, 1))
