@@ -182,6 +182,8 @@ def cmd_coefficients(args) -> int:
 
 
 def cmd_induce(args) -> int:
+    if args.trials < 0:
+        raise ValidationError(f"trials must be >= 0, got {args.trials}")
     sub_system, sub_forms, _ = fileio.load_system(_resolve(args.system))
     if sub_forms is None:
         raise ValidationError("subgroup system needs forms")

@@ -8,6 +8,13 @@ with ``a``; the induced map carries a block either by copying (when the
 shifted transversal element stays inside the transversal tree) or by applying
 the subgroup map attached to the unique Schreier generator crossing the tree
 boundary.
+
+The intertwiner :func:`intertwiner_J` is one routing pass and one evaluated
+level: it routes the (prefix, transversal) pairs of the sphere levels 1, 2,
+... to their source blocks until every block argument h.j reaches its
+source depth, then evaluates that level only.  Each routed base h is
+evaluated once, and each generator j that does not cancel against h costs
+one matvec, the last step of the chain :func:`evaluate` would make at h.j.
 """
 
 from __future__ import annotations
@@ -17,12 +24,13 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import DepthError, LayoutError, ValidationError
+from .errors import CapExceededError, DepthError, LayoutError, ValidationError
 from .multrep import (MultVector, RepSpace, act, cylinder_op, evaluate, inner, vadd,
                       vscale, zero_vector)
 from .subgroups import SchreierData, rewrite_to_subgroup
 from .system import FormTuple, MatrixSystem
-from .words import Cylinder, Word, cylinder_image, multiply, sphere
+from .words import (DEFAULT_CAP, Alphabet, Cylinder, Word, cylinder_image, multiply, sphere,
+                    sphere_size)
 
 
 @dataclass
@@ -179,6 +187,11 @@ def induced_action(x: Word, f: InducedVector) -> InducedVector:
 #: deepest presentation depth the intertwiner's depth search tries
 MAX_INTERTWINER_DEPTH = 16
 
+# the routes of one sphere level: per prefix x and transversal index of u,
+# the source transversal index and the subgroup word h with
+# x . u^-1 = t_source . h (None where no block of x's words needs u)
+Routes = Dict[Tuple[int, ...], List[Optional[Tuple[int, Word]]]]
+
 
 def intertwiner_J(f: InducedVector, layout: InducedLayout,
                   induced_space: RepSpace, depth: Optional[int] = None) -> MultVector:
@@ -187,62 +200,126 @@ def intertwiner_J(f: InducedVector, layout: InducedLayout,
     by block, the source function at x u^-1 evaluated on the crossing
     generator.
 
-    With ``depth=None`` the presentation depth grows until every block
-    evaluation is inside its propagation range.
+    One routing pass walks the sphere levels 1, 2, ... and only routes each
+    (prefix x, transversal u) pair to its source block and subgroup word h;
+    with ``depth=None`` it stops at the first level where every block
+    argument h.j is at least as long as its source block's depth (|h.j| is
+    read off h's letters).  An explicit ``depth`` that is too small raises
+    :class:`DepthError`.  Only the chosen level is evaluated: each distinct
+    routed base (source, h) once, and each block whose generator j does not
+    cancel against h by one matvec with the source map from h's last letter
+    to j, the chain of products :func:`evaluate` makes at h.j.  Blocks
+    whose argument cancels, or whose h is shorter than the source depth, go
+    through :func:`evaluate`.
     """
     if depth is not None:
-        return _intertwine_at(f, layout, induced_space, depth)
-    last_err: Optional[Exception] = None
+        routes, bad = _route_level(f, layout, depth)
+        if bad is not None:
+            raise DepthError(f"depth {depth} too small to evaluate block at {bad}")
+        return _evaluate_level(f, layout, induced_space, depth, routes)
     for d in range(1, MAX_INTERTWINER_DEPTH + 1):
-        try:
-            return _intertwine_at(f, layout, induced_space, d)
-        except DepthError as err:
-            last_err = err
+        routes, bad = _route_level(f, layout, d)
+        if bad is None:
+            return _evaluate_level(f, layout, induced_space, d, routes)
     raise DepthError(
-        f"no admissible presentation depth up to {MAX_INTERTWINER_DEPTH}: {last_err}")
+        f"no admissible presentation depth up to {MAX_INTERTWINER_DEPTH}: "
+        f"depth {MAX_INTERTWINER_DEPTH} too small to evaluate block at {bad}")
 
 
-def _intertwine_at(f: InducedVector, layout: InducedLayout,
-                   induced_space: RepSpace, depth: int) -> MultVector:
+def _next_letters(alphabet: Alphabet, x: Tuple[int, ...]) -> List[int]:
+    """The letters a with x.a reduced, ascending (the sphere order)."""
+    if not x:
+        return list(range(len(alphabet)))
+    return [a for a in range(len(alphabet)) if a != alphabet.inv[x[-1]]]
+
+
+def _route_level(f: InducedVector, layout: InducedLayout,
+                 depth: int) -> Tuple[Routes, Optional[Word]]:
+    """Route the blocks of every word x.a on the sphere of radius ``depth``,
+    in sphere order.  Returns the routes and the first word with a block
+    argument shorter than its source depth, where the pass stops (None when
+    there is none)."""
     data = f.data
     alphabet = data.table.alphabet
+    if sphere_size(alphabet, depth) > DEFAULT_CAP:
+        raise CapExceededError(f"sphere of radius {depth} has {sphere_size(alphabet, depth)} "
+                               f"words, cap is {DEFAULT_CAP}")
     inverses = [t.inverse().letters for t in data.transversal]
+    sub_inv = data.subgroup_alphabet.inv
+    routes: Routes = {}
+    for xw in sphere(alphabet, depth - 1):
+        x = xw.letters
+        rx: List[Optional[Tuple[int, Word]]] = [None] * len(inverses)
+        routes[x] = rx
+        for a in _next_letters(alphabet, x):
+            for u_idx, j in layout.pairs[a]:
+                route = rx[u_idx]
+                if route is None:
+                    src_idx, h = _decompose_element(data, x + inverses[u_idx])
+                    route = rx[u_idx] = (src_idx, rewrite_to_subgroup(h, data))
+                src = f.blocks.get(route[0])
+                if src is not None:
+                    hl = route[1].letters
+                    arg_len = len(hl) - 1 if hl and hl[-1] == sub_inv[j] else len(hl) + 1
+                    if arg_len < src.depth:
+                        return routes, Word._of(alphabet, x + (a,))
+    return routes, None
+
+
+def _evaluate_level(f: InducedVector, layout: InducedLayout, induced_space: RepSpace,
+                    depth: int, routes: Routes) -> MultVector:
+    data = f.data
+    alphabet = data.table.alphabet
+    sub_alphabet = data.subgroup_alphabet
+    sub_inv = sub_alphabet.inv
+    maps = f.space.system.maps
+    slots = [[(u_idx, j, off, off + dim) for (u_idx, j), off, dim
+              in zip(layout.pairs[a], layout.offsets[a], layout.block_dims[a])]
+             for a in range(len(alphabet))]
+    # value of each routed base (source, h) with |h| >= the source depth,
+    # None where it is zero
+    bases: Dict[Tuple[int, Tuple[int, ...]], Optional[np.ndarray]] = {}
+
+    def prepare(route: Optional[Tuple[int, Word]]):
+        # (source, h, whether h.j steps out of h's value, that value, h's
+        # last letter, the generator that cancels it); None without a source
+        if route is None or route[0] not in f.blocks:
+            return None
+        src_idx, h = route
+        src = f.blocks[src_idx]
+        hl = h.letters
+        if len(hl) < src.depth:
+            return src, h, False, None, -1, -1
+        key = (src_idx, hl)
+        if key not in bases:
+            base = evaluate(src, h)
+            bases[key] = base if np.count_nonzero(base) else None
+        return src, h, True, bases[key], hl[-1], sub_inv[hl[-1]]
+
     values: Dict[Word, np.ndarray] = {}
-    # (prefix, transversal) decompositions are shared across the last letter
-    # and the generator of each block
-    cache: Dict[Tuple[Tuple[int, ...], int], Tuple[int, Word]] = {}
-
-    def routed(x: Tuple[int, ...], u_idx: int) -> Tuple[int, Word]:
-        key = (x, u_idx)
-        hit = cache.get(key)
-        if hit is None:
-            src_idx, h = _decompose_element(data, x + inverses[u_idx])
-            hit = (src_idx, rewrite_to_subgroup(h, data))
-            cache[key] = hit
-        return hit
-
-    for y in sphere(alphabet, depth):
-        a = y.last()
-        x = y.letters[:-1]
-        out = np.zeros(layout.letter_dim(a), dtype=np.complex128)
-        any_nonzero = False
-        for k, (u_idx, j) in enumerate(layout.pairs[a]):
-            src_idx, base = routed(x, u_idx)
-            src = f.blocks.get(src_idx)
-            if src is None:
-                continue
-            arg = multiply(base, Word(data.subgroup_alphabet, (j,)))
-            if len(arg) < src.depth:
-                raise DepthError(f"depth {depth} too small to evaluate block at {y}")
-            val = evaluate(src, arg)
-            off = layout.offsets[a][k]
-            d = layout.block_dims[a][k]
-            if np.any(val != 0):
-                out[off:off + d] = val
-                any_nonzero = True
-        if any_nonzero:
-            values[y] = out
-    return MultVector(induced_space, depth, values)
+    for x, rx in routes.items():
+        prepared = [prepare(route) for route in rx]
+        for a in _next_letters(alphabet, x):
+            out: Optional[np.ndarray] = None
+            for u_idx, j, lo, hi in slots[a]:
+                p = prepared[u_idx]
+                if p is None:
+                    continue
+                src, h, steps, base, last, cancel = p
+                if steps and j != cancel:
+                    m = maps[j][last]
+                    if base is None or m is None:
+                        continue
+                    val = m @ base
+                else:
+                    val = evaluate(src, multiply(h, Word._of(sub_alphabet, (j,))))
+                if np.count_nonzero(val):
+                    if out is None:
+                        out = np.zeros(layout.letter_dim(a), dtype=np.complex128)
+                    out[lo:hi] = val
+            if out is not None:
+                values[Word._of(alphabet, x + (a,))] = out
+    return MultVector._of(induced_space, depth, values)
 
 
 def boundary_pullback(data: SchreierData, z: Word) -> List[Word]:

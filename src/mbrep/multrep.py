@@ -221,15 +221,25 @@ def vadd(f: MultVector, g: MultVector, cap: int = DEFAULT_CAP) -> MultVector:
     fd, gd = _common_depth(f, g, cap=cap)
     vals = dict(fd.values)
     for w, v in gd.values.items():
-        if w in vals:
-            vals[w] = vals[w] + v
-        else:
+        s = vals.get(w)
+        if s is None:
             vals[w] = v
-    return MultVector(f.space, fd.depth, vals)
+        else:
+            # a sum that cancels drops out; the other values are nonzero
+            s = s + v
+            if np.count_nonzero(s):
+                vals[w] = s
+            else:
+                del vals[w]
+    return MultVector._of(f.space, fd.depth, vals)
 
 
 def vscale(c: complex, f: MultVector) -> MultVector:
-    return MultVector(f.space, f.depth, {w: c * v for w, v in f.values.items()})
+    vals = {w: c * v for w, v in f.values.items()}
+    if c != 1 and c != -1:
+        # only a factor of +-1 is exact; any other can round a value to zero
+        vals = {w: v for w, v in vals.items() if np.count_nonzero(v)}
+    return MultVector._of(f.space, f.depth, vals)
 
 
 def vsub(f: MultVector, g: MultVector) -> MultVector:

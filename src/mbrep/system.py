@@ -522,52 +522,87 @@ class Component:
         return self.system.dims
 
 
+def _entry_offsets(dims: Sequence[int]) -> np.ndarray:
+    """Offset of each letter's square block in the flat commutant unknowns."""
+    return np.concatenate([[0], np.cumsum([d * d for d in dims])]).astype(int)
+
+
+def _constraint_matrix(system: MatrixSystem, forms: FormTuple) -> np.ndarray:
+    """The real matrix of the commutant constraints, assembled block by block.
+
+    The unknowns are the real parts and then the imaginary parts of the
+    row-major entries of every E_a (at :func:`_entry_offsets`); the rows
+    are the real parts and then the imaginary parts of every E_b H_ba -
+    H_ba E_a and every B_a E_a - E_a^* B_a, row-major, in that order.  In
+    row-major order E_b M is kron(I, M^T) applied to E_b and M E_a is
+    kron(M, I) applied to E_a; B_a E_a is linear in E_a and E_a^* B_a is
+    linear in the conjugate.  A coefficient c of the unknown entry e puts
+    (Re c, -Im c; Im c, Re c) into the real matrix, and a coefficient of
+    conj(e) puts (Re c, Im c; Im c, -Re c).
+    """
+    dims = system.dims
+    offsets = _entry_offsets(dims)
+    nc = int(offsets[-1])
+    pairs = list(system.nonzero_pairs())
+    nr = sum(dims[b] * dims[a] for b, a, _ in pairs) + sum(d * d for d in dims)
+    mat = np.zeros((2 * nr, 2 * nc))
+    quadrants = (mat[:nr, :nc], mat[:nr, nc:], mat[nr:, :nc], mat[nr:, nc:])
+
+    def blocks(row: int, rows: Tuple[int, int], col: int) -> List[np.ndarray]:
+        # each quadrant's rows of one constraint and columns of E_col, as
+        # [p, q, s, t]: constraint entry (p, q), unknown entry (s, t)
+        d = dims[col]
+        return [qd[row:row + rows[0] * rows[1], offsets[col]:offsets[col + 1]]
+                .reshape(rows + (d, d), copy=False) for qd in quadrants]
+
+    def put(views: List[np.ndarray], index, coeff: np.ndarray, conj: bool = False) -> None:
+        tl, tr, bl, br = (v[index] for v in views)
+        tl += coeff.real
+        bl += coeff.imag
+        if conj:
+            tr += coeff.imag
+            br -= coeff.real
+        else:
+            tr -= coeff.imag
+            br += coeff.real
+
+    row = 0
+    for b, a, m in pairs:
+        rows = (dims[b], dims[a])
+        on_b = blocks(row, rows, b)
+        for p in range(dims[b]):
+            put(on_b, (p, slice(None), p, slice(None)), m.T)
+        on_a = blocks(row, rows, a)
+        for q in range(dims[a]):
+            put(on_a, (slice(None), q, slice(None), q), -m)
+        row += rows[0] * rows[1]
+    for a, f in enumerate(forms.forms):
+        views = blocks(row, (dims[a], dims[a]), a)
+        for q in range(dims[a]):
+            put(views, (slice(None), q, slice(None), q), f)
+        for p in range(dims[a]):
+            put(views, (p, slice(None), slice(None), p), -f.T, conj=True)
+        row += dims[a] * dims[a]
+    return mat
+
+
 def _commutant_basis(system: MatrixSystem, forms: FormTuple,
                      null_tol: float = 1e-9) -> List[List[np.ndarray]]:
     """Real basis of the space of form-selfadjoint tuples commuting with all
     maps: E_b H_ba = H_ba E_a and B_a E_a = E_a^* B_a."""
     n = len(system.alphabet)
     dims = system.dims
-    sizes = [d * d for d in dims]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    offsets = _entry_offsets(dims)
     nc = int(offsets[-1])
-
-    def unpack(vec_re: np.ndarray, vec_im: np.ndarray) -> List[np.ndarray]:
-        out = []
-        for a in range(n):
-            s, e = offsets[a], offsets[a + 1]
-            out.append((vec_re[s:e] + 1j * vec_im[s:e]).reshape(dims[a], dims[a]))
-        return out
-
-    def apply_constraints(es: List[np.ndarray]) -> np.ndarray:
-        rows = []
-        for b, a, m in system.nonzero_pairs():
-            r = es[b] @ m - m @ es[a]
-            rows.append(r.ravel())
-        for a in range(n):
-            r = forms[a] @ es[a] - es[a].conj().T @ forms[a]
-            rows.append(r.ravel())
-        flat = np.concatenate(rows) if rows else np.zeros(0, dtype=np.complex128)
-        return np.concatenate([flat.real, flat.imag])
-
-    cols = []
-    zero = np.zeros(nc)
-    for j in range(nc):
-        e = zero.copy()
-        e[j] = 1.0
-        cols.append(apply_constraints(unpack(e, zero)))
-    for j in range(nc):
-        e = zero.copy()
-        e[j] = 1.0
-        cols.append(apply_constraints(unpack(zero, e)))
-    mat = np.column_stack(cols) if cols else np.zeros((0, 0))
+    mat = _constraint_matrix(system, forms)
     _, s, vt = np.linalg.svd(mat, full_matrices=False)
     rank = int(np.sum(s > null_tol * max(1.0, s[0] if len(s) else 1.0)))
     null = vt[rank:].T
     basis = []
     for k in range(null.shape[1]):
         v = null[:, k]
-        basis.append(unpack(v[:nc], v[nc:]))
+        basis.append([(v[offsets[a]:offsets[a + 1]] + 1j * v[nc + offsets[a]:nc + offsets[a + 1]])
+                      .reshape(dims[a], dims[a]) for a in range(n)])
     return basis
 
 

@@ -297,6 +297,18 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("validation failure:")
         assert "radius" in err[0]
 
+    @pytest.mark.parametrize("argv,word", [
+        (["induce", "--system", "builtin:spherical3", "--quotient", "builtin:index2-quotient",
+          "--trials", "-2"], "trials"),
+        (["demo-no-hc", "--uniform-rank", "2", "--word", "ab", "--max-power", "-1"], "power")])
+    def test_negative_count_exits_validation(self, argv, word, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--output", str(out)]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("validation failure:")
+        assert word in err[0]
+        assert not out.exists()
+
     def test_demo_uniform(self, tmp_path):
         out = tmp_path / "demo.csv"
         code = cli.main(["demo-no-hc", "--word", "ab", "--max-power", "3",

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from mbrep import induce
 from mbrep.errors import DepthError
-from mbrep.induce import (InducedVector, boundary_pullback, induce_system,
-                          induced_action, induced_boundary_op,
-                          induced_distance, induced_inner, intertwiner_J)
+from mbrep.induce import (MAX_INTERTWINER_DEPTH, InducedVector, _decompose_element,
+                          boundary_pullback, induce_system, induced_action,
+                          induced_boundary_op, induced_distance, induced_inner,
+                          intertwiner_J)
 from mbrep.multrep import (MultVector, RepSpace, act, coefficient, cylinder_op,
-                           deepen, distance, inner)
-from mbrep.subgroups import FiniteGroup, coset_table_from_quotient, schreier
+                           deepen, distance, evaluate, inner)
+from mbrep.subgroups import (FiniteGroup, coset_table_from_quotient, rewrite_to_subgroup,
+                             schreier)
 from mbrep.system import compatibility_residual, spherical_system, validate
 from mbrep.words import Alphabet, Word, multiply, sphere
 
@@ -35,6 +38,11 @@ def induced_setup(group, images):
 @pytest.fixture(scope="module")
 def setup():
     return induced_setup(FiniteGroup.cyclic(2), {A2.letter("a"): 1, A2.letter("b"): 0})
+
+
+@pytest.fixture(scope="module")
+def cyclic3_setup():
+    return induced_setup(FiniteGroup.cyclic(3), {A2.letter("a"): 1, A2.letter("b"): 0})
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +177,121 @@ class TestIntertwiner:
         once = induced_action(multiply(x, y), f)
         twice = induced_action(x, induced_action(y, f))
         assert induced_distance(once, twice) <= 1e-10
+
+
+def searched_J(f, layout, induced_space):
+    """The intertwiner as the per-depth search computed it: rebuild and
+    evaluate the whole sphere at depths 1, 2, ... until no block argument
+    is shorter than its source depth."""
+    for depth in range(1, MAX_INTERTWINER_DEPTH + 1):
+        try:
+            return intertwine_at(f, layout, induced_space, depth)
+        except DepthError:
+            pass
+    raise DepthError("no admissible presentation depth")
+
+
+def intertwine_at(f, layout, induced_space, depth):
+    data = f.data
+    alphabet = data.table.alphabet
+    inverses = [t.inverse().letters for t in data.transversal]
+    values = {}
+    cache = {}
+
+    def routed(x, u_idx):
+        key = (x, u_idx)
+        hit = cache.get(key)
+        if hit is None:
+            src_idx, h = _decompose_element(data, x + inverses[u_idx])
+            hit = (src_idx, rewrite_to_subgroup(h, data))
+            cache[key] = hit
+        return hit
+
+    for y in sphere(alphabet, depth):
+        a = y.last()
+        x = y.letters[:-1]
+        out = np.zeros(layout.letter_dim(a), dtype=np.complex128)
+        any_nonzero = False
+        for k, (u_idx, j) in enumerate(layout.pairs[a]):
+            src_idx, base = routed(x, u_idx)
+            src = f.blocks.get(src_idx)
+            if src is None:
+                continue
+            arg = multiply(base, Word(data.subgroup_alphabet, (j,)))
+            if len(arg) < src.depth:
+                raise DepthError(f"depth {depth} too small to evaluate block at {y}")
+            val = evaluate(src, arg)
+            off = layout.offsets[a][k]
+            d = layout.block_dims[a][k]
+            if np.any(val != 0):
+                out[off:off + d] = val
+                any_nonzero = True
+        if any_nonzero:
+            values[y] = out
+    return MultVector(induced_space, depth, values)
+
+
+def assert_same_vector(got, want):
+    assert got.depth == want.depth
+    assert list(got.values) == list(want.values)
+    for word, v in want.values.items():
+        assert (got.values[word] == v).all()
+
+
+class TestOnePassIntertwiner:
+    """The one routing pass chooses the depth the per-depth search chose and
+    gives bit-identical values in the same key order."""
+
+    # S3 blocks of depth 3 reach depth 10, where the search takes minutes
+    @pytest.mark.parametrize("name,block_depth", [
+        ("setup", 1), ("setup", 2), ("setup", 3), ("cyclic3_setup", 1),
+        ("cyclic3_setup", 2), ("cyclic3_setup", 3), ("s3_setup", 1), ("s3_setup", 2)])
+    def test_matches_search(self, name, block_depth, request):
+        s = request.getfixturevalue(name)
+        layout, space = s["layout"], s["ind_space"]
+        rng = np.random.default_rng(41 + block_depth)
+        f = rand_blocks(s, rng, depth=block_depth)
+        # drop one block so some routes reach no source
+        del f.blocks[s["data"].index - 1]
+        assert_same_vector(intertwiner_J(f, layout, space), searched_J(f, layout, space))
+
+    # S3 images reach depth 10 and more, where the search takes minutes
+    @pytest.mark.parametrize("name,texts", [("setup", ("a", "Ba", "ab")),
+                                            ("cyclic3_setup", ("A", "ab"))])
+    def test_matches_search_on_images(self, name, texts, request):
+        s = request.getfixturevalue(name)
+        layout, space = s["layout"], s["ind_space"]
+        rng = np.random.default_rng(43)
+        f = rand_blocks(s, rng)
+        for text in texts:
+            moved = induced_action(w(text), f)
+            assert_same_vector(intertwiner_J(moved, layout, space),
+                               searched_J(moved, layout, space))
+            cut = induced_boundary_op(f, w(text))
+            assert_same_vector(intertwiner_J(cut, layout, space),
+                               searched_J(cut, layout, space))
+
+    def test_evaluates_one_level(self, cyclic3_setup, monkeypatch):
+        """The depth search evaluates nothing: choosing the depth costs no
+        evaluate call beyond those of a call at that depth given."""
+        layout, space = cyclic3_setup["layout"], cyclic3_setup["ind_space"]
+        rng = np.random.default_rng(47)
+        f = induced_action(w("ab"), rand_blocks(cyclic3_setup, rng))
+        calls = []
+
+        def counting(src, word):
+            calls.append(len(word))
+            return evaluate(src, word)
+
+        monkeypatch.setattr(induce, "evaluate", counting)
+        jf = intertwiner_J(f, layout, space)
+        searched = len(calls)
+        calls.clear()
+        intertwiner_J(f, layout, space, depth=jf.depth)
+        assert jf.depth > 1
+        assert searched == len(calls) > 0
+        blocks = sum(len(layout.pairs[y.last()]) for y in sphere(space.alphabet, jf.depth))
+        assert searched <= blocks
 
 
 class TestBoundaryAction:

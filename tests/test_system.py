@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from mbrep.errors import DegenerateSystemError, ValidationError
-from mbrep.system import (FormTuple, MatrixSystem, compatibility_residual,
-                          decompose, find_invariant_subsystem, normalize,
+from mbrep.induce import induce_system
+from mbrep.subgroups import FiniteGroup, coset_table_from_quotient, schreier
+from mbrep.system import (FormTuple, MatrixSystem, _constraint_matrix,
+                          compatibility_residual, decompose,
+                          find_invariant_subsystem, normalize,
                           radical_quotient, spherical_system,
                           subsystem_residual, transfer_apply, validate)
 from mbrep.words import Alphabet
 
-from helpers import random_system
+from helpers import random_system, s3_quotient
 
 A2 = Alphabet.rank(2)
 N = 4
@@ -299,6 +302,70 @@ class TestDecompose:
         system, _ = spherical_system(A2)
         with pytest.raises(ValidationError):
             decompose(system, FormTuple([np.zeros((1, 1))] * N))
+
+
+def induced_through(group, images, sub_system, sub_forms):
+    data = schreier(coset_table_from_quotient(A2, group, images))
+    system, forms, _ = induce_system(sub_system, sub_forms, data)
+    return system, forms
+
+
+def cyclic3_induced_system():
+    """A seeded random rank-4 system with dims (1, 2, 2, 1, 1, 2, 2, 1),
+    normalized and induced through the cyclic quotient a -> 1, b -> 0 of
+    order 3: dims (15, 12, 4, 5)."""
+    rng = np.random.default_rng(11)
+    alphabet = Alphabet.rank(4)
+    dims = (1, 2, 2, 1, 1, 2, 2, 1)
+    maps = {(b, a): rng.normal(size=(dims[b], dims[a])) + 1j * rng.normal(size=(dims[b], dims[a]))
+            for b in range(8) for a in range(8) if alphabet.inv[a] != b}
+    result = normalize(MatrixSystem(alphabet, dims, maps), degeneracy_probe=False)
+    return induced_through(FiniteGroup.cyclic(3), {A2.letter("a"): 1, A2.letter("b"): 0},
+                           result.system, result.forms)
+
+
+def s3_induced_system():
+    """The spherical rank-7 system induced through S3: dims (12, 12, 30, 30)."""
+    return induced_through(*s3_quotient(A2), *spherical_system(Alphabet.rank(7)))
+
+
+def constraint_columns(system, forms):
+    """The commutant constraint matrix one column at a time: each real and
+    then each imaginary unit in the row-major entries of the tuple (E_a),
+    through E_b H_ba - H_ba E_a and B_a E_a - E_a^* B_a, real parts of the
+    rows over imaginary parts."""
+    dims = system.dims
+    nc = sum(d * d for d in dims)
+    for unit in (1.0, 1j):
+        for j in range(nc):
+            flat = np.zeros(nc, dtype=np.complex128)
+            flat[j] = unit
+            es, start = [], 0
+            for d in dims:
+                es.append(flat[start:start + d * d].reshape(d, d))
+                start += d * d
+            rows = [(es[b] @ m - m @ es[a]).ravel() for b, a, m in system.nonzero_pairs()]
+            rows += [(forms[a] @ es[a] - es[a].conj().T @ forms[a]).ravel()
+                     for a in range(len(dims))]
+            rows = np.concatenate(rows)
+            yield np.concatenate([rows.real, rows.imag])
+
+
+class TestCommutantConstraints:
+    @pytest.mark.parametrize("build", [cyclic3_induced_system, s3_induced_system])
+    def test_assembly_matches_columns(self, build):
+        system, forms = build()
+        mat = _constraint_matrix(system, forms)
+        count = 0
+        for j, col in enumerate(constraint_columns(system, forms)):
+            assert np.array_equal(mat[:, j], col), f"column {j}"
+            count += 1
+        assert count == mat.shape[1]
+
+    def test_cyclic3_shape(self):
+        system, forms = cyclic3_induced_system()
+        assert system.dims == (15, 12, 4, 5)
+        assert _constraint_matrix(system, forms).shape == (2612, 820)
 
 
 def _projective_grid_oracle(system, steps=16):
