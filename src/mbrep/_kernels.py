@@ -83,7 +83,7 @@ def brute_pairing(space, x, f, g, m_depth: int) -> complex:
     inv = space.alphabet.inv
     forms = space.forms
     total = 0.0 + 0.0j
-    for _, roots in cone_walk(x, f.depth, g.depth):
+    for roots in cone_walk(x, f.depth, g.depth):
         # every root is at most max(|x| + f.depth, g.depth) long
         rest = m_depth - len(roots[0][1])
         grouped: Dict[int, list] = {}

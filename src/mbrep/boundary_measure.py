@@ -14,8 +14,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .multrep import MultVector, coefficient, deepen, inner
-from .words import (DEFAULT_CAP, Alphabet, Cylinder, Word, cylinder_image,
-                    multiply, sphere)
+from .words import DEFAULT_CAP, Alphabet, Word, multiply, sphere
 
 
 class CylinderMeasure:
@@ -105,9 +104,9 @@ def quasi_regular_coefficient(mu: CylinderMeasure, x: Word, depth: int,
     """Hellinger sum over the depth-``depth`` cylinder partition:
     sum_C sqrt(mu(x.C) mu(C)).
 
-    Requires depth >= |x| + 1 so every translated cylinder is again a single
-    cylinder.  Non-increasing in the depth and an upper bound for the
-    quasi-regular diagonal coefficient of the measure.
+    Requires depth >= |x| + 1, so every translated cylinder x.C(stem) is the
+    single cylinder at x.stem.  Non-increasing in the depth and an upper
+    bound for the quasi-regular diagonal coefficient of the measure.
     """
     if depth < len(x) + 1:
         raise ValidationError(f"partition depth {depth} must exceed |x| = {len(x)}")
@@ -116,10 +115,7 @@ def quasi_regular_coefficient(mu: CylinderMeasure, x: Word, depth: int,
         mass = mu(stem)
         if mass <= 0.0:
             continue
-        image = cylinder_image(x, Cylinder(stem))
-        if len(image) != 1:
-            raise ValidationError("translated cylinder split unexpectedly at this depth")
-        moved = mu(image.parts[0].stem)
+        moved = mu(multiply(x, stem))
         if moved > 0.0:
             total += math.sqrt(moved * mass)
     return total

@@ -10,6 +10,7 @@ byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from importlib import resources
 from typing import List, Optional, Sequence
@@ -90,8 +91,19 @@ def _load_space(path: str) -> RepSpace:
     return RepSpace(system, forms)
 
 
+def _tolerance(text: str) -> float:
+    """A tolerance flag's value: a positive finite float, else a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be positive and finite, got {text!r}")
+    return value
+
+
 _FLAGS = {
-    "tolerance": dict(type=float, default=None, help="override the default tolerance"),
+    "tolerance": dict(type=_tolerance, default=None, help="override the default tolerance"),
     "cap": dict(type=int, default=DEFAULT_CAP, help="word-enumeration cap"),
     "seed": dict(type=int, default=0, help="seed for randomized checks"),
     "backend": dict(choices=["fast", "brute", "both"], default="fast"),
@@ -120,7 +132,7 @@ def cmd_normalize(args) -> int:
         for p in problems:
             print(f"invalid: {p}", file=sys.stderr)
         return EXIT_VALIDATION
-    tol = args.tolerance if args.tolerance else NORMALIZE_TOL
+    tol = NORMALIZE_TOL if args.tolerance is None else args.tolerance
     result = normalize(system, tol=tol, seed=args.seed)
     print(f"spectral_radius={_fmt(result.spectral_radius)}")
     print(f"residual={_fmt(result.residual)}")
@@ -203,7 +215,7 @@ def cmd_induce(args) -> int:
         return EXIT_MATH
     res = compatibility_residual(ind_system, ind_forms)
     print(f"induced_forms_residual={_fmt(res)}")
-    tol = args.tolerance if args.tolerance else 1e-9
+    tol = 1e-9 if args.tolerance is None else args.tolerance
     ok = res <= tol
 
     sub_space = RepSpace(sub_system, sub_forms)
@@ -272,8 +284,7 @@ def cmd_vf_induce(args) -> int:
     grp = datum.group
 
     def coeff(w, u, v):
-        return coefficient(w, u, v, backend=args.backend if args.backend != "both" else "fast",
-                           cap=args.cap)
+        return coefficient(w, u, v, cap=args.cap)
 
     elements = grp.ball(args.radius, cap=args.cap)
     meta = {"command": "vf-induce", "datum": datum.name or args.datum,
@@ -296,17 +307,16 @@ def cmd_vf_induce(args) -> int:
 def cmd_herz(args) -> int:
     space = _load_space(args.system)
     vec = fileio.load_vector(_resolve(args.vector), space)
-    tol = args.tolerance if args.tolerance else 1e-9
+    tol = 1e-9 if args.tolerance is None else args.tolerance
     meta = {"command": "herz", "radius": args.radius, "seed": args.seed,
             "tolerance": _fmt(tol)}
     report = Report(["x", "N", "lhs", "rhs", "margin", "pass"], meta)
     words = list(ball(space.alphabet, args.radius, cap=args.cap))
-    backend = args.backend if args.backend != "both" else "fast"
     mu = spectral_measure(vec, cap=args.cap)
     failures = 0
     for w in words:
         n = len(w) + 1
-        hz = herz_check(vec, w, n, tol=tol, backend=backend, mu=mu, cap=args.cap)
+        hz = herz_check(vec, w, n, tol=tol, mu=mu, cap=args.cap)
         report.add(str(w), n, hz.lhs, hz.rhs, hz.margin, "pass" if hz.passed else "FAIL")
         failures += 0 if hz.passed else 1
     report.meta["failures"] = failures
@@ -316,13 +326,15 @@ def cmd_herz(args) -> int:
 
 
 def cmd_demo_no_hc(args) -> int:
-    if args.uniform_rank:
+    if args.uniform_rank is not None:
         from .words import Alphabet
 
         alphabet = Alphabet.rank(args.uniform_rank)
         mu = uniform_measure(alphabet)
         source = f"uniform(rank {args.uniform_rank})"
     else:
+        if args.system is None or args.vector is None:
+            raise ValidationError("the demo needs --uniform-rank, or --system and --vector")
         space = _load_space(args.system)
         vec = fileio.load_vector(_resolve(args.vector), space)
         nrm2 = inner(vec, vec).real
@@ -434,14 +446,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", required=True, help="system over the free-basis alphabet")
     p.add_argument("--vector", required=True, help="block vector at the identity coset")
     p.add_argument("--radius", type=int, default=3)
-    _flags(p, "cap", "seed", "backend", "output")
+    _flags(p, "cap", "seed", "output")
     p.set_defaults(fn=cmd_vf_induce)
 
     p = sub.add_parser("herz", help="majorization report over a word ball")
     p.add_argument("--system", required=True)
     p.add_argument("--vector", required=True)
     p.add_argument("--radius", type=int, default=3)
-    _flags(p, "tolerance", "cap", "seed", "backend", "output")
+    _flags(p, "tolerance", "cap", "seed", "output")
     p.set_defaults(fn=cmd_herz)
 
     p = sub.add_parser("demo-no-hc", help="decay table showing the majorizing measure depends on the vector")

@@ -12,9 +12,9 @@ boundary.
 The intertwiner :func:`intertwiner_J` is one routing pass and one evaluated
 level: it routes the (prefix, transversal) pairs of the sphere levels 1, 2,
 ... to their source blocks until every block argument h.j reaches its
-source depth, then evaluates that level only.  Each routed base h is
-evaluated once, and each generator j that does not cancel against h costs
-one matvec, the last step of the chain :func:`evaluate` would make at h.j.
+source depth, then evaluates that level only, through one
+:func:`~mbrep.multrep.point_values` evaluator per source block, so the
+arguments h.j that share h step out of h's value once.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import CapExceededError, DepthError, LayoutError, ValidationError
-from .multrep import (MultVector, RepSpace, act, cylinder_op, evaluate, inner, vadd,
+from .multrep import (MultVector, RepSpace, act, cylinder_op, inner, point_values, vadd,
                       vscale, zero_vector)
 from .subgroups import SchreierData, rewrite_to_subgroup
 from .system import FormTuple, MatrixSystem
@@ -205,12 +205,9 @@ def intertwiner_J(f: InducedVector, layout: InducedLayout,
     with ``depth=None`` it stops at the first level where every block
     argument h.j is at least as long as its source block's depth (|h.j| is
     read off h's letters).  An explicit ``depth`` that is too small raises
-    :class:`DepthError`.  Only the chosen level is evaluated: each distinct
-    routed base (source, h) once, and each block whose generator j does not
-    cancel against h by one matvec with the source map from h's last letter
-    to j, the chain of products :func:`evaluate` makes at h.j.  Blocks
-    whose argument cancels, or whose h is shorter than the source depth, go
-    through :func:`evaluate`.
+    :class:`DepthError`.  Only the chosen level is evaluated, by one
+    :func:`~mbrep.multrep.point_values` evaluator per source block: the
+    block arguments h.j of one base h share the steps out to h.
     """
     if depth is not None:
         routes, bad = _route_level(f, layout, depth)
@@ -268,52 +265,25 @@ def _route_level(f: InducedVector, layout: InducedLayout,
 
 def _evaluate_level(f: InducedVector, layout: InducedLayout, induced_space: RepSpace,
                     depth: int, routes: Routes) -> MultVector:
-    data = f.data
-    alphabet = data.table.alphabet
-    sub_alphabet = data.subgroup_alphabet
-    sub_inv = sub_alphabet.inv
-    maps = f.space.system.maps
+    alphabet = f.data.table.alphabet
+    sub_inv = f.data.subgroup_alphabet.inv
     slots = [[(u_idx, j, off, off + dim) for (u_idx, j), off, dim
               in zip(layout.pairs[a], layout.offsets[a], layout.block_dims[a])]
              for a in range(len(alphabet))]
-    # value of each routed base (source, h) with |h| >= the source depth,
-    # None where it is zero
-    bases: Dict[Tuple[int, Tuple[int, ...]], Optional[np.ndarray]] = {}
-
-    def prepare(route: Optional[Tuple[int, Word]]):
-        # (source, h, whether h.j steps out of h's value, that value, h's
-        # last letter, the generator that cancels it); None without a source
-        if route is None or route[0] not in f.blocks:
-            return None
-        src_idx, h = route
-        src = f.blocks[src_idx]
-        hl = h.letters
-        if len(hl) < src.depth:
-            return src, h, False, None, -1, -1
-        key = (src_idx, hl)
-        if key not in bases:
-            base = evaluate(src, h)
-            bases[key] = base if np.count_nonzero(base) else None
-        return src, h, True, bases[key], hl[-1], sub_inv[hl[-1]]
-
+    value_of = {src_idx: point_values(src) for src_idx, src in f.blocks.items()}
     values: Dict[Word, np.ndarray] = {}
     for x, rx in routes.items():
-        prepared = [prepare(route) for route in rx]
         for a in _next_letters(alphabet, x):
             out: Optional[np.ndarray] = None
             for u_idx, j, lo, hi in slots[a]:
-                p = prepared[u_idx]
-                if p is None:
+                route = rx[u_idx]
+                if route is None or route[0] not in value_of:
                     continue
-                src, h, steps, base, last, cancel = p
-                if steps and j != cancel:
-                    m = maps[j][last]
-                    if base is None or m is None:
-                        continue
-                    val = m @ base
-                else:
-                    val = evaluate(src, multiply(h, Word._of(sub_alphabet, (j,))))
-                if np.count_nonzero(val):
+                hl = route[1].letters
+                # the letters of the reduced word h.j
+                arg = hl[:-1] if hl and hl[-1] == sub_inv[j] else hl + (j,)
+                val = value_of[route[0]](arg)
+                if val is not None and np.count_nonzero(val):
                     if out is None:
                         out = np.zeros(layout.letter_dim(a), dtype=np.complex128)
                     out[lo:hi] = val

@@ -3,17 +3,19 @@ coefficients, boundary cylinder operators, and crossed-product elements.
 
 A vector is a finite germ: values on one word sphere, propagated outward by
 the system maps.  :func:`deepen` propagates a whole table through
-``_kernels.level_step``, one level at a time; :func:`evaluate` propagates
-one value along one word.
+``_kernels.level_step``, one level at a time; :func:`point_values` propagates
+single words, one matvec per letter from the longest proper prefix it has
+already stepped through, and :func:`evaluate` is one such walk.
 
 Matrix coefficients come in three backends.  ``fast`` and ``brute`` share
 :func:`cone_walk`, which partitions the sphere into cones by where a word
 leaves the geodesic of the acting word and yields the root pairs of each
 cone.  ``fast`` pairs the values at the roots, because compatibility
-collapses each cone's tail sum onto its roots; it branches each root value
-off one walk of each vector along the geodesic.  ``brute``, the literal
-sphere-sum oracle (exponential, see ``_kernels``), steps the root values
-out to the truncation sphere with the same level step as ``deepen``.
+collapses each cone's tail sum onto its roots; one point evaluator per
+vector serves all its roots, so the geodesic is walked once.  ``brute``,
+the literal sphere-sum oracle (exponential, see ``_kernels``), steps the
+root values out to the truncation sphere with the same level step as
+``deepen``.
 ``reference`` is the same literal sum word by word through
 :func:`sphere_coefficient`, which the exact mode in ``_exact`` shares; it
 walks no cones, so it checks the partition independently.
@@ -129,25 +131,56 @@ class MultVector:
         return f"MultVector(depth={self.depth}, support={len(self.values)})"
 
 
-def _step_out(f: MultVector, v: Optional[np.ndarray], letters: Tuple[int, ...],
-              k: int) -> Optional[np.ndarray]:
-    """Propagate ``v``, the value of f at letters[:k], out along the rest of
-    ``letters`` with one matvec per letter; None is the zero value."""
+#: marks a word that an evaluator has not memoized (None is a zero value)
+_UNSET = object()
+
+
+def point_values(f: MultVector) -> Callable[[Tuple[int, ...]], Optional[np.ndarray]]:
+    """A memoized evaluator of ``f``: given the letters of a reduced word of
+    length >= the depth, it returns the value there, or None where it is
+    zero.
+
+    Each word is stepped out from its longest memoized proper prefix, or
+    else from its table entry, one matvec per letter; the table entry and
+    the proper prefixes passed are memoized, the word itself is not.  The
+    chain of products is always the one from the table entry, so values do
+    not depend on the order in which words are asked.
+    """
     maps = f.space.system.maps
-    for k in range(k, len(letters)):
-        if v is None:
-            break
-        m = maps[letters[k]][letters[k - 1]]
-        v = None if m is None else m @ v
-    return v
+    alphabet = f.space.alphabet
+    depth = f.depth
+    table = f.values
+    memo: Dict[Tuple[int, ...], Optional[np.ndarray]] = {}
+
+    def value_at(letters: Tuple[int, ...]) -> Optional[np.ndarray]:
+        n = len(letters)
+        if n < depth:
+            raise DepthError(f"cannot evaluate at {letters}: below presentation depth {depth}")
+        k = max(n - 1, depth)
+        v = memo.get(letters[:k], _UNSET)
+        while v is _UNSET and k > depth:
+            k -= 1
+            v = memo.get(letters[:k], _UNSET)
+        if v is _UNSET:
+            head = letters[:depth]
+            v = memo[head] = table.get(Word._of(alphabet, head))
+        while k < n and v is not None:
+            m = maps[letters[k]][letters[k - 1]]
+            v = None if m is None else m @ v
+            k += 1
+            if k < n:
+                memo[letters[:k]] = v
+        return v
+
+    return value_at
 
 
 def evaluate(f: MultVector, w: Word) -> np.ndarray:
-    """Value of the propagated function at a word of length >= the depth."""
+    """Value of the propagated function at a word of length >= the depth,
+    by one walk of a fresh :func:`point_values` evaluator."""
     if len(w) < f.depth:
         raise DepthError(f"cannot evaluate at {w}: below presentation depth {f.depth}")
-    v = _step_out(f, f.values.get(Word._of(w.alphabet, w.letters[: f.depth])),
-                  w.letters, f.depth)
+    v = point_values(f)(w.letters)
     if v is None:
         return np.zeros(f.space.dim(w.last()), dtype=np.complex128)
     return v
@@ -256,25 +289,26 @@ def distance(f: MultVector, g: MultVector) -> float:
 
 def act(x: Word, f: MultVector, cap: int = DEFAULT_CAP) -> MultVector:
     """The unitary action: (act(x, f))(y) = f(x^-1 y), presented at depth
-    f.depth + |x|."""
+    f.depth + |x|.  One point evaluator serves every y, so the words x^-1 y
+    share the steps of their common prefixes."""
     if x.is_identity():
         return f
     space = f.space
     new_depth = f.depth + len(x)
     xinv = x.inverse()
+    value_at = point_values(f)
     values: Dict[Word, np.ndarray] = {}
     budget = 0
     n = len(space.alphabet)
-    for z, _ in f.values.items():
+    for z in f.values:
         for part in cylinder_image(x, Cylinder(z)):
             budget += (n - 1) ** (new_depth - len(part.stem))
             if budget > cap:
                 raise CapExceededError(f"action support would exceed cap {cap}")
             for fine in refine(part, new_depth, cap=cap):
                 y = fine.stem
-                w = multiply(xinv, y)
-                v = evaluate(f, w)
-                if np.any(v != 0):
+                v = value_at(multiply(xinv, y).letters)
+                if v is not None and np.count_nonzero(v):
                     values[y] = v
     return MultVector._of(space, new_depth, values)
 
@@ -287,16 +321,16 @@ def _brute_coefficient(x: Word, f: MultVector, g: MultVector, cap: int) -> compl
     return _kernels.brute_pairing(f.space, x, f, g, m_depth)
 
 
-def cone_walk(x: Word, f_depth: int, g_depth: int) -> Iterator[Tuple[int, List[Tuple[Word, Word]]]]:
+def cone_walk(x: Word, f_depth: int, g_depth: int) -> Iterator[List[Tuple[Word, Word]]]:
     """The root pairs (x^-1 y, y) of each geodesic cone of ``x``.
 
     Every reduced y of length > |x| leaves the geodesic of ``x`` after a
     common prefix x[:i] with one letter c, so y lies in the cone of
-    x[:i] c and x^-1 y in the cone of x^-1[:|x|-i] c.  Per cone this yields
-    i and the pairs at the shallowest common extension of those two roots
-    where both vectors have values (depths ``f_depth`` and ``g_depth``); all
-    pairs of one cone share their length and, within a pair, their last
-    letter.
+    x[:i] c and x^-1 y in the cone of x^-1[:|x|-i] c.  Per cone, for i = 0,
+    1, ..., |x|, this yields the pairs at the shallowest common extension of
+    those two roots where both vectors have values (depths ``f_depth`` and
+    ``g_depth``); all pairs of one cone share their length and, within a
+    pair, their last letter.
     """
     alphabet = x.alphabet
     n = len(alphabet)
@@ -311,50 +345,24 @@ def cone_walk(x: Word, f_depth: int, g_depth: int) -> Iterator[Tuple[int, List[T
             tails = [(c,)]
             for _ in range(max(0, f_depth - (lx - i + 1), g_depth - (i + 1))):
                 tails = [t + (d,) for t in tails for d in range(n) if d != inv[t[-1]]]
-            yield i, [(Word._of(alphabet, xinv[: lx - i] + t), Word._of(alphabet, xl[:i] + t))
-                      for t in tails]
-
-
-def _prefix_values(f: MultVector, letters: Tuple[int, ...]) -> List[Optional[np.ndarray]]:
-    """The values of f at every prefix letters[:k], k >= f.depth, propagated
-    along ``letters`` as :func:`evaluate` would (None where zero, and below
-    the depth)."""
-    out: List[Optional[np.ndarray]] = [None] * (len(letters) + 1)
-    d = f.depth
-    if len(letters) >= d:
-        out[d] = f.values.get(Word._of(f.space.alphabet, letters[:d]))
-        for k in range(d, len(letters)):
-            out[k + 1] = _step_out(f, out[k], letters[: k + 1], k)
-    return out
-
-
-def _branch(f: MultVector, prefix: List[Optional[np.ndarray]], p: int,
-            w: Tuple[int, ...]) -> Optional[np.ndarray]:
-    """Value of f at a word ``w`` of length >= f.depth whose first ``p``
-    letters are those of the walk behind ``prefix``: the stored value at the
-    shared prefix, stepped out along the rest of ``w`` (None where zero).
-    The chain of products is the one :func:`evaluate` makes."""
-    d = f.depth
-    if p < d:
-        return _step_out(f, f.values.get(Word._of(f.space.alphabet, w[:d])), w, d)
-    return _step_out(f, prefix[p], w, p)
+            yield [(Word._of(alphabet, xinv[: lx - i] + t), Word._of(alphabet, xl[:i] + t))
+                   for t in tails]
 
 
 def _fast_coefficient(x: Word, f: MultVector, g: MultVector) -> complex:
     if x.is_identity():
         return inner(f, g)
     forms = f.space.forms
-    lx = len(x)
-    f_prefix = _prefix_values(f, x.inverse().letters)
-    g_prefix = _prefix_values(g, x.letters)
+    f_at = point_values(f)
+    g_at = point_values(g)
     total = 0.0 + 0.0j
-    for i, roots in cone_walk(x, f.depth, g.depth):
+    for roots in cone_walk(x, f.depth, g.depth):
         for fw, gw in roots:
             # a root where either vector is zero adds an exact zero
-            fv = _branch(f, f_prefix, lx - i, fw.letters)
+            fv = f_at(fw.letters)
             if fv is None:
                 continue
-            gv = _branch(g, g_prefix, i, gw.letters)
+            gv = g_at(gw.letters)
             if gv is None:
                 continue
             total += np.vdot(gv, forms[fw.last()] @ fv)
@@ -391,9 +399,10 @@ def coefficient(x: Word, f: MultVector, g: MultVector, backend: str = "fast",
 
     ``fast`` pairs f and g at the roots of the O(|x|) cones of
     :func:`cone_walk` and collapses each cone's tail through compatibility;
-    f is propagated once along x^-1 and g once along x, and each root value
-    branches off the stored value at its geodesic prefix with one matvec
-    per tail letter, so the cost grows as O(|x|) matvecs.  ``brute`` steps the
+    the roots of f are read through one :func:`point_values` evaluator and
+    those of g through another, so each root branches off the value at its
+    geodesic prefix, already stepped for an earlier cone, with one matvec
+    per remaining letter, and the cost grows as O(|x|) matvecs.  ``brute`` steps the
     same root values out to the truncated sphere with
     ``_kernels.level_step`` and sums there, the independent oracle whose
     cost grows as (|A|-1)^|x|; ``reference`` is the plain word-by-word sum

@@ -309,6 +309,32 @@ class TestCli:
         assert word in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra", [[], ["--uniform-rank", "0"],
+                                       ["--system", "builtin:spherical2"]],
+                             ids=["no-source", "rank-zero", "no-vector"])
+    def test_demo_without_measure_exits_validation(self, extra, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["demo-no-hc", "--word", "ab", "--output", str(out)] + extra
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("validation failure:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("argv", [
+        ["normalize", "--input", "builtin:spherical2-unscaled"],
+        ["induce", "--system", "builtin:spherical3", "--quotient", "builtin:index2-quotient",
+         "--trials", "1"],
+        ["herz", "--system", "builtin:spherical2", "--vector", "builtin:seed-a", "--radius", "1"],
+    ], ids=["normalize", "induce", "herz"])
+    def test_bad_tolerance_exits_validation(self, argv, value, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--tolerance", value, "--output", str(out)]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("validation failure:")
+        assert "tolerance" in err[0]
+        assert not out.exists()
+
     def test_demo_uniform(self, tmp_path):
         out = tmp_path / "demo.csv"
         code = cli.main(["demo-no-hc", "--word", "ab", "--max-power", "3",
@@ -382,7 +408,11 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["herz", "--system", "builtin:spherical2", "--vector", "builtin:seed-a", "--radius", "x"],
         ["selftest", "--output", "report.csv"],
-    ], ids=["bad-value", "removed-flag"])
+        ["herz", "--system", "builtin:spherical2", "--vector", "builtin:seed-a",
+         "--backend", "brute"],
+        ["vf-induce", "--system", "builtin:spherical2", "--vector", "builtin:seed-a",
+         "--backend", "brute"],
+    ], ids=["bad-value", "removed-flag", "herz-backend", "vf-induce-backend"])
     def test_usage_error_exits_validation(self, argv, capsys):
         assert cli.main(argv) == cli.EXIT_VALIDATION
         err = capsys.readouterr().err.splitlines()

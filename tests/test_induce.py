@@ -8,7 +8,7 @@ from mbrep.induce import (MAX_INTERTWINER_DEPTH, InducedVector, _decompose_eleme
                           induced_boundary_op, induced_distance, induced_inner,
                           intertwiner_J)
 from mbrep.multrep import (MultVector, RepSpace, act, coefficient, cylinder_op,
-                           deepen, distance, evaluate, inner)
+                           deepen, distance, evaluate, inner, point_values)
 from mbrep.subgroups import (FiniteGroup, coset_table_from_quotient, rewrite_to_subgroup,
                              schreier)
 from mbrep.system import compatibility_residual, spherical_system, validate
@@ -273,17 +273,22 @@ class TestOnePassIntertwiner:
 
     def test_evaluates_one_level(self, cyclic3_setup, monkeypatch):
         """The depth search evaluates nothing: choosing the depth costs no
-        evaluate call beyond those of a call at that depth given."""
+        point evaluation beyond those of a call at that depth given."""
         layout, space = cyclic3_setup["layout"], cyclic3_setup["ind_space"]
         rng = np.random.default_rng(47)
         f = induced_action(w("ab"), rand_blocks(cyclic3_setup, rng))
         calls = []
 
-        def counting(src, word):
-            calls.append(len(word))
-            return evaluate(src, word)
+        def counting(src):
+            value_at = point_values(src)
 
-        monkeypatch.setattr(induce, "evaluate", counting)
+            def counted(letters):
+                calls.append(len(letters))
+                return value_at(letters)
+
+            return counted
+
+        monkeypatch.setattr(induce, "point_values", counting)
         jf = intertwiner_J(f, layout, space)
         searched = len(calls)
         calls.clear()

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -9,9 +10,10 @@ from mbrep.errors import DepthError, ValidationError
 from mbrep.multrep import (CrossedElement, MultVector, RepSpace, act,
                            apply_crossed, coefficient, cone_walk, covariance_check,
                            cylinder_op, deepen, distance, evaluate,
-                           gram_matrix, inner, norm, precompose, vadd, vscale)
+                           gram_matrix, inner, norm, point_values, precompose, vadd,
+                           vscale)
 from mbrep.system import MatrixSystem, spherical_system
-from mbrep.words import Alphabet, Cylinder, Word, ball, multiply, sphere
+from mbrep.words import Alphabet, Cylinder, Word, ball, cylinder_image, multiply, refine, sphere
 
 from helpers import random_system, random_vector, random_word
 
@@ -156,7 +158,7 @@ class TestCoefficient:
         def per_root(x, f, g):
             forms = f.space.forms
             total = 0.0 + 0.0j
-            for _, roots in cone_walk(x, f.depth, g.depth):
+            for roots in cone_walk(x, f.depth, g.depth):
                 for fw, gw in roots:
                     total += np.vdot(evaluate(g, gw), forms[fw.last()] @ evaluate(f, fw))
             return complex(total)
@@ -321,6 +323,98 @@ class TestEvaluate:
 
     def test_propagation(self, seed_a):
         assert abs(evaluate(seed_a, w("aab"))[0] - 1 / 3) <= 1e-14
+
+
+def literal_value(f, letters):
+    """The value of f at a word by the plain chain of products from its
+    table entry, the zero vector where the chain meets a zero map."""
+    v = f.values.get(Word._of(f.space.alphabet, letters[:f.depth]))
+    maps = f.space.system.maps
+    for k in range(f.depth, len(letters)):
+        m = maps[letters[k]][letters[k - 1]]
+        if v is None or m is None:
+            return np.zeros(f.space.dim(letters[-1]), dtype=np.complex128)
+        v = m @ v
+    return np.zeros(f.space.dim(letters[-1]), dtype=np.complex128) if v is None else v
+
+
+def cut_space(space):
+    """The same maps with one removed: a None map zeroes every value past it."""
+    b, a, _ = next(space.system.nonzero_pairs())
+    cut = MatrixSystem(space.alphabet, space.system.dims,
+                       {(q, p): m for q, p, m in space.system.nonzero_pairs()
+                        if (q, p) != (b, a)})
+    return RepSpace(cut, space.forms, check=False)
+
+
+class TestPointValues:
+    def assert_agrees(self, f, at, letters):
+        got = at(letters)
+        want = evaluate(f, Word(f.space.alphabet, letters))
+        assert np.array_equal(want, literal_value(f, letters))
+        if got is None:
+            assert not np.count_nonzero(want), letters
+        else:
+            assert np.array_equal(got, want), letters
+
+    def test_matches_separate_walks(self):
+        rng = np.random.default_rng(53)
+        space, _ = random_system(rng)
+        for sp in (space, cut_space(space)):
+            for depth in (1, 2, 3):
+                f = MultVector(sp, depth, random_vector(space, rng, depth=depth).values)
+                at = point_values(f)
+                asked = []
+                for _ in range(40):
+                    word = random_word(A2, rng, depth + int(rng.integers(0, 9))).letters
+                    self.assert_agrees(f, at, word)
+                    asked.append(word)
+                # prefixes of words already asked, down to the depth, in random order
+                for k in rng.permutation(len(asked)):
+                    word = asked[k]
+                    for n in rng.permutation(range(depth, len(word) + 1)):
+                        self.assert_agrees(f, at, word[:n])
+                for y in sphere(A2, depth):
+                    self.assert_agrees(f, at, y.letters)
+
+    def test_below_depth_rejected(self, seed_a):
+        with pytest.raises(DepthError):
+            point_values(deepen(seed_a, 3))(w("ab").letters)
+
+    def test_word_longer_than_recursion_limit(self, seed_a):
+        n = sys.getrecursionlimit() + 50
+        letters = (w("a").letters * n)[:n]
+        at = point_values(seed_a)
+        v = at(letters)
+        assert np.array_equal(v, literal_value(seed_a, letters))
+        assert abs(v[0] / 3.0 ** (-(n - 1) / 2) - 1) <= 1e-9
+        assert np.array_equal(at(letters[:-1]), literal_value(seed_a, letters[:-1]))
+
+    def test_act_matches_literal_build(self):
+        def literal_act(x, f):
+            new_depth = f.depth + len(x)
+            values = {}
+            for z in f.values:
+                for part in cylinder_image(x, Cylinder(z)):
+                    for fine in refine(part, new_depth):
+                        v = literal_value(f, multiply(x.inverse(), fine.stem).letters)
+                        if np.any(v != 0):
+                            values[fine.stem] = v
+            return values
+
+        rng = np.random.default_rng(59)
+        space, _ = random_system(rng)
+        for sp in (space, cut_space(space)):
+            for depth in (1, 2):
+                f = MultVector(sp, depth, random_vector(space, rng, depth=depth).values)
+                for length in range(1, 5):
+                    x = random_word(A2, rng, length)
+                    moved = act(x, f)
+                    want = literal_act(x, f)
+                    assert moved.depth == depth + length
+                    assert list(moved.values) == list(want)
+                    for y, v in want.items():
+                        assert np.array_equal(moved.values[y], v), str(y)
 
 
 class TestExactMode:
