@@ -10,8 +10,10 @@ through it.
 The literal inner-product sum over a whole word sphere is the package's
 exponential inner loop.  ``brute_pairing`` seeds each geodesic cone of
 ``multrep.cone_walk`` with the (f, g) values at its roots and steps those
-pairs out to the truncation sphere.  It is the independent oracle for the
-cone-collapsed ``fast`` backend.
+pairs outward to one level short of the truncation sphere; the last step
+pairs each (parent, child) block as its matmul produces it, so every
+sphere term is formed but the sphere is never held whole.  It is the
+independent oracle for the cone-collapsed ``fast`` backend.
 """
 
 from __future__ import annotations
@@ -32,39 +34,62 @@ def level_step(maps, inv, level: Level) -> Level:
     """The next level outward: each row at a word ending in ``p`` grows one
     child row ``maps[c][p] @ row`` for every letter c other than the inverse
     of p.  A ``None`` map is zero and adds no rows.  Each child array holds
-    its rows by parent letter, then parent row; rows of any leading shape
-    go through one 2-D matmul per letter pair.
+    its rows by parent letter, then parent row, along its second-to-last
+    axis; leading axes are carried through, and each letter pair's matmul
+    writes straight into its slice of the child array.
     """
-    grown: Dict[int, list] = {}
+    feeds: Dict[int, list] = {}
     for p, (rows, keys) in level.items():
-        flat = rows.reshape(-1, rows.shape[-1])
-        for c, row_of_maps in enumerate(maps):
-            m = row_of_maps[p]
-            if m is None or c == inv[p]:
-                continue
-            child = (flat @ m.T).reshape(rows.shape[:-1] + (m.shape[0],))
-            grown.setdefault(c, []).append(
-                (child, None if keys is None else [k + (c,) for k in keys]))
-    return {c: (np.concatenate([r for r, _ in parts]),
-                None if parts[0][1] is None else [k for _, ks in parts for k in ks])
-            for c, parts in grown.items()}
+        for c, m in _children(maps, inv, p):
+            feeds.setdefault(c, []).append((m, rows, keys))
+    grown: Level = {}
+    for c, parts in feeds.items():
+        lead = parts[0][1].shape[:-2]
+        width = sum(rows.shape[-2] for _, rows, _ in parts)
+        out = np.empty(lead + (width, parts[0][0].shape[0]), dtype=np.complex128)
+        start = 0
+        for m, rows, _ in parts:
+            stop = start + rows.shape[-2]
+            np.matmul(rows, m.T, out=out[..., start:stop, :])
+            start = stop
+        grown[c] = (out, None if parts[0][2] is None
+                    else [k + (c,) for _, _, keys in parts for k in keys])
+    return grown
+
+
+def _children(maps, inv, p: int):
+    """The (child letter, map) pairs that a word ending in ``p`` grows."""
+    for c, row_of_maps in enumerate(maps):
+        m = row_of_maps[p]
+        if m is not None and c != inv[p]:
+            yield c, m
+
+
+def _pair(form, rows) -> complex:
+    """Sum of conj(g)^T B f over stacked rows of shape (2, n, d): the f block,
+    then the g block, each contiguous in its rows."""
+    return np.vdot(rows[1], rows[0] @ form.T)
 
 
 def _pair_sum(maps, inv, forms, level: Level, rest: int) -> complex:
     """Sum conj(g)^T B f over every word ``rest`` steps beyond a level of
-    stacked (f, g) rows, each of shape (2, d)."""
+    stacked (f, g) rows of shape (2, n, d).  The last step pairs each
+    (parent, child) block as its matmul produces it, so the sphere itself is
+    never held whole."""
     if rest == 0:
-        return sum(np.einsum("ni,ij,nj->", rows[:, 1].conj(), forms[p], rows[:, 0])
-                   for p, (rows, _) in level.items())
-    width = sum(len(rows) for rows, _ in level.values())
+        return sum(_pair(forms[p], rows) for p, (rows, _) in level.items())
+    width = sum(rows.shape[-2] for rows, _ in level.values())
     if width > 1 and width * (len(maps) - 1) > CHUNK_ROWS:
         # split the level to bound the memory of the next step
         total = 0.0 + 0.0j
         for p, (rows, _) in level.items():
-            half = len(rows) // 2
-            for part in ((rows[:half], rows[half:]) if half else (rows,)):
+            half = rows.shape[-2] // 2
+            for part in ((rows[:, :half], rows[:, half:]) if half else (rows,)):
                 total += _pair_sum(maps, inv, forms, {p: (part, None)}, rest)
         return total
+    if rest == 1:
+        return sum(_pair(forms[c], rows @ m.T)
+                   for p, (rows, _) in level.items() for c, m in _children(maps, inv, p))
     return _pair_sum(maps, inv, forms, level_step(maps, inv, level), rest - 1)
 
 
@@ -72,8 +97,8 @@ def brute_pairing(space, x, f, g, m_depth: int) -> complex:
     """Literal sphere-sum pairing <pi(x) f, g> at truncation depth ``m_depth``.
 
     The sphere is partitioned into the cones of ``multrep.cone_walk``; each
-    cone's (f, g) root values are stepped out to the sphere of radius
-    ``m_depth`` and paired there.
+    cone's (f, g) root values are stepped out towards the sphere of radius
+    ``m_depth``, and each block of the last step is paired as it is formed.
     """
     from .multrep import cone_walk, evaluate
 
@@ -86,10 +111,12 @@ def brute_pairing(space, x, f, g, m_depth: int) -> complex:
     for roots in cone_walk(x, f.depth, g.depth):
         # every root is at most max(|x| + f.depth, g.depth) long
         rest = m_depth - len(roots[0][1])
-        grouped: Dict[int, list] = {}
+        grouped: Dict[int, Tuple[list, list]] = {}
         for fw, gw in roots:
-            grouped.setdefault(gw.last(), []).append((evaluate(f, fw), evaluate(g, gw)))
-        level = {p: (np.array(pairs, dtype=np.complex128), None)
-                 for p, pairs in grouped.items()}
+            fs, gs = grouped.setdefault(gw.last(), ([], []))
+            fs.append(evaluate(f, fw))
+            gs.append(evaluate(g, gw))
+        level = {p: (np.array(pair, dtype=np.complex128), None)
+                 for p, pair in grouped.items()}
         total += _pair_sum(maps, inv, forms, level, rest)
     return complex(total)

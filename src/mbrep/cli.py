@@ -102,9 +102,20 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _cap(text: str) -> int:
+    """A cap flag's value: a positive integer, else a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"cap must be a positive integer, got {text!r}")
+    return value
+
+
 _FLAGS = {
     "tolerance": dict(type=_tolerance, default=None, help="override the default tolerance"),
-    "cap": dict(type=int, default=DEFAULT_CAP, help="word-enumeration cap"),
+    "cap": dict(type=_cap, default=DEFAULT_CAP, help="word-enumeration cap"),
     "seed": dict(type=int, default=0, help="seed for randomized checks"),
     "backend": dict(choices=["fast", "brute", "both"], default="fast"),
     "output": dict(default=None, help="output file (reports default to stdout)"),

@@ -230,6 +230,13 @@ def _next_letters(alphabet: Alphabet, x: Tuple[int, ...]) -> List[int]:
     return [a for a in range(len(alphabet)) if a != alphabet.inv[x[-1]]]
 
 
+def _argument(h: Tuple[int, ...], j: int, sub_inv: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The letters of the reduced subgroup word h.j.  h can end in j^-1 even
+    though x.a is reduced: the transversal element of the route may cancel
+    x and the crossing letter of generator j (index 2 at x = e, for one)."""
+    return h[:-1] if h and h[-1] == sub_inv[j] else h + (j,)
+
+
 def _route_level(f: InducedVector, layout: InducedLayout,
                  depth: int) -> Tuple[Routes, Optional[Word]]:
     """Route the blocks of every word x.a on the sphere of radius ``depth``,
@@ -255,11 +262,8 @@ def _route_level(f: InducedVector, layout: InducedLayout,
                     src_idx, h = _decompose_element(data, x + inverses[u_idx])
                     route = rx[u_idx] = (src_idx, rewrite_to_subgroup(h, data))
                 src = f.blocks.get(route[0])
-                if src is not None:
-                    hl = route[1].letters
-                    arg_len = len(hl) - 1 if hl and hl[-1] == sub_inv[j] else len(hl) + 1
-                    if arg_len < src.depth:
-                        return routes, Word._of(alphabet, x + (a,))
+                if src is not None and len(_argument(route[1].letters, j, sub_inv)) < src.depth:
+                    return routes, Word._of(alphabet, x + (a,))
     return routes, None
 
 
@@ -279,10 +283,7 @@ def _evaluate_level(f: InducedVector, layout: InducedLayout, induced_space: RepS
                 route = rx[u_idx]
                 if route is None or route[0] not in value_of:
                     continue
-                hl = route[1].letters
-                # the letters of the reduced word h.j
-                arg = hl[:-1] if hl and hl[-1] == sub_inv[j] else hl + (j,)
-                val = value_of[route[0]](arg)
+                val = value_of[route[0]](_argument(route[1].letters, j, sub_inv))
                 if val is not None and np.count_nonzero(val):
                     if out is None:
                         out = np.zeros(layout.letter_dim(a), dtype=np.complex128)

@@ -14,8 +14,8 @@ cone.  ``fast`` pairs the values at the roots, because compatibility
 collapses each cone's tail sum onto its roots; one point evaluator per
 vector serves all its roots, so the geodesic is walked once.  ``brute``,
 the literal sphere-sum oracle (exponential, see ``_kernels``), steps the
-root values out to the truncation sphere with the same level step as
-``deepen``.
+root values outward with the same level step as ``deepen`` and pairs each
+block of the last step, on the truncation sphere, as it is formed.
 ``reference`` is the same literal sum word by word through
 :func:`sphere_coefficient`, which the exact mode in ``_exact`` shares; it
 walks no cones, so it checks the partition independently.
@@ -402,12 +402,13 @@ def coefficient(x: Word, f: MultVector, g: MultVector, backend: str = "fast",
     the roots of f are read through one :func:`point_values` evaluator and
     those of g through another, so each root branches off the value at its
     geodesic prefix, already stepped for an earlier cone, with one matvec
-    per remaining letter, and the cost grows as O(|x|) matvecs.  ``brute`` steps the
-    same root values out to the truncated sphere with
-    ``_kernels.level_step`` and sums there, the independent oracle whose
-    cost grows as (|A|-1)^|x|; ``reference`` is the plain word-by-word sum
-    of :func:`sphere_coefficient`, which walks no cones, the small-case
-    gate for both.
+    per remaining letter, and the cost grows as O(|x|) matvecs.  ``brute``
+    steps the same root values outward with ``_kernels.level_step`` and
+    pairs each block of the last step on the truncation sphere as it is
+    formed, the independent oracle whose cost grows as (|A|-1)^|x|;
+    ``reference`` is the plain word-by-word sum of
+    :func:`sphere_coefficient`, which walks no cones, the small-case gate
+    for both.
     """
     if f.space != g.space:
         raise ValidationError("vectors live on different systems")

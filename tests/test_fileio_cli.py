@@ -335,6 +335,23 @@ class TestCli:
         assert "tolerance" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["0", "-5", "2.5"])
+    @pytest.mark.parametrize("argv", [
+        ["coefficients", "--system", "builtin:spherical2", "--vector", "builtin:seed-a",
+         "--words", "ab", "--backend", "both"],
+        ["vf-induce", "--system", "builtin:spherical2", "--vector", "builtin:seed-a",
+         "--radius", "1"],
+        ["herz", "--system", "builtin:spherical2", "--vector", "builtin:seed-a", "--radius", "1"],
+        ["demo-no-hc", "--uniform-rank", "2", "--word", "ab", "--max-power", "1"],
+    ], ids=["coefficients", "vf-induce", "herz", "demo-no-hc"])
+    def test_bad_cap_exits_validation(self, argv, value, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--cap", value, "--output", str(out)]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("validation failure:")
+        assert "cap" in err[0]
+        assert not out.exists()
+
     def test_demo_uniform(self, tmp_path):
         out = tmp_path / "demo.csv"
         code = cli.main(["demo-no-hc", "--word", "ab", "--max-power", "3",

@@ -271,6 +271,28 @@ class TestOnePassIntertwiner:
             assert_same_vector(intertwiner_J(cut, layout, space),
                                searched_J(cut, layout, space))
 
+    def test_cancelling_argument(self, setup):
+        """x.a reduced does not keep a block argument h.j from cancelling: at
+        index 2 the block (transversal a, generator aa) of the word a routes
+        to h = (aa)^-1, so its argument is the identity, where no depth-1
+        block has a value; the level is inadmissible and J goes one deeper."""
+        data, layout, space = setup["data"], setup["layout"], setup["ind_space"]
+        sub_inv = data.subgroup_alphabet.inv
+        u_idx = [str(t) for t in data.transversal].index("a")
+        j = [str(g) for g in data.generator_words].index("aa")
+        assert (u_idx, j) in layout.pairs[A2.letter("a")]
+        src_idx, h = _decompose_element(data, data.transversal[u_idx].inverse().letters)
+        hl = rewrite_to_subgroup(h, data).letters
+        assert hl == (sub_inv[j],)
+        assert induce._argument(hl, j, sub_inv) == ()
+        f = rand_blocks(setup, np.random.default_rng(53))
+        f = InducedVector(data, f.space, {src_idx: f.blocks[src_idx]})
+        with pytest.raises(DepthError):
+            intertwiner_J(f, layout, space, depth=1)
+        jf = intertwiner_J(f, layout, space)
+        assert jf.depth == 2
+        assert_same_vector(jf, searched_J(f, layout, space))
+
     def test_evaluates_one_level(self, cyclic3_setup, monkeypatch):
         """The depth search evaluates nothing: choosing the depth costs no
         point evaluation beyond those of a call at that depth given."""

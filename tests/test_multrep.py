@@ -12,7 +12,7 @@ from mbrep.multrep import (CrossedElement, MultVector, RepSpace, act,
                            cylinder_op, deepen, distance, evaluate,
                            gram_matrix, inner, norm, point_values, precompose, vadd,
                            vscale)
-from mbrep.system import MatrixSystem, spherical_system
+from mbrep.system import MatrixSystem, normalize, spherical_system
 from mbrep.words import Alphabet, Cylinder, Word, ball, cylinder_image, multiply, refine, sphere
 
 from helpers import random_system, random_vector, random_word
@@ -151,6 +151,40 @@ class TestCoefficient:
                 patch.setattr(_kernels, "CHUNK_ROWS", 1)
                 split = _kernels.brute_pairing(space, x, f, g, m_depth)
             assert abs(whole - split) <= 1e-13
+
+    @pytest.mark.parametrize("chunk_rows", [_kernels.CHUNK_ROWS, 1])
+    def test_brute_pairing_matches_reference(self, chunk_rows, monkeypatch):
+        # at the least truncation depth the cones through the end of x are
+        # paired where they start; one and two deeper, every cone takes a
+        # last step; a chunk bound of one row also splits every level
+        monkeypatch.setattr(_kernels, "CHUNK_ROWS", chunk_rows)
+        rests = []
+        pair_sum = _kernels._pair_sum
+
+        def recording(maps, inv, forms, level, rest):
+            rests.append(rest)
+            return pair_sum(maps, inv, forms, level, rest)
+
+        monkeypatch.setattr(_kernels, "_pair_sum", recording)
+        rng = np.random.default_rng(59)
+        space, _ = random_system(rng)
+        # the same maps with one removed, renormalized to compatible forms
+        b, a, _ = next(space.system.nonzero_pairs())
+        cut = normalize(MatrixSystem(space.alphabet, space.system.dims,
+                                     {(q, p): m for q, p, m in space.system.nonzero_pairs()
+                                      if (q, p) != (b, a)}), degeneracy_probe=False)
+        assert cut.system.maps[b][a] is None
+        for sp in (space, RepSpace(cut.system, cut.forms)):
+            for f_depth, g_depth, length in ((1, 1, 3), (2, 1, 2), (1, 2, 1), (1, 2, 0)):
+                f = random_vector(sp, rng, depth=f_depth)
+                g = random_vector(sp, rng, depth=g_depth)
+                x = random_word(sp.alphabet, rng, length)
+                ref = coefficient(x, f, g, backend="reference")
+                least = max(f.depth + len(x), g.depth)
+                for m_depth in (least, least + 1, least + 2):
+                    rests.clear()
+                    assert abs(_kernels.brute_pairing(sp, x, f, g, m_depth) - ref) <= 1e-12
+                    assert (0 in rests) == (m_depth == least)
 
     def test_fast_walk_matches_per_root_sum(self):
         # the fast sum as it was: every root value evaluated from the
