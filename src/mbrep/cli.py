@@ -167,6 +167,8 @@ def cmd_decompose(args) -> int:
     components = decompose(system, forms, seed=args.seed)
     total = sum(sum(c.system.dims) for c in components)
     print(f"components={len(components)}")
+    print(f"commutant_dim={components.commutant_dim}")
+    print("cascade=" + (",".join(f"{t:g}" for t in components.cascade) or "none"))
     for k, comp in enumerate(components):
         print(f"component {k}: dims={comp.system.dims}")
         if args.output:

@@ -508,10 +508,13 @@ def find_invariant_subsystem(system: MatrixSystem, rounds: int = 50, seed: int =
 
 @dataclass
 class Component:
-    """One summand of an orthogonal decomposition.
+    """One summand of an orthogonal decomposition, in form-orthonormal
+    coordinates.
 
     ``bases[a]`` has orthonormal columns with respect to the parent form
-    tuple; restricted forms are therefore identity matrices.
+    ``B_a`` (``bases[a]^* B_a bases[a] = I``), so the restricted forms are
+    identity matrices and the component maps are
+    ``bases[b]^* B_b H_ba bases[a]``.
     """
 
     system: MatrixSystem
@@ -522,99 +525,121 @@ class Component:
         return self.system.dims
 
 
-def _entry_offsets(dims: Sequence[int]) -> np.ndarray:
-    """Offset of each letter's square block in the flat commutant unknowns."""
-    return np.concatenate([[0], np.cumsum([d * d for d in dims])]).astype(int)
+class Decomposition(list):
+    """The components of :func:`decompose`, with the solver's decisions:
+    the dimension of the top-level commutant and the cluster tolerance of
+    each split, in recursion order."""
+
+    def __init__(self, components: List[Component], commutant_dim: int,
+                 cascade: List[float]):
+        super().__init__(components)
+        self.commutant_dim = commutant_dim
+        self.cascade = cascade
 
 
-def _constraint_matrix(system: MatrixSystem, forms: FormTuple) -> np.ndarray:
-    """The real matrix of the commutant constraints, assembled block by block.
+#: weight of the off-diagonal elements of the Hermitian basis
+_HALF_ROOT = np.sqrt(0.5)
 
-    The unknowns are the real parts and then the imaginary parts of the
-    row-major entries of every E_a (at :func:`_entry_offsets`); the rows
-    are the real parts and then the imaginary parts of every E_b H_ba -
-    H_ba E_a and every B_a E_a - E_a^* B_a, row-major, in that order.  In
-    row-major order E_b M is kron(I, M^T) applied to E_b and M E_a is
-    kron(M, I) applied to E_a; B_a E_a is linear in E_a and E_a^* B_a is
-    linear in the conjugate.  A coefficient c of the unknown entry e puts
-    (Re c, -Im c; Im c, Re c) into the real matrix, and a coefficient of
-    conj(e) puts (Re c, Im c; Im c, -Re c).
+
+def _hermitian(x: np.ndarray, d: int) -> np.ndarray:
+    """The Hermitian d x d matrix with real coordinates ``x`` (the d x d grid,
+    row-major) in a Frobenius-orthonormal basis: grid entry (s, s) is e_ss,
+    (s, t) with s < t is (e_st + e_ts)/sqrt 2 and (t, s) is
+    i (e_st - e_ts)/sqrt 2."""
+    x = x.reshape(d, d)
+    upper = np.triu(x, 1) + 1j * np.tril(x, -1).T
+    return np.diag(np.diag(x)) + _HALF_ROOT * (upper + upper.conj().T)
+
+
+def _hermitian_entries(d: int) -> Tuple[np.ndarray, ...]:
+    """Every nonzero entry k at (x, y) of every basis element (s, t) of
+    :func:`_hermitian`, as arrays x, y, s, t, Re k, Im k."""
+    s, (i, j) = np.arange(d), np.triu_indices(d, 1)
+    half, zero = np.full(len(i), _HALF_ROOT), np.zeros(len(i))
+    return (np.concatenate([s, i, j, i, j]), np.concatenate([s, j, i, j, i]),
+            np.concatenate([s, i, i, j, j]), np.concatenate([s, j, j, i, i]),
+            np.concatenate([np.ones(d), half, half, zero, zero]),
+            np.concatenate([np.zeros(d), zero, zero, half, -half]))
+
+
+def _hermitian_constraints(system: MatrixSystem) -> np.ndarray:
+    """The real matrix of the commutant constraints E_b H_ba - H_ba E_a on
+    Hermitian tuples, assembled in place.
+
+    Letter a owns d_a * d_a columns, one per coordinate of :func:`_hermitian`;
+    the rows are the real parts and then the imaginary parts of every
+    E_b H_ba - H_ba E_a, row-major.  An entry k at (x, y) of a basis element
+    adds k times row y of H_ba to row x of K H_ba, and k times column x to
+    column y of H_ba K.
     """
     dims = system.dims
-    offsets = _entry_offsets(dims)
-    nc = int(offsets[-1])
-    pairs = list(system.nonzero_pairs())
-    nr = sum(dims[b] * dims[a] for b, a, _ in pairs) + sum(d * d for d in dims)
-    mat = np.zeros((2 * nr, 2 * nc))
-    quadrants = (mat[:nr, :nc], mat[:nr, nc:], mat[nr:, :nc], mat[nr:, nc:])
-
-    def blocks(row: int, rows: Tuple[int, int], col: int) -> List[np.ndarray]:
-        # each quadrant's rows of one constraint and columns of E_col, as
-        # [p, q, s, t]: constraint entry (p, q), unknown entry (s, t)
-        d = dims[col]
-        return [qd[row:row + rows[0] * rows[1], offsets[col]:offsets[col + 1]]
-                .reshape(rows + (d, d), copy=False) for qd in quadrants]
-
-    def put(views: List[np.ndarray], index, coeff: np.ndarray, conj: bool = False) -> None:
-        tl, tr, bl, br = (v[index] for v in views)
-        tl += coeff.real
-        bl += coeff.imag
-        if conj:
-            tr += coeff.imag
-            br -= coeff.real
-        else:
-            tr -= coeff.imag
-            br += coeff.real
-
+    offsets = np.concatenate([[0], np.cumsum([d * d for d in dims])]).astype(int)
+    pairs = [(b, a, m) for b, a, m in system.nonzero_pairs() if m.size]
+    nr = sum(m.size for _, _, m in pairs)
+    mat = np.zeros((2 * nr, int(offsets[-1])))
     row = 0
     for b, a, m in pairs:
-        rows = (dims[b], dims[a])
-        on_b = blocks(row, rows, b)
-        for p in range(dims[b]):
-            put(on_b, (p, slice(None), p, slice(None)), m.T)
-        on_a = blocks(row, rows, a)
-        for q in range(dims[a]):
-            put(on_a, (slice(None), q, slice(None), q), -m)
-        row += rows[0] * rows[1]
-    for a, f in enumerate(forms.forms):
-        views = blocks(row, (dims[a], dims[a]), a)
-        for q in range(dims[a]):
-            put(views, (slice(None), q, slice(None), q), f)
-        for p in range(dims[a]):
-            put(views, (p, slice(None), slice(None), p), -f.T, conj=True)
-        row += dims[a] * dims[a]
+        db, da = m.shape
+
+        def views(c: int) -> List[np.ndarray]:
+            # real and imaginary rows of this pair against the columns of
+            # letter c, as [p, q, s, t]: constraint entry (p, q), grid (s, t)
+            return [mat[r:r + m.size, offsets[c]:offsets[c + 1]]
+                    .reshape(db, da, dims[c], dims[c], copy=False) for r in (row, nr + row)]
+
+        re, im = m.real, m.imag
+        x, y, s, t, kr, ki = _hermitian_entries(db)
+        lre, lim = views(b)
+        lre[x, :, s, t] = kr[:, None] * re[y] - ki[:, None] * im[y]
+        lim[x, :, s, t] = kr[:, None] * im[y] + ki[:, None] * re[y]
+        x, y, s, t, kr, ki = _hermitian_entries(da)
+        rre, rim = views(a)
+        rre[:, y, s, t] -= re[:, x] * kr - im[:, x] * ki
+        rim[:, y, s, t] -= im[:, x] * kr + re[:, x] * ki
+        row += m.size
     return mat
 
 
-def _commutant_basis(system: MatrixSystem, forms: FormTuple,
-                     null_tol: float = 1e-9) -> List[List[np.ndarray]]:
-    """Real basis of the space of form-selfadjoint tuples commuting with all
-    maps: E_b H_ba = H_ba E_a and B_a E_a = E_a^* B_a."""
-    n = len(system.alphabet)
+def _commutant_basis(system: MatrixSystem, null_tol: float = 1e-9) -> List[List[np.ndarray]]:
+    """Frobenius-orthonormal real basis of the selfadjoint commutant of a
+    system in form-orthonormal coordinates (identity forms): the Hermitian
+    tuples with E_b H_ba = H_ba E_a.  The singular values are those of the
+    triangular factor of the constraint matrix, whose SVD also gives every
+    null direction when there are fewer constraints than unknowns."""
     dims = system.dims
-    offsets = _entry_offsets(dims)
-    nc = int(offsets[-1])
-    mat = _constraint_matrix(system, forms)
-    _, s, vt = np.linalg.svd(mat, full_matrices=False)
+    r = np.linalg.qr(_hermitian_constraints(system), mode="r")
+    _, s, vt = np.linalg.svd(r)
     rank = int(np.sum(s > null_tol * max(1.0, s[0] if len(s) else 1.0)))
-    null = vt[rank:].T
-    basis = []
-    for k in range(null.shape[1]):
-        v = null[:, k]
-        basis.append([(v[offsets[a]:offsets[a + 1]] + 1j * v[nc + offsets[a]:nc + offsets[a + 1]])
-                      .reshape(dims[a], dims[a]) for a in range(n)])
-    return basis
+    ends = np.cumsum([d * d for d in dims])[:-1]
+    return [[_hermitian(x, d) for x, d in zip(np.split(v, ends), dims)] for v in vt[rank:]]
+
+
+def _orthonormal_coordinates(system: MatrixSystem,
+                             forms: FormTuple) -> Tuple[MatrixSystem, List[np.ndarray]]:
+    """The system in form-orthonormal coordinates, with the maps taking them
+    back.  With U_a = chol(B_a)^*, so that B_a = U_a^* U_a, the maps become
+    U_b H_ba U_a^-1, the forms become identities, and U_a^-1 has
+    B_a-orthonormal columns."""
+    ups = [np.linalg.cholesky((f + f.conj().T) / 2).conj().T for f in forms.forms]
+    downs = [np.linalg.inv(u) for u in ups]
+    unit = MatrixSystem(system.alphabet, system.dims,
+                        {(b, a): ups[b] @ m @ downs[a] for b, a, m in system.nonzero_pairs()})
+    return unit, downs
 
 
 def decompose(system: MatrixSystem, forms: FormTuple, seed: int = 0,
-              tol: float = INVARIANCE_TOL) -> List[Component]:
+              tol: float = INVARIANCE_TOL) -> Decomposition:
     """Split a system with a strictly positive definite compatible form tuple
     into pairwise form-orthogonal irreducible components.
 
-    The splitting engine diagonalizes a random form-selfadjoint element of
-    the commutant; its eigenspaces are invariant, mutually orthogonal in the
-    form metric, and carry the restricted system.  Recursion stops when the
-    commutant is one-dimensional, which certifies irreducibility.
+    The system is written once in form-orthonormal coordinates
+    (:func:`_orthonormal_coordinates`), where the forms are identities and
+    the form-selfadjoint commutant elements are the Hermitian tuples
+    commuting with the maps.  The splitting engine diagonalizes a random
+    such element; its eigenspaces are invariant, mutually orthogonal, and
+    carry the restricted system, again with identity forms.  Recursion
+    stops when the commutant is one-dimensional, which certifies
+    irreducibility.
     """
     res = compatibility_residual(system, forms)
     scale = max(forms.max_abs(), 1e-30)
@@ -625,29 +650,19 @@ def decompose(system: MatrixSystem, forms: FormTuple, seed: int = 0,
         raise ValidationError(
             "forms are not strictly positive definite; apply radical_quotient first")
 
-    rng = np.random.default_rng(seed)
-    identity_bases = [np.eye(d, dtype=np.complex128) for d in system.dims]
-    return _decompose_rec(system, forms, identity_bases, rng, tol)
+    unit, downs = _orthonormal_coordinates(system, forms)
+    commutant = _commutant_basis(unit)
+    cascade: List[float] = []
+    components = _decompose_rec(unit, commutant, downs, np.random.default_rng(seed), tol, cascade)
+    return Decomposition(components, len(commutant), cascade)
 
 
-def _decompose_rec(system: MatrixSystem, forms: FormTuple,
+def _decompose_rec(system: MatrixSystem, commutant: List[List[np.ndarray]],
                    carried: List[np.ndarray], rng: np.random.Generator,
-                   tol: float) -> List[Component]:
+                   tol: float, cascade: List[float]) -> List[Component]:
     n = len(system.alphabet)
-    commutant = _commutant_basis(system, forms)
     if len(commutant) <= 1:
-        chols = [np.linalg.cholesky(_pd_fix(forms[a])) if system.dims[a] else
-                 np.zeros((0, 0)) for a in range(n)]
-        bases = []
-        new_maps = {}
-        for a in range(n):
-            # orthonormalize the carried embedding in the parent form metric
-            bases.append(carried[a] @ np.linalg.inv(chols[a].conj().T) if system.dims[a]
-                         else carried[a])
-        for b, a, m in system.nonzero_pairs():
-            new_maps[(b, a)] = chols[b].conj().T @ m @ np.linalg.inv(chols[a].conj().T)
-        sys_c = MatrixSystem(system.alphabet, system.dims, new_maps)
-        return [Component(sys_c, FormTuple.identity(system.dims), bases)]
+        return [Component(system, FormTuple.identity(system.dims), carried)]
 
     for cluster_tol in (1e-6, 1e-8, 1e-10):
         for _ in range(5):
@@ -655,43 +670,27 @@ def _decompose_rec(system: MatrixSystem, forms: FormTuple,
             element = [sum(c * eb[a] for c, eb in zip(coeffs, commutant)) for a in range(n)]
             norm = max(max(np.abs(e).max() for e in element if e.size), 1e-30)
             element = [e / norm for e in element]
-            split = _split_by_element(system, forms, element, cluster_tol, tol)
+            split = _split_by_element(system, element, cluster_tol, tol)
             if split is not None:
+                cascade.append(cluster_tol)
                 out: List[Component] = []
-                for sub_system, sub_forms, sub_bases in split:
+                for sub_system, sub_bases in split:
                     comp_carried = [carried[a] @ sub_bases[a] for a in range(n)]
-                    out.extend(_decompose_rec(sub_system, sub_forms, comp_carried, rng, tol))
+                    out.extend(_decompose_rec(sub_system, _commutant_basis(sub_system),
+                                              comp_carried, rng, tol, cascade))
                 return out
     raise NormalizationError("decomposition nonconvergence (tolerance cascade exhausted)")
 
 
-def _pd_fix(f: np.ndarray) -> np.ndarray:
-    return (f + f.conj().T) / 2 + 1e-14 * max(1.0, np.abs(f).max()) * np.eye(f.shape[0])
-
-
-def _split_by_element(system: MatrixSystem, forms: FormTuple,
-                      element: List[np.ndarray], cluster_tol: float,
-                      tol: float):
-    """Eigen-split along one selfadjoint commutant element; None if the
-    element fails to separate or the split does not verify."""
-    n = len(system.alphabet)
-    all_vals = []
-    per_letter = []
-    for a in range(n):
-        d = system.dims[a]
-        if d == 0:
-            per_letter.append((np.zeros(0), np.zeros((0, 0))))
-            continue
-        chol = np.linalg.cholesky(_pd_fix(forms[a]))
-        m = chol.conj().T @ element[a] @ np.linalg.inv(chol.conj().T)
-        m = (m + m.conj().T) / 2
-        w, u = np.linalg.eigh(m)
-        vecs = np.linalg.inv(chol.conj().T) @ u  # form-orthonormal columns
-        per_letter.append((w, vecs))
-        all_vals.extend(w.tolist())
+def _split_by_element(system: MatrixSystem, element: List[np.ndarray],
+                      cluster_tol: float, tol: float):
+    """Eigen-split a system with identity forms along one Hermitian commutant
+    element; None if the element fails to separate or the split does not
+    verify."""
+    per_letter = [np.linalg.eigh(e) for e in element]
+    all_vals = sorted(v for w, _ in per_letter for v in w.tolist())
     if not all_vals:
         return None
-    all_vals.sort()
     clusters = [[all_vals[0]]]
     for v in all_vals[1:]:
         if v - clusters[-1][-1] <= cluster_tol:
@@ -704,30 +703,21 @@ def _split_by_element(system: MatrixSystem, forms: FormTuple,
 
     pieces = []
     for lo, hi in bounds:
-        bases = []
-        for a in range(n):
-            w, vecs = per_letter[a]
-            sel = (w >= lo) & (w <= hi)
-            bases.append(vecs[:, sel] if vecs.size else np.zeros((system.dims[a], 0)))
+        bases = [u[:, (w >= lo) & (w <= hi)] for w, u in per_letter]
         sub_dims = [q.shape[1] for q in bases]
         sub_maps = {}
-        ok = True
         for b, a, m in system.nonzero_pairs():
             qa, qb = bases[a], bases[b]
             if qa.shape[1] == 0:
                 continue
             image = m @ qa
-            coords = qb.conj().T @ forms[b] @ image if qb.shape[1] else np.zeros((0, qa.shape[1]))
-            recon = qb @ coords if qb.shape[1] else np.zeros_like(image)
-            if image.size and np.linalg.norm(image - recon, 2) > tol * max(1.0, np.linalg.norm(m, 2)):
-                ok = False
-                break
+            coords = qb.conj().T @ image
+            if image.size and (np.linalg.norm(image - qb @ coords, 2)
+                               > tol * max(1.0, np.linalg.norm(m, 2))):
+                return None
             if qb.shape[1]:
                 sub_maps[(b, a)] = coords
-        if not ok:
-            return None
-        sub_system = MatrixSystem(system.alphabet, sub_dims, sub_maps)
-        pieces.append((sub_system, FormTuple.identity(sub_dims), bases))
+        pieces.append((MatrixSystem(system.alphabet, sub_dims, sub_maps), bases))
     return pieces
 
 

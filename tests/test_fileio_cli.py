@@ -445,7 +445,12 @@ class TestCli:
         code = cli.main(["decompose", "--input", str(path),
                          "--output", str(tmp_path / "comp.json")])
         assert code == 0
-        assert "components=2" in capsys.readouterr().out
+        out = capsys.readouterr().out.splitlines()
+        assert "components=2" in out
+        # the two summands are inequivalent, and one split at the first
+        # stage of the tolerance cascade separates them
+        assert "commutant_dim=2" in out
+        assert "cascade=1e-06" in out
         for k in range(2):
             comp, cf, _ = fileio.load_system(str(tmp_path / f"comp-{k}.json"))
             assert validate(comp) == []

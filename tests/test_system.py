@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mbrep.errors import DegenerateSystemError, ValidationError
 from mbrep.induce import induce_system
 from mbrep.subgroups import FiniteGroup, coset_table_from_quotient, schreier
-from mbrep.system import (FormTuple, MatrixSystem, _constraint_matrix,
+from mbrep.system import (FormTuple, MatrixSystem, Subsystem, _commutant_basis,
+                          _hermitian, _hermitian_constraints, _orthonormal_coordinates,
                           compatibility_residual, decompose,
                           find_invariant_subsystem, normalize,
                           radical_quotient, spherical_system,
@@ -37,6 +39,31 @@ def two_block_system():
         return np.diag([s, twist])
 
     return all_pairs_system(block, [2] * N), FormTuple([np.eye(2)] * N)
+
+
+def random_iso_blocks_system():
+    """Two copies of the same irreducible glued by a random unitary mix."""
+    rng = np.random.default_rng(12)
+    s = 1 / np.sqrt(3)
+    u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+    system = all_pairs_system(lambda b, a: u @ np.diag([s, s]) @ u.conj().T, [2] * N)
+    return system, FormTuple([np.eye(2)] * N)
+
+
+def loops_on_a_and_A():
+    """The spherical system plus the one-dimensional summands a|a = 1 on
+    letter a and A|A = 1 on letter A, with identity forms: dims (2, 2, 1, 1).
+    Its summands live on some letters only."""
+    spherical, _ = spherical_system(A2)
+    dims = (2, 2, 1, 1)
+    maps = {}
+    for b, a, m in spherical.nonzero_pairs():
+        block = np.zeros((dims[b], dims[a]), dtype=complex)
+        block[0, 0] = m[0, 0]
+        if b == a and dims[a] == 2:
+            block[1, 1] = 1.0
+        maps[(b, a)] = block
+    return MatrixSystem(A2, dims, maps), FormTuple.identity(dims)
 
 
 def triangular_system():
@@ -279,14 +306,8 @@ class TestDecompose:
         assert axes == {0, 1}
 
     def test_random_iso_blocks_split(self):
-        # two copies of the same irreducible glued by a random unitary mix:
         # the splitter must still find a two-way orthogonal decomposition
-        rng = np.random.default_rng(12)
-        s = 1 / np.sqrt(3)
-        u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
-        system = all_pairs_system(lambda b, a: u @ np.diag([s, s]) @ u.conj().T, [2] * N)
-        forms = FormTuple([np.eye(2)] * N)
-        comps = decompose(system, forms, seed=2)
+        comps = decompose(*random_iso_blocks_system(), seed=2)
         assert len(comps) == 2
 
     def test_crafted_irreducible_2dim(self):
@@ -302,6 +323,68 @@ class TestDecompose:
         system, _ = spherical_system(A2)
         with pytest.raises(ValidationError):
             decompose(system, FormTuple([np.zeros((1, 1))] * N))
+
+    def test_zero_dimensional_letters(self):
+        system, forms = loops_on_a_and_A()
+        comps = decompose(system, forms)
+        # the order is that of the eigenvalues of a random commutant element
+        assert sorted(c.system.dims for c in comps) == [(0, 1, 0, 0), (1, 0, 0, 0), (1, 1, 1, 1)]
+        assert comps.commutant_dim == 3
+        for comp in comps:
+            assert subsystem_residual(system, Subsystem(comp.bases)) <= 1e-12
+        # an empty letter at the top level: the loop summand on its own
+        loop = MatrixSystem(A2, (1, 0, 0, 0), {(0, 0): np.eye(1)})
+        comps = decompose(loop, FormTuple.identity(loop.dims))
+        assert [c.system.dims for c in comps] == [(1, 0, 0, 0)]
+        assert comps.commutant_dim == 1 and comps.cascade == []
+
+
+def _block_diag(blocks):
+    out = np.zeros((sum(m.shape[0] for m in blocks), sum(m.shape[1] for m in blocks)),
+                   dtype=complex)
+    r = c = 0
+    for m in blocks:
+        out[r:r + m.shape[0], c:c + m.shape[1]] = m
+        r, c = r + m.shape[0], c + m.shape[1]
+    return out
+
+
+def _random_unitary(rng, d):
+    return np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+
+
+def _random_irreducible(rng):
+    dims = [int(d) for d in rng.integers(1, 3, size=N)]
+    maps = {(b, a): rng.normal(size=(dims[b], dims[a])) + 1j * rng.normal(size=(dims[b], dims[a]))
+            for b in range(N) for a in range(N) if A2.inv[a] != b}
+    result = normalize(MatrixSystem(A2, dims, maps), degeneracy_probe=False)
+    return result.system, result.forms
+
+
+@pytest.mark.parametrize("summand", [False, True])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@settings(max_examples=5, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_decompose_multiplicity_fuzz(seed, k, summand):
+    """k copies of a random irreducible, mixed by a random unitary per
+    letter, plus optionally an inequivalent irreducible: the commutant has
+    dimension k^2 (+1), and decompose returns every copy."""
+    rng = np.random.default_rng(seed)
+    base = _random_irreducible(rng)
+    parts = [base] * k + ([_random_irreducible(rng)] if summand else [])
+    dims = tuple(sum(p.dims[a] for p, _ in parts) for a in range(N))
+    mix = [_random_unitary(rng, d) for d in dims]
+    maps = {(b, a): mix[b] @ _block_diag([p.map(b, a) for p, _ in parts]) @ mix[a].conj().T
+            for b in range(N) for a in range(N) if A2.inv[a] != b}
+    system = MatrixSystem(A2, dims, maps)
+    forms = FormTuple([mix[a] @ _block_diag([f[a] for _, f in parts]) @ mix[a].conj().T
+                       for a in range(N)])
+    comps = decompose(system, forms, seed=seed)
+    assert comps.commutant_dim == k * k + summand
+    assert sorted(c.system.dims for c in comps) == sorted(p.dims for p, _ in parts)
+    for comp in comps:
+        euclidean = [np.linalg.qr(q)[0] for q in comp.bases]
+        assert subsystem_residual(system, Subsystem(euclidean)) <= 1e-8
 
 
 def induced_through(group, images, sub_system, sub_forms):
@@ -329,43 +412,144 @@ def s3_induced_system():
     return induced_through(*s3_quotient(A2), *spherical_system(Alphabet.rank(7)))
 
 
-def constraint_columns(system, forms):
-    """The commutant constraint matrix one column at a time: each real and
-    then each imaginary unit in the row-major entries of the tuple (E_a),
-    through E_b H_ba - H_ba E_a and B_a E_a - E_a^* B_a, real parts of the
-    rows over imaginary parts."""
+def hermitian_basis(d):
+    """The Frobenius-orthonormal basis of the d x d Hermitian matrices in
+    the order of the constraint columns: grid entry (s, s) is e_ss, (s, t)
+    with s < t is (e_st + e_ts)/sqrt 2 and (t, s) is i(e_st - e_ts)/sqrt 2."""
+    c = np.sqrt(0.5)
+    for s in range(d):
+        for t in range(d):
+            e = np.zeros((d, d), dtype=np.complex128)
+            if s == t:
+                e[s, s] = 1.0
+            elif s < t:
+                e[s, t] = e[t, s] = c
+            else:
+                e[t, s], e[s, t] = 1j * c, -1j * c
+            yield e
+
+
+def constraint_columns(system):
+    """The commutant constraint matrix of a system with identity forms one
+    column at a time: each Hermitian basis element of each letter, pushed
+    through every E_b H_ba - H_ba E_a, real parts of the rows over
+    imaginary parts."""
     dims = system.dims
-    nc = sum(d * d for d in dims)
-    for unit in (1.0, 1j):
-        for j in range(nc):
-            flat = np.zeros(nc, dtype=np.complex128)
-            flat[j] = unit
-            es, start = [], 0
-            for d in dims:
-                es.append(flat[start:start + d * d].reshape(d, d))
-                start += d * d
-            rows = [(es[b] @ m - m @ es[a]).ravel() for b, a, m in system.nonzero_pairs()]
-            rows += [(forms[a] @ es[a] - es[a].conj().T @ forms[a]).ravel()
-                     for a in range(len(dims))]
-            rows = np.concatenate(rows)
+    for c, d in enumerate(dims):
+        for e in hermitian_basis(d):
+            es = [e if k == c else np.zeros((dk, dk), dtype=np.complex128)
+                  for k, dk in enumerate(dims)]
+            rows = np.concatenate([(es[b] @ m - m @ es[a]).ravel()
+                                   for b, a, m in system.nonzero_pairs()])
             yield np.concatenate([rows.real, rows.imag])
 
 
 class TestCommutantConstraints:
     @pytest.mark.parametrize("build", [cyclic3_induced_system, s3_induced_system])
     def test_assembly_matches_columns(self, build):
-        system, forms = build()
-        mat = _constraint_matrix(system, forms)
+        unit, _ = _orthonormal_coordinates(*build())
+        mat = _hermitian_constraints(unit)
         count = 0
-        for j, col in enumerate(constraint_columns(system, forms)):
+        for j, col in enumerate(constraint_columns(unit)):
             assert np.array_equal(mat[:, j], col), f"column {j}"
             count += 1
         assert count == mat.shape[1]
 
+    def test_coordinates_match_basis(self):
+        for d in range(4):
+            for k, e in enumerate(hermitian_basis(d)):
+                x = np.zeros(d * d)
+                x[k] = 1.0
+                assert np.array_equal(_hermitian(x, d), e)
+
     def test_cyclic3_shape(self):
         system, forms = cyclic3_induced_system()
         assert system.dims == (15, 12, 4, 5)
-        assert _constraint_matrix(system, forms).shape == (2612, 820)
+        unit, _ = _orthonormal_coordinates(system, forms)
+        assert _hermitian_constraints(unit).shape == (1792, 410)
+
+
+def old_constraint_matrix(system, forms):
+    """The commutant constraints before the change to form-orthonormal
+    coordinates: unknowns are the real and then the imaginary parts of the
+    row-major entries of every E_a, rows the real and then the imaginary
+    parts of every E_b H_ba - H_ba E_a and B_a E_a - E_a^* B_a."""
+    dims = system.dims
+    offsets = np.concatenate([[0], np.cumsum([d * d for d in dims])]).astype(int)
+    nc = int(offsets[-1])
+    pairs = list(system.nonzero_pairs())
+    nr = sum(dims[b] * dims[a] for b, a, _ in pairs) + sum(d * d for d in dims)
+    mat = np.zeros((2 * nr, 2 * nc))
+    quadrants = (mat[:nr, :nc], mat[:nr, nc:], mat[nr:, :nc], mat[nr:, nc:])
+
+    def blocks(row, rows, col):
+        d = dims[col]
+        return [qd[row:row + rows[0] * rows[1], offsets[col]:offsets[col + 1]]
+                .reshape(rows + (d, d), copy=False) for qd in quadrants]
+
+    def put(views, index, coeff, conj=False):
+        tl, tr, bl, br = (v[index] for v in views)
+        tl += coeff.real
+        bl += coeff.imag
+        if conj:
+            tr += coeff.imag
+            br -= coeff.real
+        else:
+            tr -= coeff.imag
+            br += coeff.real
+
+    row = 0
+    for b, a, m in pairs:
+        rows = (dims[b], dims[a])
+        on_b = blocks(row, rows, b)
+        for p in range(dims[b]):
+            put(on_b, (p, slice(None), p, slice(None)), m.T)
+        on_a = blocks(row, rows, a)
+        for q in range(dims[a]):
+            put(on_a, (slice(None), q, slice(None), q), -m)
+        row += rows[0] * rows[1]
+    for a, f in enumerate(forms.forms):
+        views = blocks(row, (dims[a], dims[a]), a)
+        for q in range(dims[a]):
+            put(views, (slice(None), q, slice(None), q), f)
+        for p in range(dims[a]):
+            put(views, (p, slice(None), slice(None), p), -f.T, conj=True)
+        row += dims[a] * dims[a]
+    return mat
+
+
+#: what :func:`old_commutant_dim` gives on the S3 induced system; its thin
+#: SVD of a 14,112 x 4,176 matrix takes about a minute and over a gigabyte
+OLD_S3_COMMUTANT_DIM = 1
+
+
+def old_commutant_dim(system, forms, null_tol=1e-9):
+    """Null-space dimension of :func:`old_constraint_matrix` under the same
+    rank rule, from its thin SVD."""
+    mat = old_constraint_matrix(system, forms)
+    _, s, vt = np.linalg.svd(mat, full_matrices=False)
+    rank = int(np.sum(s > null_tol * max(1.0, s[0] if len(s) else 1.0)))
+    return vt.shape[0] - rank
+
+
+@pytest.mark.parametrize("build", [cyclic3_induced_system, s3_induced_system, two_block_system,
+                                   random_iso_blocks_system, lambda: spherical_system(A2)],
+                         ids=["cyclic3", "s3", "two-block", "random-iso-blocks", "spherical"])
+def test_commutant_matches_old_formulation(build):
+    system, forms = build()
+    unit, downs = _orthonormal_coordinates(system, forms)
+    commutant = _commutant_basis(unit)
+    old_dim = OLD_S3_COMMUTANT_DIM if build is s3_induced_system else old_commutant_dim(system, forms)
+    assert len(commutant) == old_dim
+    ups = [np.linalg.inv(d) for d in downs]
+    for tuple_ in commutant:
+        es = [down @ k @ up for down, k, up in zip(downs, tuple_, ups)]
+        for b, a, m in system.nonzero_pairs():
+            scale = np.linalg.norm(m) * max(np.linalg.norm(es[b]), np.linalg.norm(es[a]))
+            assert np.linalg.norm(es[b] @ m - m @ es[a]) <= 1e-12 * scale
+        for e, f in zip(es, forms.forms):
+            scale = np.linalg.norm(f) * np.linalg.norm(e)
+            assert np.linalg.norm(f @ e - e.conj().T @ f) <= 1e-12 * scale
 
 
 def _projective_grid_oracle(system, steps=16):
