@@ -97,16 +97,18 @@ def brute_pairing(space, x, f, g, m_depth: int) -> complex:
     """Literal sphere-sum pairing <pi(x) f, g> at truncation depth ``m_depth``.
 
     The sphere is partitioned into the cones of ``multrep.cone_walk``; each
-    cone's (f, g) root values are stepped out towards the sphere of radius
+    cone's (f, g) root values, read through one ``multrep.point_values``
+    evaluator per vector, are stepped out towards the sphere of radius
     ``m_depth``, and each block of the last step is paired as it is formed.
     """
-    from .multrep import cone_walk, evaluate
+    from .multrep import cone_walk, point_values
 
     if m_depth < max(f.depth + len(x), g.depth):
         raise ValueError("truncation depth too small for the brute sum")
     maps = space.system.maps
     inv = space.alphabet.inv
     forms = space.forms
+    f_at, g_at = point_values(f), point_values(g)
     total = 0.0 + 0.0j
     for roots in cone_walk(x, f.depth, g.depth):
         # every root is at most max(|x| + f.depth, g.depth) long
@@ -114,8 +116,11 @@ def brute_pairing(space, x, f, g, m_depth: int) -> complex:
         grouped: Dict[int, Tuple[list, list]] = {}
         for fw, gw in roots:
             fs, gs = grouped.setdefault(gw.last(), ([], []))
-            fs.append(evaluate(f, fw))
-            gs.append(evaluate(g, gw))
+            fv, gv = f_at(fw.letters), g_at(gw.letters)
+            # a zero value (None) is a zero row; both roots end in one letter
+            zero = np.zeros(space.dim(gw.last()), dtype=np.complex128)
+            fs.append(zero if fv is None else fv)
+            gs.append(zero if gv is None else gv)
         level = {p: (np.array(pair, dtype=np.complex128), None)
                  for p, pair in grouped.items()}
         total += _pair_sum(maps, inv, forms, level, rest)

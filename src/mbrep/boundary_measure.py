@@ -6,14 +6,15 @@ representation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import ValidationError
-from .multrep import MultVector, coefficient, deepen, inner
+from .errors import CapExceededError, ValidationError
+from .multrep import MultVector, coefficient, inner, point_values
 from .words import DEFAULT_CAP, Alphabet, Word, multiply, sphere
 
 
@@ -54,38 +55,27 @@ def spectral_measure(v: MultVector, cap: int = DEFAULT_CAP) -> CylinderMeasure:
     operator compressed at ``v``.  Nonnegative and additive because those
     operators are commuting orthogonal projections.
 
-    At depth max(|stem|, presentation depth) the compressed inner product
-    collapses to the single form pairing at the stem, so one deepened table
-    per depth serves a whole partition.  The measure caches those tables and
-    its cylinder masses, so one measure serves every word of a ball.  Tables
-    are deepened one level at a time from the deepest cached one, so
-    propagation runs once along each branch.  ``cap`` bounds the number of
-    words a table may track.
+    By compatibility a stem at least as long as the presentation depth has
+    the form norm of the value there as its mass, read through one shared
+    :func:`point_values` evaluator; a shorter stem sums the table entries
+    under it.  Masses are cached, so one measure serves every word of a
+    ball; ``cap`` bounds the number of cylinders it evaluates.
     """
-    alphabet = v.space.alphabet
     forms = v.space.forms
-    tables: List[MultVector] = [v]  # tables[k] sits at depth v.depth + k
-
-    def table_at(depth: int) -> MultVector:
-        while v.depth + len(tables) <= depth:
-            tables.append(deepen(tables[-1], v.depth + len(tables), cap=cap))
-        return tables[depth - v.depth]
+    value_at = point_values(v)
+    evaluated = itertools.count(1)
 
     def evaluator(stem: Word) -> float:
-        depth = max(len(stem), v.depth)
-        t = table_at(depth)
-        if depth == len(stem):
-            val = t.values.get(stem)
-            if val is None:
-                return 0.0
-            return max(float(np.vdot(val, forms[stem.last()] @ val).real), 0.0)
-        total = 0.0
-        for w, val in t.values.items():
-            if w.starts_with(stem):
-                total += float(np.vdot(val, forms[w.last()] @ val).real)
-        return max(total, 0.0)
+        if next(evaluated) > cap:
+            raise CapExceededError(f"the spectral measure would evaluate more than {cap} cylinders")
+        if len(stem) >= v.depth:
+            under = [(stem, value_at(stem.letters))]
+        else:
+            under = [(w, val) for w, val in v.values.items() if w.starts_with(stem)]
+        return max(sum(float(np.vdot(val, forms[w.last()] @ val).real)
+                       for w, val in under if val is not None), 0.0)
 
-    return CylinderMeasure(alphabet, evaluator, max(inner(v, v).real, 0.0))
+    return CylinderMeasure(v.space.alphabet, evaluator, max(inner(v, v).real, 0.0))
 
 
 def uniform_measure(alphabet: Alphabet) -> CylinderMeasure:
@@ -144,7 +134,8 @@ def herz_check(v: MultVector, x: Word, depth: int, tol: float = 1e-9,
     counterexample.
 
     ``mu`` is ``spectral_measure(v)``, built here when omitted; pass one
-    measure to every check over a ball so its tables and masses are shared.
+    measure to every check over a ball so its cylinder masses and its point
+    evaluator are shared.
     """
     if mu is None:
         mu = spectral_measure(v, cap=cap)

@@ -24,8 +24,7 @@ from .errors import (CapExceededError, DegenerateSystemError, MbrepError,
                      NormalizationError, ValidationError)
 from .induce import (InducedVector, induce_system, induced_action,
                      induced_boundary_op, induced_inner, intertwiner_J)
-from .multrep import (MultVector, RepSpace, act, coefficient, cylinder_op,
-                      deepen, distance, inner)
+from .multrep import MultVector, RepSpace, act, coefficient, cylinder_op, distance, inner
 from .subgroups import schreier
 from .system import (NORMALIZE_TOL, compatibility_residual, decompose, normalize,
                      radical_quotient, validate)
@@ -251,13 +250,11 @@ def cmd_induce(args) -> int:
                  [int(rng.integers(len(ind_space.alphabet)))])
         lhs = intertwiner_J(induced_action(x, f), layout, ind_space)
         rhs = act(x, jf)
-        d = max(lhs.depth, rhs.depth)
-        worst_act = max(worst_act, distance(deepen(lhs, d), deepen(rhs, d)))
+        worst_act = max(worst_act, distance(lhs, rhs))
         z = test_words[int(rng.integers(len(test_words)))]
         lhsb = intertwiner_J(induced_boundary_op(f, z), layout, ind_space)
         rhsb = cylinder_op(z, jf)
-        d = max(lhsb.depth, rhsb.depth)
-        worst_bdry = max(worst_bdry, distance(deepen(lhsb, d), deepen(rhsb, d)))
+        worst_bdry = max(worst_bdry, distance(lhsb, rhsb))
     jtol = 1e-10 * (1 + data.index)
     print(f"J_inner_defect={_fmt(worst_inner)}")
     print(f"J_intertwine_defect={_fmt(worst_act)}")

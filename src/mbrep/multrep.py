@@ -5,7 +5,8 @@ A vector is a finite germ: values on one word sphere, propagated outward by
 the system maps.  :func:`deepen` propagates a whole table through
 ``_kernels.level_step``, one level at a time; :func:`point_values` propagates
 single words, one matvec per letter from the longest proper prefix it has
-already stepped through, and :func:`evaluate` is one such walk.
+already stepped through.  Every single-word read is such a walk, among them
+:func:`evaluate`, :func:`cylinder_op` and the spectral measure.
 
 Matrix coefficients come in three backends.  ``fast`` and ``brute`` share
 :func:`cone_walk`, which partitions the sphere into cones by where a word
@@ -421,26 +422,30 @@ def coefficient(x: Word, f: MultVector, g: MultVector, backend: str = "fast",
     raise ValidationError(f"unknown backend {backend!r}")
 
 
-def cylinder_op(z: Union[Word, Cylinder], f: MultVector, cap: int = DEFAULT_CAP) -> MultVector:
+def cylinder_op(z: Union[Word, Cylinder], f: MultVector) -> MultVector:
     """Boundary multiplication operator of the cylinder indicator at ``z``:
-    keep the values inside the cone, zero the rest."""
+    keep the values inside the cone, zero the rest.  The cone of a stem at
+    least as long as the depth holds one word, the stem, so the result is the
+    value there, read by :func:`point_values` and presented at depth |stem|."""
     stem = z.stem if isinstance(z, Cylinder) else z
     if stem.is_identity():
         raise ValidationError("cylinder stem must be nonempty")
-    d = max(f.depth, len(stem))
-    fd = deepen(f, d, cap=cap)
-    kept = {w: v for w, v in fd.values.items() if w.starts_with(stem)}
-    return MultVector._of(f.space, d, kept)
+    if len(stem) < f.depth:
+        return MultVector._of(f.space, f.depth,
+                              {w: v for w, v in f.values.items() if w.starts_with(stem)})
+    v = point_values(f)(stem.letters)
+    kept = {stem: v} if v is not None and np.count_nonzero(v) else {}
+    return MultVector._of(f.space, len(stem), kept)
 
 
 def covariance_check(x: Word, z: Word, f: MultVector, cap: int = DEFAULT_CAP) -> float:
     """Norm of the defect of the boundary covariance identity on ``f``:
     conjugating the cylinder operator by the action of ``x`` must equal the
     operator of the translated cylinder set."""
-    lhs = act(x, cylinder_op(z, act(x.inverse(), f, cap=cap), cap=cap), cap=cap)
+    lhs = act(x, cylinder_op(z, act(x.inverse(), f, cap=cap)), cap=cap)
     rhs = zero_vector(f.space, f.depth)
     for part in cylinder_image(x, Cylinder(z)):
-        rhs = vadd(rhs, cylinder_op(part.stem, f, cap=cap), cap=cap)
+        rhs = vadd(rhs, cylinder_op(part.stem, f), cap=cap)
     return distance(lhs, rhs)
 
 
@@ -466,7 +471,7 @@ def apply_crossed(element: CrossedElement, f: MultVector, cap: int = DEFAULT_CAP
     for coeff, cyl, gamma in element.terms:
         moved = act(gamma, f, cap=cap)
         if cyl is not None:
-            moved = cylinder_op(cyl, moved, cap=cap)
+            moved = cylinder_op(cyl, moved)
         out = vadd(out, vscale(coeff, moved), cap=cap)
     return out
 

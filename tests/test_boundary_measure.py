@@ -5,7 +5,8 @@ from mbrep.boundary_measure import (herz_check, no_harish_chandra_demo,
                                     quasi_regular_coefficient, spectral_measure,
                                     uniform_measure)
 from mbrep.errors import ValidationError
-from mbrep.multrep import MultVector, RepSpace, deepen, evaluate, inner, vscale
+from mbrep.multrep import (MultVector, RepSpace, cylinder_op, deepen, evaluate, inner,
+                           vscale)
 from mbrep.system import MatrixSystem
 from mbrep.words import Alphabet, Word, ball, sphere
 
@@ -153,7 +154,8 @@ class TestHerz:
             assert res.lhs == ref.lhs and res.rhs == ref.rhs, str(x)
 
     def test_incremental_deepen_is_bit_identical(self):
-        # the shared measure deepens from its cached tables, not from v
+        # a table deepened in stages or at once is one table, and its values
+        # are the point evaluator's, which the measure and cylinder_op read
         rng = np.random.default_rng(5)
         space, _ = random_system(rng)
         # the same maps with one removed: a None map grows no rows
@@ -177,6 +179,40 @@ class TestHerz:
                     assert not np.any(want), str(y)
                 else:
                     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), str(y)
+
+    def test_point_reads_match_deepened_tables(self):
+        # the measure and cylinder_op read single stems through a point
+        # evaluator; a deepened table, filtered under the stem, is the
+        # reference, on the random system and on one with a None map
+        rng = np.random.default_rng(7)
+        space, _ = random_system(rng)
+        b, a, _ = next(space.system.nonzero_pairs())
+        cut = MatrixSystem(space.alphabet, space.system.dims,
+                           {(q, p): m for q, p, m in space.system.nonzero_pairs()
+                            if (q, p) != (b, a)})
+        forms = space.forms
+
+        def close(got, want):
+            return abs(got - want) <= 1e-13 * abs(want)
+
+        for sp in (space, RepSpace(cut, forms, check=False)):
+            for depth in (1, 2):
+                v = MultVector(sp, depth, random_vector(space, rng, depth=depth).values)
+                mu = spectral_measure(v)
+                for length in range(1, depth + 4):
+                    table = deepen(v, max(length, depth))
+                    for stem in sphere(A2, length):
+                        under = {y: val for y, val in table.values.items()
+                                 if y.starts_with(stem)}
+                        want = sum(np.vdot(val, forms[y.last()] @ val).real
+                                   for y, val in under.items())
+                        assert close(mu(stem), want), str(stem)
+                        kept = cylinder_op(stem, v)
+                        assert kept.depth == table.depth and list(kept.values) == list(under)
+                        for y, val in under.items():
+                            assert (np.linalg.norm(kept.values[y] - val)
+                                     <= 1e-13 * np.linalg.norm(val)), str(y)
+                        assert close(mu(stem), inner(kept, v).real), str(stem)
 
 
 class TestDemo:

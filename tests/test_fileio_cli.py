@@ -233,7 +233,8 @@ class TestCli:
         assert "# failures=0" in body
 
     def test_herz_cap_exit_code(self, capsys):
-        # the radius-3 check deepens to depth 7; depth 6 already tracks 243 words
+        # the radius-3 check evaluates the measure on 1,078 cylinders, the
+        # 108 depth-4 stems and their translates among them
         code = cli.main(["herz", "--system", "builtin:spherical2",
                          "--vector", "builtin:seed-a", "--radius", "3",
                          "--cap", "200"])
@@ -243,33 +244,31 @@ class TestCli:
         assert len(err.strip().splitlines()) == 1
 
     def test_herz_builds_one_measure(self, tmp_path, monkeypatch):
-        from mbrep import boundary_measure
+        from mbrep import boundary_measure, multrep
 
-        counts = {"spectral_measure": 0, "deepen": 0, "levels": 0}
-        build, propagate = boundary_measure.spectral_measure, boundary_measure.deepen
+        counts = {"spectral_measure": 0, "levels": 0}
+        build, propagate = boundary_measure.spectral_measure, multrep.deepen
 
         def spectral_measure(*args, **kwargs):
             counts["spectral_measure"] += 1
             return build(*args, **kwargs)
 
         def deepen(f, new_depth, **kwargs):
-            counts["deepen"] += 1
             counts["levels"] += new_depth - f.depth
             return propagate(f, new_depth, **kwargs)
 
         monkeypatch.setattr(boundary_measure, "spectral_measure", spectral_measure)
         monkeypatch.setattr(cli, "spectral_measure", spectral_measure)
-        monkeypatch.setattr(boundary_measure, "deepen", deepen)
-        radius = 3
+        monkeypatch.setattr(multrep, "deepen", deepen)
         code = cli.main(["herz", "--system", "builtin:spherical2",
-                         "--vector", "builtin:seed-a", "--radius", str(radius),
+                         "--vector", "builtin:seed-a", "--radius", "3",
                          "--output", str(tmp_path / "herz.csv")])
         assert code == 0
         assert counts["spectral_measure"] == 1
-        assert counts["deepen"] <= 2 * radius + 1
-        # incremental tables: each propagation level runs once, from the
-        # depth-1 vector out to depth 2 * radius + 1
-        assert counts["levels"] <= 2 * radius
+        # the measure reads single stems through its point evaluator and
+        # the identity's coefficient pairs at the vector's own depth, so no
+        # table is propagated
+        assert counts["levels"] == 0
 
     def test_vf_induce(self, tmp_path):
         out = tmp_path / "vf.csv"
