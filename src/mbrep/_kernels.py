@@ -10,9 +10,13 @@ through it.
 The literal inner-product sum over a whole word sphere is the package's
 exponential inner loop.  ``brute_pairing`` seeds each geodesic cone of
 ``multrep.cone_walk`` with the (f, g) values at its roots and steps those
-pairs outward to one level short of the truncation sphere; the last step
-pairs each (parent, child) block as its matmul produces it, so every
-sphere term is formed but the sphere is never held whole.  It is the
+pairs outward to two levels short of the truncation sphere.  The last two
+steps are folded into path kernels: a sphere word y = u.t, with t a path of
+one or two letters beyond u and M the product of the maps along t, has the
+term conj(g(u))^T K f(u) with K = M^T B^T conj(M) in row form, so each path's
+kernel pairs the rows of u's level directly and the two outer spheres are
+never formed.  The sum stays literal: every sphere word adds its own term,
+no kernels are added together and compatibility is never used.  It is the
 independent oracle for the cone-collapsed ``fast`` backend.
 """
 
@@ -65,19 +69,38 @@ def _children(maps, inv, p: int):
             yield c, m
 
 
-def _pair(form, rows) -> complex:
-    """Sum of conj(g)^T B f over stacked rows of shape (2, n, d): the f block,
-    then the g block, each contiguous in its rows."""
-    return np.vdot(rows[1], rows[0] @ form.T)
+def _path_kernels(maps, inv, forms) -> List[List[List[np.ndarray]]]:
+    """Per last letter p, the row-form kernels K = M^T B^T conj(M) of the
+    paths of 0, 1 and 2 letters beyond p, indexed by path length: M is the
+    product of the maps along the path and B the form of its last letter.  A
+    path through a ``None`` map is zero and has no kernel."""
+    kernels = []
+    for p in range(len(maps)):
+        by_length: List[List[np.ndarray]] = [[forms[p].T], [], []]
+        for c, m in _children(maps, inv, p):
+            by_length[1].append(m.T @ forms[c].T @ m.conj())
+            for c2, m2 in _children(maps, inv, c):
+                path = m2 @ m
+                by_length[2].append(path.T @ forms[c2].T @ path.conj())
+        kernels.append(by_length)
+    return kernels
 
 
-def _pair_sum(maps, inv, forms, level: Level, rest: int) -> complex:
+def _pair(kernel, rows) -> complex:
+    """Sum of conj(g)^T K f over stacked rows of shape (2, n, d), with K in
+    row form (the transpose of its column form): the f block, then the g
+    block, each contiguous in its rows."""
+    return np.vdot(rows[1], rows[0] @ kernel)
+
+
+def _pair_sum(maps, inv, kernels, level: Level, rest: int) -> complex:
     """Sum conj(g)^T B f over every word ``rest`` steps beyond a level of
-    stacked (f, g) rows of shape (2, n, d).  The last step pairs each
-    (parent, child) block as its matmul produces it, so the sphere itself is
-    never held whole."""
-    if rest == 0:
-        return sum(_pair(forms[p], rows) for p, (rows, _) in level.items())
+    stacked (f, g) rows of shape (2, n, d).  Within two steps of the sphere,
+    each path's kernel from :func:`_path_kernels` pairs the level's rows, one
+    term per sphere word; further out the level steps outward, halved first
+    when the next level would exceed ``CHUNK_ROWS`` rows."""
+    if rest <= 2:
+        return sum(_pair(k, rows) for p, (rows, _) in level.items() for k in kernels[p][rest])
     width = sum(rows.shape[-2] for rows, _ in level.values())
     if width > 1 and width * (len(maps) - 1) > CHUNK_ROWS:
         # split the level to bound the memory of the next step
@@ -85,12 +108,9 @@ def _pair_sum(maps, inv, forms, level: Level, rest: int) -> complex:
         for p, (rows, _) in level.items():
             half = rows.shape[-2] // 2
             for part in ((rows[:, :half], rows[:, half:]) if half else (rows,)):
-                total += _pair_sum(maps, inv, forms, {p: (part, None)}, rest)
+                total += _pair_sum(maps, inv, kernels, {p: (part, None)}, rest)
         return total
-    if rest == 1:
-        return sum(_pair(forms[c], rows @ m.T)
-                   for p, (rows, _) in level.items() for c, m in _children(maps, inv, p))
-    return _pair_sum(maps, inv, forms, level_step(maps, inv, level), rest - 1)
+    return _pair_sum(maps, inv, kernels, level_step(maps, inv, level), rest - 1)
 
 
 def brute_pairing(space, x, f, g, m_depth: int) -> complex:
@@ -99,7 +119,8 @@ def brute_pairing(space, x, f, g, m_depth: int) -> complex:
     The sphere is partitioned into the cones of ``multrep.cone_walk``; each
     cone's (f, g) root values, read through one ``multrep.point_values``
     evaluator per vector, are stepped out towards the sphere of radius
-    ``m_depth``, and each block of the last step is paired as it is formed.
+    ``m_depth``; within two steps of it, the path kernels, built once per
+    call, pair each level's rows, one term per sphere word.
     """
     from .multrep import cone_walk, point_values
 
@@ -107,7 +128,7 @@ def brute_pairing(space, x, f, g, m_depth: int) -> complex:
         raise ValueError("truncation depth too small for the brute sum")
     maps = space.system.maps
     inv = space.alphabet.inv
-    forms = space.forms
+    kernels = _path_kernels(maps, inv, space.forms)
     f_at, g_at = point_values(f), point_values(g)
     total = 0.0 + 0.0j
     for roots in cone_walk(x, f.depth, g.depth):
@@ -123,5 +144,5 @@ def brute_pairing(space, x, f, g, m_depth: int) -> complex:
             gs.append(zero if gv is None else gv)
         level = {p: (np.array(pair, dtype=np.complex128), None)
                  for p, pair in grouped.items()}
-        total += _pair_sum(maps, inv, forms, level, rest)
+        total += _pair_sum(maps, inv, kernels, level, rest)
     return complex(total)

@@ -146,6 +146,9 @@ def cmd_normalize(args) -> int:
     result = normalize(system, tol=tol, seed=args.seed)
     print(f"spectral_radius={_fmt(result.spectral_radius)}")
     print(f"residual={_fmt(result.residual)}")
+    print(f"solver={result.solver}")
+    print(f"iterations={result.iterations}")
+    print(f"degenerate={int(result.degenerate)}")
     if result.degenerate:
         print("warning: leading transfer eigenvalue is (near-)degenerate", file=sys.stderr)
     if args.output:

@@ -242,12 +242,17 @@ def _route_level(f: InducedVector, layout: InducedLayout,
     """Route the blocks of every word x.a on the sphere of radius ``depth``,
     in sphere order.  Returns the routes and the first word with a block
     argument shorter than its source depth, where the pass stops (None when
-    there is none)."""
+    there is none).  Both the sphere and the routes it may store, one per
+    (prefix x, transversal u) pair, are held against the cap."""
     data = f.data
     alphabet = data.table.alphabet
     if sphere_size(alphabet, depth) > DEFAULT_CAP:
         raise CapExceededError(f"sphere of radius {depth} has {sphere_size(alphabet, depth)} "
                                f"words, cap is {DEFAULT_CAP}")
+    held = sphere_size(alphabet, depth - 1) * len(data.transversal)
+    if held > DEFAULT_CAP:
+        raise CapExceededError(f"routing level {depth} would store {held} routes, "
+                               f"cap is {DEFAULT_CAP}")
     inverses = [t.inverse().letters for t in data.transversal]
     sub_inv = data.subgroup_alphabet.inv
     routes: Routes = {}

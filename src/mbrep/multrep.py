@@ -15,8 +15,9 @@ cone.  ``fast`` pairs the values at the roots, because compatibility
 collapses each cone's tail sum onto its roots; one point evaluator per
 vector serves all its roots, so the geodesic is walked once.  ``brute``,
 the literal sphere-sum oracle (exponential, see ``_kernels``), steps the
-root values outward with the same level step as ``deepen`` and pairs each
-block of the last step, on the truncation sphere, as it is formed.
+root values outward with the same level step as ``deepen`` to two levels
+short of the truncation sphere, where one kernel per path of the last two
+steps pairs each sphere word's term from the values at its prefix there.
 ``reference`` is the same literal sum word by word through
 :func:`sphere_coefficient`, which the exact mode in ``_exact`` shares; it
 walks no cones, so it checks the partition independently.
@@ -404,9 +405,11 @@ def coefficient(x: Word, f: MultVector, g: MultVector, backend: str = "fast",
     those of g through another, so each root branches off the value at its
     geodesic prefix, already stepped for an earlier cone, with one matvec
     per remaining letter, and the cost grows as O(|x|) matvecs.  ``brute``
-    steps the same root values outward with ``_kernels.level_step`` and
-    pairs each block of the last step on the truncation sphere as it is
-    formed, the independent oracle whose cost grows as (|A|-1)^|x|;
+    steps the same root values outward with ``_kernels.level_step`` to two
+    levels short of the truncation sphere and pairs every sphere word there
+    through the kernel of its last one or two steps; each word still adds
+    its own term, so it stays the independent oracle, and its cost grows as
+    (|A|-1)^|x|;
     ``reference`` is the plain word-by-word sum of
     :func:`sphere_coefficient`, which walks no cones, the small-case gate
     for both.

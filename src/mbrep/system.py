@@ -192,7 +192,10 @@ def _max_diff(x: FormTuple, y: FormTuple) -> float:
 
 @dataclass
 class NormalizationResult:
-    """Scaled system together with its compatible fixed-point tuple."""
+    """Scaled system together with its compatible fixed-point tuple, and the
+    solver that found it: ``"power"`` iteration, or the ``"dense"`` spectral
+    solve after the iteration plateaued (``iterations`` counts the power
+    steps either way)."""
 
     system: MatrixSystem
     forms: FormTuple
@@ -200,6 +203,7 @@ class NormalizationResult:
     residual: float
     iterations: int
     degenerate: bool = False
+    solver: str = "power"
 
     def __iter__(self):
         return iter((self.system, self.forms, self.spectral_radius))
@@ -322,10 +326,10 @@ def normalize(system: MatrixSystem, tol: float = NORMALIZE_TOL, max_iter: int = 
 
     b, rho, res, iters = _power_iterate(system, FormTuple.identity(system.dims), tol, max_iter)
     degenerate = False
-    used_dense = False
+    solver = "power"
     if res > max(tol, 1e-10):
         b, rho, res, degenerate = _dense_fixed_point(system)
-        used_dense = True
+        solver = "dense"
         if res > max(tol, 1e-10):
             raise NormalizationError(
                 f"no fixed point within {max_iter} iterations (residual {res:.3e})",
@@ -333,7 +337,7 @@ def normalize(system: MatrixSystem, tol: float = NORMALIZE_TOL, max_iter: int = 
     if rho <= max(tol, 1e-12):
         raise DegenerateSystemError(f"spectral radius {rho:.3e} is numerically zero")
 
-    if degeneracy_probe and not used_dense:
+    if degeneracy_probe and solver == "power":
         rng = np.random.default_rng(seed)
         probe = FormTuple([np.eye(d) + 0.5 * _random_psd(rng, d) for d in system.dims])
         try:
@@ -346,7 +350,8 @@ def normalize(system: MatrixSystem, tol: float = NORMALIZE_TOL, max_iter: int = 
 
     scaled = system.scaled(1.0 / np.sqrt(rho))
     final_res = compatibility_residual(scaled, b)
-    return NormalizationResult(scaled, b, float(rho), float(final_res), iters, degenerate)
+    return NormalizationResult(scaled, b, float(rho), float(final_res), iters, degenerate,
+                               solver)
 
 
 def _random_psd(rng: np.random.Generator, d: int) -> np.ndarray:

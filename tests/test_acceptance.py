@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mbrep import fileio
+from mbrep import _kernels, fileio
 from mbrep._exact import ExactVector, exact_coefficient, exact_spherical
 from mbrep.boundary_measure import (herz_check, no_harish_chandra_demo,
                                     quasi_regular_coefficient, spectral_measure)
@@ -24,7 +24,8 @@ from mbrep.system import (FormTuple, MatrixSystem, compatibility_residual,
                           decompose, find_invariant_subsystem, normalize,
                           spherical_system, validate)
 from mbrep.vfree import induce_to_vf, psl2z_datum, vf_gram, vf_validate
-from mbrep.words import Alphabet, Cylinder, Word, ball, cylinder_image, multiply, sphere
+from mbrep.words import (Alphabet, Cylinder, Word, ball, cylinder_image, multiply, sphere,
+                         sphere_size)
 
 from helpers import random_system, random_vector, random_word
 
@@ -90,7 +91,7 @@ def test_criterion_02_spherical_constants(seed_a):
            f"rho {result.spectral_radius:.12f}, coefficient {val.real:.12f}")
 
 
-def test_criterion_03_backend_equivalence_and_scaling(system_pool, seed_a):
+def test_criterion_03_backend_equivalence_and_scaling(system_pool, seed_a, monkeypatch):
     rng = np.random.default_rng(502)
     worst = 0.0
     trials = 0
@@ -105,9 +106,11 @@ def test_criterion_03_backend_equivalence_and_scaling(system_pool, seed_a):
         trials += 1
     ok_equiv = worst <= 1e-10
 
-    # runtime sweep: the literal sum grows geometrically, the cone-collapsed
-    # backend at most linearly; each time is the best of a few runs, so load
-    # from other processes does not decide the ratios
+    # scaling sweep: the literal sum pairs exactly one term per word of its
+    # truncation sphere, counted as the rows its pairing primitive takes, so
+    # its work grows 3x per letter; the cone-collapsed backend's time grows
+    # at most linearly, each time the best of a few runs, so load from other
+    # processes does not decide the ratio
     def best_time(x, backend, reps):
         best = np.inf
         for _ in range(reps):
@@ -116,20 +119,31 @@ def test_criterion_03_backend_equivalence_and_scaling(system_pool, seed_a):
             best = min(best, time.perf_counter() - t0)
         return best
 
+    paired = [0]
+    pair = _kernels._pair
+
+    def counting(kernel, rows):
+        paired[0] += rows.shape[-2]
+        return pair(kernel, rows)
+
     lengths = list(range(2, 13))
-    brute_t, fast_t = {}, {}
+    terms, fast_t = {}, {}
     for k in lengths:
         x = Word.parse(A2, ("ab" * 7)[:k])
-        brute_t[k] = best_time(x, "brute", 3)
+        paired[0] = 0
+        with monkeypatch.context() as patch:
+            patch.setattr(_kernels, "_pair", counting)
+            coefficient(x, seed_a, seed_a, backend="brute")
+        terms[k] = paired[0]
         fast_t[k] = best_time(x, "fast", 5)
-    geo_ratio = (brute_t[12] / brute_t[8]) ** 0.25
-    ok_brute = geo_ratio >= 2.0
+    ok_brute = all(terms[k] == sphere_size(A2, seed_a.depth + k + 1) for k in lengths)
+    geo_ratio = (terms[12] / terms[8]) ** 0.25
     lin_ratio = fast_t[12] / max(fast_t[2], 1e-9)
     ok_fast = lin_ratio <= 30.0
     report(3, "backend equivalence and runtime scaling",
            ok_equiv and ok_brute and ok_fast,
-           f"worst diff {worst:.2e}, brute step ratio {geo_ratio:.2f}, "
-           f"fast 12:2 ratio {lin_ratio:.1f}")
+           f"worst diff {worst:.2e}, brute terms equal sphere sizes {ok_brute}, "
+           f"brute step ratio {geo_ratio:.2f}, fast 12:2 ratio {lin_ratio:.1f}")
 
 
 def test_criterion_04_unitarity_and_positivity(system_pool):

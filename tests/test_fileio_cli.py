@@ -142,6 +142,29 @@ class TestCli:
         assert validate(system) == []
         assert compatibility_residual(system, forms) <= 1e-9
 
+    def test_normalize_prints_solver_decisions(self, tmp_path, capsys):
+        def lines(argv):
+            assert cli.main(argv) == 0
+            return dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines()
+                        if "=" in line)
+
+        spherical = lines(["normalize", "--input", "builtin:spherical2-unscaled"])
+        assert (spherical["solver"], spherical["degenerate"]) == ("power", "0")
+        assert int(spherical["iterations"]) >= 1
+        # maps only between {a, A} and {b, B}: the transfer map has period 2,
+        # so the power iteration cycles and the dense solve takes over
+        weights = {"b|a": 1.0, "B|a": 2.0, "b|A": 1.5, "B|A": 0.5,
+                   "a|b": 1.0, "A|b": 0.7, "a|B": 1.2, "A|B": 0.3}
+        doc = {"alphabet": ["a", "A", "b", "B"], "involution": [["a", "A"], ["b", "B"]],
+               "dims": {"a": 1, "A": 1, "b": 1, "B": 1},
+               "maps": {k: [[v]] for k, v in weights.items()}}
+        path = tmp_path / "bipartite.json"
+        path.write_text(json.dumps(doc))
+        bipartite = lines(["normalize", "--input", str(path)])
+        assert (bipartite["solver"], bipartite["degenerate"]) == ("dense", "1")
+        assert int(bipartite["iterations"]) >= 1
+        assert float(bipartite["residual"]) <= 1e-9
+
     def test_normalize_degenerate_exit(self, tmp_path, capsys):
         doc = {
             "alphabet": ["a", "A", "b", "B"],

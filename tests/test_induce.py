@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mbrep import induce
-from mbrep.errors import DepthError
+from mbrep.errors import CapExceededError, DepthError
 from mbrep.induce import (MAX_INTERTWINER_DEPTH, InducedVector, _decompose_element,
                           boundary_pullback, induce_system, induced_action,
                           induced_boundary_op, induced_distance, induced_inner,
@@ -12,7 +12,7 @@ from mbrep.multrep import (MultVector, RepSpace, act, coefficient, cylinder_op,
 from mbrep.subgroups import (FiniteGroup, coset_table_from_quotient, rewrite_to_subgroup,
                              schreier)
 from mbrep.system import compatibility_residual, spherical_system, validate
-from mbrep.words import Alphabet, Word, multiply, sphere
+from mbrep.words import Alphabet, Word, multiply, sphere, sphere_size
 
 from helpers import s3_quotient
 
@@ -162,6 +162,22 @@ class TestIntertwiner:
         f = rand_blocks(setup, rng, depth=3)
         with pytest.raises(DepthError):
             intertwiner_J(f, setup["layout"], setup["ind_space"], depth=1)
+
+    def test_route_count_held_against_cap(self, s3_setup, monkeypatch):
+        # at index 6 a routing level stores 6 routes per word of the sphere
+        # below it, twice the words of its own sphere
+        rng = np.random.default_rng(17)
+        f = rand_blocks(s3_setup, rng)
+        args = (s3_setup["layout"], s3_setup["ind_space"])
+        jf = intertwiner_J(f, *args)
+        words = sphere_size(A2, jf.depth)
+        routes = sphere_size(A2, jf.depth - 1) * len(s3_setup["data"].transversal)
+        assert words < routes
+        monkeypatch.setattr(induce, "DEFAULT_CAP", routes - 1)
+        with pytest.raises(CapExceededError, match=f"store {routes} routes"):
+            intertwiner_J(f, *args, depth=jf.depth)
+        monkeypatch.setattr(induce, "DEFAULT_CAP", routes)
+        assert distance(intertwiner_J(f, *args, depth=jf.depth), jf) == 0.0
 
     def test_induced_action_unitary(self, setup):
         rng = np.random.default_rng(13)

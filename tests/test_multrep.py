@@ -155,15 +155,16 @@ class TestCoefficient:
     @pytest.mark.parametrize("chunk_rows", [_kernels.CHUNK_ROWS, 1])
     def test_brute_pairing_matches_reference(self, chunk_rows, monkeypatch):
         # at the least truncation depth the cones through the end of x are
-        # paired where they start; one and two deeper, every cone takes a
-        # last step; a chunk bound of one row also splits every level
+        # paired where they start; one and two deeper, the path kernels pair
+        # them; three deeper, a level step comes before the kernels; a chunk
+        # bound of one row also splits every level that steps
         monkeypatch.setattr(_kernels, "CHUNK_ROWS", chunk_rows)
         rests = []
         pair_sum = _kernels._pair_sum
 
-        def recording(maps, inv, forms, level, rest):
+        def recording(maps, inv, kernels, level, rest):
             rests.append(rest)
-            return pair_sum(maps, inv, forms, level, rest)
+            return pair_sum(maps, inv, kernels, level, rest)
 
         monkeypatch.setattr(_kernels, "_pair_sum", recording)
         rng = np.random.default_rng(59)
@@ -175,16 +176,19 @@ class TestCoefficient:
                                       if (q, p) != (b, a)}), degeneracy_probe=False)
         assert cut.system.maps[b][a] is None
         for sp in (space, RepSpace(cut.system, cut.forms)):
+            seen = set()
             for f_depth, g_depth, length in ((1, 1, 3), (2, 1, 2), (1, 2, 1), (1, 2, 0)):
                 f = random_vector(sp, rng, depth=f_depth)
                 g = random_vector(sp, rng, depth=g_depth)
                 x = random_word(sp.alphabet, rng, length)
                 ref = coefficient(x, f, g, backend="reference")
                 least = max(f.depth + len(x), g.depth)
-                for m_depth in (least, least + 1, least + 2):
+                for m_depth in range(least, least + 4):
                     rests.clear()
                     assert abs(_kernels.brute_pairing(sp, x, f, g, m_depth) - ref) <= 1e-12
                     assert (0 in rests) == (m_depth == least)
+                    seen.update(min(rest, 3) for rest in rests)
+            assert {1, 2, 3} <= seen
 
     def test_fast_walk_matches_per_root_sum(self):
         # the fast sum as it was: every root value evaluated from the
