@@ -238,6 +238,7 @@ def cmd_induce(args) -> int:
     rng = np.random.default_rng(args.seed)
     worst_inner = worst_act = worst_bdry = 0.0
     test_words = [w for r in range(1, 3) for w in sphere(ind_space.alphabet, r)]
+    depths: List[int] = []
     for trial in range(args.trials):
         blocks = {}
         for u in range(data.index):
@@ -258,10 +259,12 @@ def cmd_induce(args) -> int:
         lhsb = intertwiner_J(induced_boundary_op(f, z), layout, ind_space)
         rhsb = cylinder_op(z, jf)
         worst_bdry = max(worst_bdry, distance(lhsb, rhsb))
+        depths += [jf.depth, lhs.depth, lhsb.depth]
     jtol = 1e-10 * (1 + data.index)
     print(f"J_inner_defect={_fmt(worst_inner)}")
     print(f"J_intertwine_defect={_fmt(worst_act)}")
     print(f"J_boundary_defect={_fmt(worst_bdry)}")
+    print("J_depths=" + (",".join(map(str, depths)) or "none"))
     ok = ok and worst_inner <= jtol and worst_act <= jtol and worst_bdry <= jtol
     if args.output:
         fileio.save_system(args.output, ind_system, ind_forms)
@@ -432,7 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     _flags(p, "tolerance", "seed", "output")
     p.set_defaults(fn=cmd_normalize)
 
-    p = sub.add_parser("decompose", help="split a system with forms into irreducible components")
+    p = sub.add_parser("decompose", help="split a system with forms into form-orthogonal "
+                                         "parts that split no further")
     p.add_argument("--input", required=True)
     _flags(p, "seed", "output")
     p.set_defaults(fn=cmd_decompose)

@@ -9,6 +9,7 @@ the radicand.
 
 from __future__ import annotations
 
+import cmath
 import json
 import re
 from fractions import Fraction
@@ -27,13 +28,18 @@ from .words import Alphabet, Word
 
 
 def _entry_to_complex(entry, path: str, field: str) -> complex:
-    if isinstance(entry, (int, float)):
-        return complex(entry)
-    if (isinstance(entry, list) and len(entry) == 2
-            and all(isinstance(part, (int, float)) for part in entry)):
-        return complex(entry[0], entry[1])
-    raise ValidationError(
-        f"{path}: field {field!r} has bad entry {entry!r}: expected a number or [re, im]")
+    """A number or [re, im], finite: JSON's NaN, Infinity and 1e400 are rejected."""
+    parts = entry if isinstance(entry, list) and len(entry) == 2 else [entry]
+    if not all(isinstance(part, (int, float)) for part in parts):
+        raise ValidationError(
+            f"{path}: field {field!r} has bad entry {entry!r}: expected a number or [re, im]")
+    try:
+        value = complex(*parts)
+        if cmath.isfinite(value):
+            return value
+    except OverflowError:
+        pass
+    raise ValidationError(f"{path}: field {field!r} has non-finite entry {entry!r}")
 
 
 def _complex_to_entry(z: complex):
@@ -83,7 +89,7 @@ def _require(doc: dict, key: str, path: str):
 def _cast(kind: Callable, value, path: str, field: str):
     try:
         return kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{path}: field {field!r} has bad value {value!r}") from None
 
 
@@ -119,7 +125,11 @@ def load_system(path: str) -> Tuple[MatrixSystem, Optional[FormTuple], Optional[
             raise ValidationError(f"{path}: field {field!r} has wrong shape, expected {shape}")
         if exact:
             q = tuple(tuple(_parse_exact(e, radicand) for e in row) for row in rows)
-            f = np.array([[float(e) for e in row] for row in q], dtype=np.complex128)
+            try:
+                f = np.array([[float(e) for e in row] for row in q], dtype=np.complex128)
+            except OverflowError:
+                raise ValidationError(f"{path}: field {field!r} has an entry beyond the "
+                                      "float range") from None
             return f, q
         f = np.array([[_entry_to_complex(e, path, field) for e in row] for row in rows],
                      dtype=np.complex128)

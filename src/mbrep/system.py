@@ -1,6 +1,7 @@
 """Matrix systems with inner products: validation, the transfer fixed-point
-normalization, radical quotients, and decomposition into irreducible
-subsystems.
+normalization, radical quotients, and decomposition into form-orthogonal
+subsystems that admit no further orthogonal split (irreducible when the
+system is completely reducible; see ROADMAP.md, item 1).
 
 A system assigns a vector space to every letter and a linear map to every
 ordered letter pair (b, a) with ba != e; a form tuple assigns a Hermitian
@@ -93,9 +94,6 @@ class FormTuple:
     def identity(cls, dims: Sequence[int]) -> "FormTuple":
         return cls([np.eye(d, dtype=np.complex128) for d in dims])
 
-    def copy(self) -> "FormTuple":
-        return FormTuple([f.copy() for f in self.forms])
-
     def total_trace(self) -> float:
         return float(sum(np.trace(f).real for f in self.forms))
 
@@ -150,7 +148,6 @@ def validate(system: MatrixSystem) -> List[str]:
 
 def transfer_apply(system: MatrixSystem, forms: FormTuple) -> FormTuple:
     """One application of the transfer map: a -> sum_b H_ba^* B_b H_ba."""
-    n = len(system.alphabet)
     out = [np.zeros((d, d), dtype=np.complex128) for d in system.dims]
     for b, a, m in system.nonzero_pairs():
         fb = forms[b]
@@ -161,14 +158,13 @@ def transfer_apply(system: MatrixSystem, forms: FormTuple) -> FormTuple:
 
 
 def compatibility_residual(system: MatrixSystem, forms: FormTuple) -> float:
-    """Max-norm of transfer_apply(S, B) - B; zero exactly when compatible."""
+    """Max-norm of transfer_apply(S, B) - B; zero exactly when compatible,
+    and infinite when an entry of the difference is not finite."""
     image = transfer_apply(system, forms)
     res = 0.0
     for a in range(len(system.alphabet)):
-        diff = image[a] - forms[a]
-        if diff.size:
-            res = max(res, float(np.abs(diff).max()))
-    return res
+        res = np.abs(image[a] - forms[a]).max(initial=res)
+    return np.inf if np.isnan(res) else float(res)
 
 
 def _hermitize(forms: FormTuple) -> FormTuple:
@@ -244,36 +240,47 @@ def _power_iterate(system: MatrixSystem, start: FormTuple, tol: float,
     return best if best is not None else b, best_rho, best_res, max_iter
 
 
-def _transfer_matrix(system: MatrixSystem) -> Tuple[np.ndarray, List[Tuple[int, int]]]:
-    """Dense matrix of the transfer map on the (complex) tuple space."""
-    n = len(system.alphabet)
-    shapes = [(d, d) for d in system.dims]
-    offsets = []
-    run = 0
-    for d in system.dims:
-        offsets.append(run)
-        run += d * d
-    total = run
+#: weight of the off-diagonal elements of the Hermitian basis
+_HALF_ROOT = np.sqrt(0.5)
 
-    def vec(forms: FormTuple) -> np.ndarray:
-        return np.concatenate([forms[a].ravel() for a in range(n)])
 
-    cols = []
-    for a in range(n):
-        d = system.dims[a]
-        for i in range(d):
-            for j in range(d):
-                basis = [np.zeros(s, dtype=np.complex128) for s in shapes]
-                basis[a][i, j] = 1.0
-                cols.append(vec(transfer_apply(system, FormTuple(basis))))
-    return np.column_stack(cols) if total else np.zeros((0, 0)), offsets
+def _hermitian(x: np.ndarray, d: int) -> np.ndarray:
+    """The Hermitian d x d matrix with real coordinates ``x`` (the d x d grid,
+    row-major, on the last axis; leading axes are carried through) in a
+    Frobenius-orthonormal basis: grid entry (s, s) is e_ss, (s, t) with
+    s < t is (e_st + e_ts)/sqrt 2 and (t, s) is i (e_st - e_ts)/sqrt 2."""
+    x = x.reshape(x.shape[:-1] + (d, d))
+    upper = np.triu(x, 1) + 1j * np.tril(x, -1).swapaxes(-1, -2)
+    return np.tril(np.triu(x)) + _HALF_ROOT * (upper + upper.conj().swapaxes(-1, -2))
+
+
+def _hermitian_bases(dims: Sequence[int]) -> Tuple[List[np.ndarray], np.ndarray]:
+    """Every letter's basis of :func:`_hermitian`, stacked d * d x d x d, and
+    the letters' column offsets in the concatenated coordinates."""
+    offsets = np.concatenate([[0], np.cumsum([d * d for d in dims])]).astype(int)
+    return [_hermitian(np.eye(d * d), d) for d in dims], offsets
+
+
+def _transfer_matrix(system: MatrixSystem) -> Tuple[np.ndarray, np.ndarray]:
+    """Real matrix of the transfer map in the Hermitian coordinates of
+    :func:`_hermitian`, with the column offsets of the letters: block (a, b)
+    holds Re <P_a, H_ba^* P_b H_ba>_F over the basis elements P of letters a
+    and b.  The complex tuple space is the complexification of the
+    Hermitian one, so the spectrum and its multiplicities are those of the
+    map on complex tuples."""
+    bases, offsets = _hermitian_bases(system.dims)
+    mat = np.zeros((offsets[-1], offsets[-1]))
+    for b, a, m in system.nonzero_pairs():
+        image = m.conj().T @ bases[b] @ m
+        mat[offsets[a]:offsets[a + 1], offsets[b]:offsets[b + 1]] = np.tensordot(
+            bases[a].conj(), image, axes=([1, 2], [1, 2])).real
+    return mat, offsets
 
 
 def _dense_fixed_point(system: MatrixSystem) -> Tuple[FormTuple, float, float, bool]:
     """Exact leading eigenpair of the transfer map: spectral projection of
     the identity tuple onto the leading eigenspace.  Covers imprimitive
     systems whose peripheral spectrum makes plain power iteration cycle."""
-    n = len(system.alphabet)
     matrix, offsets = _transfer_matrix(system)
     lam, vecs = np.linalg.eig(matrix)
     radius = float(np.abs(lam).max())
@@ -285,19 +292,13 @@ def _dense_fixed_point(system: MatrixSystem) -> Tuple[FormTuple, float, float, b
         raise NormalizationError("no positive leading transfer eigenvalue found")
     rho = float(real_leads.real.max())
     sel = np.abs(lam - rho) <= 1e-8 * radius
-    identity_vec = np.concatenate([np.eye(d, dtype=np.complex128).ravel()
-                                   for d in system.dims])
-    coords = np.linalg.solve(vecs, identity_vec)
-    proj = vecs[:, sel] @ coords[sel]
-    forms = []
-    for a, d in enumerate(system.dims):
-        block = proj[offsets[a]: offsets[a] + d * d].reshape(d, d)
-        forms.append((block + block.conj().T) / 2)
-    b = FormTuple(forms)
+    identity = np.concatenate([np.eye(d).ravel() for d in system.dims])
+    coords = np.linalg.solve(vecs, identity)
+    proj = (vecs[:, sel] @ coords[sel]).real
     # clip roundoff negatives so the tuple is honestly positive semidefinite
     floored = []
-    for f in b.forms:
-        w, v = np.linalg.eigh(f)
+    for x, d in zip(np.split(proj, offsets[1:-1]), system.dims):
+        w, v = np.linalg.eigh(_hermitian(x, d))
         floored.append((v * np.clip(w, 0.0, None)) @ v.conj().T)
     b = _trace_normalize(FormTuple(floored))
     res = _max_diff(FormTuple([f / rho for f in transfer_apply(system, b).forms]), b)
@@ -526,9 +527,6 @@ class Component:
     forms: FormTuple
     bases: List[np.ndarray]
 
-    def dims(self) -> Tuple[int, ...]:
-        return self.system.dims
-
 
 class Decomposition(list):
     """The components of :func:`decompose`, with the solver's decisions:
@@ -542,65 +540,26 @@ class Decomposition(list):
         self.cascade = cascade
 
 
-#: weight of the off-diagonal elements of the Hermitian basis
-_HALF_ROOT = np.sqrt(0.5)
-
-
-def _hermitian(x: np.ndarray, d: int) -> np.ndarray:
-    """The Hermitian d x d matrix with real coordinates ``x`` (the d x d grid,
-    row-major) in a Frobenius-orthonormal basis: grid entry (s, s) is e_ss,
-    (s, t) with s < t is (e_st + e_ts)/sqrt 2 and (t, s) is
-    i (e_st - e_ts)/sqrt 2."""
-    x = x.reshape(d, d)
-    upper = np.triu(x, 1) + 1j * np.tril(x, -1).T
-    return np.diag(np.diag(x)) + _HALF_ROOT * (upper + upper.conj().T)
-
-
-def _hermitian_entries(d: int) -> Tuple[np.ndarray, ...]:
-    """Every nonzero entry k at (x, y) of every basis element (s, t) of
-    :func:`_hermitian`, as arrays x, y, s, t, Re k, Im k."""
-    s, (i, j) = np.arange(d), np.triu_indices(d, 1)
-    half, zero = np.full(len(i), _HALF_ROOT), np.zeros(len(i))
-    return (np.concatenate([s, i, j, i, j]), np.concatenate([s, j, i, j, i]),
-            np.concatenate([s, i, i, j, j]), np.concatenate([s, j, j, i, i]),
-            np.concatenate([np.ones(d), half, half, zero, zero]),
-            np.concatenate([np.zeros(d), zero, zero, half, -half]))
-
-
 def _hermitian_constraints(system: MatrixSystem) -> np.ndarray:
     """The real matrix of the commutant constraints E_b H_ba - H_ba E_a on
-    Hermitian tuples, assembled in place.
+    Hermitian tuples.
 
     Letter a owns d_a * d_a columns, one per coordinate of :func:`_hermitian`;
     the rows are the real parts and then the imaginary parts of every
-    E_b H_ba - H_ba E_a, row-major.  An entry k at (x, y) of a basis element
-    adds k times row y of H_ba to row x of K H_ba, and k times column x to
-    column y of H_ba K.
+    E_b H_ba - H_ba E_a, row-major, so a pair's rows against a basis element
+    P are those of P H_ba on letter b and of -H_ba P on letter a.
     """
-    dims = system.dims
-    offsets = np.concatenate([[0], np.cumsum([d * d for d in dims])]).astype(int)
+    bases, offsets = _hermitian_bases(system.dims)
     pairs = [(b, a, m) for b, a, m in system.nonzero_pairs() if m.size]
     nr = sum(m.size for _, _, m in pairs)
-    mat = np.zeros((2 * nr, int(offsets[-1])))
+    mat = np.zeros((2 * nr, offsets[-1]))
     row = 0
     for b, a, m in pairs:
-        db, da = m.shape
-
-        def views(c: int) -> List[np.ndarray]:
-            # real and imaginary rows of this pair against the columns of
-            # letter c, as [p, q, s, t]: constraint entry (p, q), grid (s, t)
-            return [mat[r:r + m.size, offsets[c]:offsets[c + 1]]
-                    .reshape(db, da, dims[c], dims[c], copy=False) for r in (row, nr + row)]
-
-        re, im = m.real, m.imag
-        x, y, s, t, kr, ki = _hermitian_entries(db)
-        lre, lim = views(b)
-        lre[x, :, s, t] = kr[:, None] * re[y] - ki[:, None] * im[y]
-        lim[x, :, s, t] = kr[:, None] * im[y] + ki[:, None] * re[y]
-        x, y, s, t, kr, ki = _hermitian_entries(da)
-        rre, rim = views(a)
-        rre[:, y, s, t] -= re[:, x] * kr - im[:, x] * ki
-        rim[:, y, s, t] -= im[:, x] * kr + re[:, x] * ki
+        left = (bases[b] @ m).reshape(-1, m.size).T
+        right = (m @ bases[a]).reshape(-1, m.size).T
+        for r, part in ((row, np.real), (nr + row, np.imag)):
+            mat[r:r + m.size, offsets[b]:offsets[b + 1]] += part(left)
+            mat[r:r + m.size, offsets[a]:offsets[a + 1]] -= part(right)
         row += m.size
     return mat
 
@@ -635,7 +594,7 @@ def _orthonormal_coordinates(system: MatrixSystem,
 def decompose(system: MatrixSystem, forms: FormTuple, seed: int = 0,
               tol: float = INVARIANCE_TOL) -> Decomposition:
     """Split a system with a strictly positive definite compatible form tuple
-    into pairwise form-orthogonal irreducible components.
+    into pairwise form-orthogonal components, none of which splits further.
 
     The system is written once in form-orthonormal coordinates
     (:func:`_orthonormal_coordinates`), where the forms are identities and
@@ -643,8 +602,10 @@ def decompose(system: MatrixSystem, forms: FormTuple, seed: int = 0,
     commuting with the maps.  The splitting engine diagonalizes a random
     such element; its eigenspaces are invariant, mutually orthogonal, and
     carry the restricted system, again with identity forms.  Recursion
-    stops when the commutant is one-dimensional, which certifies
-    irreducibility.
+    stops when the commutant is one-dimensional.  That rules out a
+    form-orthogonal split, but it certifies irreducibility only for a
+    completely reducible system, and a positive definite compatible form
+    does not make a system completely reducible (see ROADMAP.md, item 1).
     """
     res = compatibility_residual(system, forms)
     scale = max(forms.max_abs(), 1e-30)

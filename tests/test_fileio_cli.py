@@ -433,6 +433,63 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("validation failure:")
         assert str(path) in err[0] and field in err[0]
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e400", "[1, -Infinity]",
+                                         "1" + "0" * 400],
+                             ids=["nan", "infinity", "1e400", "pair", "long-integer"])
+    @pytest.mark.parametrize("where", ["map", "form", "vector"])
+    def test_non_finite_entry_exits_validation(self, where, literal, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        with open(cli._resolve("builtin:spherical2")) as fh:
+            doc = json.load(fh)
+        if where == "map":
+            doc["maps"]["a|b"] = [["@"]]
+            argv, field = ["normalize", "--input", str(path)], "maps.a|b"
+        elif where == "form":
+            doc["forms"]["b"] = [["@"]]
+            argv, field = ["decompose", "--input", str(path)], "forms.b"
+        else:
+            doc = {"depth": 1, "values": {"a": ["@"]}}
+            argv = ["coefficients", "--system", "builtin:spherical2", "--vector", str(path),
+                    "--words", "ab"]
+            field = "values.a"
+        path.write_text(json.dumps(doc).replace('"@"', literal))
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("validation failure:")
+        assert str(path) in err[0] and field in err[0]
+
+    @pytest.mark.parametrize("case", ["dims", "exact-entry"])
+    def test_number_beyond_float_range_exits_validation(self, case, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        name = "spherical2-unscaled" if case == "dims" else "spherical2-exact"
+        with open(cli._resolve(f"builtin:{name}")) as fh:
+            doc = json.load(fh)
+        if case == "dims":
+            doc["dims"]["a"], field = "@", "dims.a"
+        else:
+            doc["maps"]["a|b"], field = [["1e400"]], "maps.a|b"
+        path.write_text(json.dumps(doc).replace('"@"', "Infinity"))
+        assert cli.main(["normalize", "--input", str(path)]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("validation failure:")
+        assert str(path) in err[0] and field in err[0]
+
+    @pytest.mark.parametrize("trials", [0, 2])
+    def test_induce_prints_j_depths(self, trials, capsys):
+        code = cli.main(["induce", "--system", "builtin:spherical3",
+                         "--quotient", "builtin:index2-quotient", "--trials", str(trials)])
+        assert code == 0
+        values = [line.split("=", 1)[1] for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("J_depths=")]
+        assert len(values) == 1
+        if trials == 0:
+            assert values[0] == "none"
+        else:
+            # one depth per J result: f, the moved vector and the cut vector
+            depths = values[0].split(",")
+            assert len(depths) == 3 * trials
+            assert all(d.isdigit() and int(d) > 0 for d in depths)
+
     @pytest.mark.parametrize("argv", [
         ["normalize", "--input", "{dir}"],
         ["herz", "--system", "builtin:spherical2", "--vector", "builtin:seed-a",

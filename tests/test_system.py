@@ -5,9 +5,10 @@ from hypothesis import given, settings, strategies as st
 from mbrep.errors import DegenerateSystemError, ValidationError
 from mbrep.induce import induce_system
 from mbrep.subgroups import FiniteGroup, coset_table_from_quotient, schreier
-from mbrep.system import (FormTuple, MatrixSystem, Subsystem, _commutant_basis,
-                          _hermitian, _hermitian_constraints, _orthonormal_coordinates,
-                          compatibility_residual, decompose,
+from mbrep.system import (NORMALIZE_TOL, FormTuple, MatrixSystem, Subsystem,
+                          _commutant_basis, _dense_fixed_point, _hermitian,
+                          _hermitian_constraints, _orthonormal_coordinates, _power_iterate,
+                          _transfer_matrix, compatibility_residual, decompose,
                           find_invariant_subsystem, normalize,
                           radical_quotient, spherical_system,
                           subsystem_residual, transfer_apply, validate)
@@ -68,6 +69,21 @@ def loops_on_a_and_A():
 
 def triangular_system():
     return all_pairs_system(lambda b, a: [[0.5, 0.3], [0.0, 0.5]], [2] * N)
+
+
+def compatible_triangular_system():
+    """Every allowed pair (b, a) maps by [[1/sqrt 3, beta], [0, gamma]], with
+    beta 0.4, -0.4 and 0 over the successors b of a in ascending order and
+    gamma = sqrt((1 - 2 * 0.4^2) / 3), so the identity forms are compatible.
+    e_1 spans an invariant subsystem and its orthogonal complement does
+    not: the system is reducible but not completely reducible."""
+    gamma = np.sqrt((1 - 2 * 0.4 ** 2) / 3)
+    maps = {}
+    for a in range(N):
+        successors = [b for b in range(N) if A2.inv[a] != b]
+        for b, beta in zip(successors, (0.4, -0.4, 0.0)):
+            maps[(b, a)] = np.array([[1 / np.sqrt(3), beta], [0.0, gamma]], dtype=complex)
+    return MatrixSystem(A2, [2] * N, maps), FormTuple.identity([2] * N)
 
 
 class TestValidate:
@@ -204,6 +220,12 @@ class TestCompatibilityResidual:
         # letter a feeds three targets; doubling it perturbs their pullbacks
         assert compatibility_residual(system, bad) > 0.1
 
+    def test_nan_map_is_not_compatible(self):
+        system, forms = spherical_system(A2)
+        maps = {(b, a): m for b, a, m in system.nonzero_pairs()}
+        maps[(0, 0)] = np.array([[np.nan]])
+        assert not compatibility_residual(MatrixSystem(A2, system.dims, maps), forms) <= 1
+
 
 class TestRadicalQuotient:
     def test_strictly_pd_unchanged(self):
@@ -276,6 +298,16 @@ class TestInvariantSubsystems:
         system = triangular_system()
         complement = Subsystem([np.array([[0.0], [1.0]], dtype=complex)] * N)
         assert subsystem_residual(system, complement) > 0.1
+
+    def test_compatible_triangular_has_trivial_commutant(self):
+        # reducible, yet its selfadjoint commutant is the scalars
+        system, forms = compatible_triangular_system()
+        assert compatibility_residual(system, forms) <= 1e-15
+        axis = Subsystem([np.array([[1.0], [0.0]], dtype=complex)] * N)
+        complement = Subsystem([np.array([[0.0], [1.0]], dtype=complex)] * N)
+        assert subsystem_residual(system, axis) == 0
+        assert abs(subsystem_residual(system, complement) - 0.4) <= 1e-15
+        assert len(_commutant_basis(system)) == 1
 
 
 class TestDecompose:
@@ -467,6 +499,57 @@ class TestCommutantConstraints:
         assert system.dims == (15, 12, 4, 5)
         unit, _ = _orthonormal_coordinates(system, forms)
         assert _hermitian_constraints(unit).shape == (1792, 410)
+
+
+def hermitian_coordinates(forms):
+    """The real coordinates of a Hermitian tuple against
+    :func:`hermitian_basis`, letter after letter."""
+    return np.concatenate([[np.vdot(e, f).real for e in hermitian_basis(len(f))]
+                           for f in forms.forms])
+
+
+def random_complex_system(rng, dims, missing=0):
+    """Unnormalized random complex maps on every allowed pair of A2, with
+    ``missing`` of them dropped at random."""
+    maps = {(b, a): rng.normal(size=(dims[b], dims[a])) + 1j * rng.normal(size=(dims[b], dims[a]))
+            for b in range(N) for a in range(N) if A2.inv[a] != b}
+    for _ in range(missing):
+        keys = sorted(maps)
+        del maps[keys[int(rng.integers(len(keys)))]]
+    return MatrixSystem(A2, dims, maps)
+
+
+class TestDenseTransfer:
+    @pytest.mark.parametrize("build", [
+        lambda: cyclic3_induced_system()[0],
+        lambda: random_complex_system(np.random.default_rng(4), (2, 3, 1, 2), missing=1),
+    ], ids=["cyclic3", "random-missing-map"])
+    def test_columns_match_transfer_apply(self, build):
+        system = build()
+        mat, _ = _transfer_matrix(system)
+        dims = system.dims
+        j = 0
+        for c, d in enumerate(dims):
+            for e in hermitian_basis(d):
+                tuple_ = FormTuple([e if k == c else np.zeros((dk, dk)) for k, dk in enumerate(dims)])
+                want = hermitian_coordinates(transfer_apply(system, tuple_))
+                assert np.abs(mat[:, j] - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
+                j += 1
+        assert mat.shape == (j, j)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_dense_fixed_point_matches_power(self, seed):
+        rng = np.random.default_rng(seed)
+        dims = tuple(int(d) for d in rng.integers(1, 5, size=N))
+        system = random_complex_system(rng, dims, missing=int(seed % 3 == 0))
+        power, rho_power, res, _ = _power_iterate(system, FormTuple.identity(dims),
+                                                  NORMALIZE_TOL, 100_000)
+        assert res <= 1e-10
+        dense, rho_dense, _, degenerate = _dense_fixed_point(system)
+        assert not degenerate
+        assert abs(rho_dense - rho_power) <= 1e-10 * rho_power
+        for f, g in zip(dense.forms, power.forms):
+            assert np.abs(f - g).max() <= 1e-10
 
 
 def old_constraint_matrix(system, forms):
