@@ -13,7 +13,7 @@ import cmath
 import json
 import re
 from fractions import Fraction
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .subgroups import (CosetTable, FiniteGroup, SchreierData,
                         coset_table_from_quotient)
 from .system import FormTuple, MatrixSystem
 from .vfree import FreeProduct, VFGroupDatum, psl2z_datum
-from .words import Alphabet, Word
+from .words import DEFAULT_CAP, Alphabet, Word
 
 
 def _entry_to_complex(entry, path: str, field: str) -> complex:
@@ -48,7 +48,7 @@ def _complex_to_entry(z: complex):
     return [z.real, z.imag]
 
 
-_RAT = r"-?\d+(?:/\d+)?"
+_RAT = r"-?\d+(?:/\d*[1-9]\d*)?"
 _EXACT_RE = re.compile(rf"^({_RAT})?(?:(?:(?<=.)\+)?({_RAT})\*rt)?$")
 
 
@@ -56,7 +56,7 @@ def _parse_exact(entry: str, radicand) -> QuadExt:
     text = str(entry).replace(" ", "")
     try:
         return QuadExt(Fraction(text), 0, radicand)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         pass
     m = _EXACT_RE.match(text)
     if not m or (m.group(1) is None and m.group(2) is None):
@@ -86,11 +86,18 @@ def _require(doc: dict, key: str, path: str):
         raise ValidationError(f"{path}: missing field {key!r}") from None
 
 
-def _cast(kind: Callable, value, path: str, field: str):
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{path}: field {field!r} has bad value {value!r}") from None
+def _int(value, path: str, field: str) -> int:
+    """A JSON integer; floats, booleans and numeric strings are rejected."""
+    if type(value) is not int:
+        raise ValidationError(f"{path}: field {field!r} must be an integer, got {value!r}")
+    return value
+
+
+def _list(doc: dict, key: str, path: str) -> list:
+    value = _require(doc, key, path)
+    if not isinstance(value, list):
+        raise ValidationError(f"{path}: field {key!r} must be a JSON list")
+    return value
 
 
 def _table(doc: dict, key: str, path: str) -> dict:
@@ -106,18 +113,30 @@ def load_system(path: str) -> Tuple[MatrixSystem, Optional[FormTuple], Optional[
     """Read a system file; returns the float system, its forms when present,
     and the exact shadow when the file declares exact entries."""
     doc = _read_json(path)
-    alphabet = Alphabet(_require(doc, "alphabet", path),
-                        [tuple(p) for p in _require(doc, "involution", path)])
+    names, pairs = _list(doc, "alphabet", path), _list(doc, "involution", path)
+    try:
+        alphabet = Alphabet(names, pairs)
+    except ValidationError as err:
+        raise ValidationError(f"{path}: {err}") from None
     n = len(alphabet)
     dims_doc = doc.get("dims")
     if not isinstance(dims_doc, dict):
         raise ValidationError(f"{path}: system file needs a 'dims' table keyed by letter name")
     dims = [0] * n
+    dim_max = int(DEFAULT_CAP ** 0.5)  # a form holds dim**2 entries
     for name, d in dims_doc.items():
-        dims[alphabet.letter(name)] = _cast(int, d, path, f"dims.{name}")
+        if not 0 <= _int(d, path, f"dims.{name}") <= dim_max:
+            raise ValidationError(f"{path}: field 'dims.{name}' must lie in [0, {dim_max}], got {d}")
+        dims[alphabet.letter(name)] = d
 
     exact = bool(doc.get("exact"))
-    radicand = _cast(lambda r: Fraction(str(r)), doc.get("radicand", 1), path, "radicand")
+    try:
+        radicand = Fraction(str(doc.get("radicand", 1)))
+    except (ValueError, ZeroDivisionError):
+        radicand = None
+    if radicand is None or radicand <= 0:
+        raise ValidationError(
+            f"{path}: field 'radicand' must be a positive rational, got {doc.get('radicand')!r}")
 
     def parse_matrix(rows, shape, field: str) -> Tuple[np.ndarray, Optional[tuple]]:
         if (not isinstance(rows, list) or len(rows) != shape[0]
@@ -198,7 +217,7 @@ def save_system(path: str, system: MatrixSystem, forms: Optional[FormTuple] = No
 
 def load_vector(path: str, space: RepSpace) -> MultVector:
     doc = _read_json(path)
-    depth = _cast(int, doc.get("depth", 0), path, "depth")
+    depth = _int(doc.get("depth", 0), path, "depth")
     values = {}
     for text, entries in _table(doc, "values", path).items():
         w = Word.parse(space.alphabet, text)
@@ -211,7 +230,7 @@ def load_vector(path: str, space: RepSpace) -> MultVector:
 
 def load_exact_vector(path: str, exact_system: ExactSystem) -> ExactVector:
     doc = _read_json(path)
-    depth = _cast(int, doc.get("depth", 0), path, "depth")
+    depth = _int(doc.get("depth", 0), path, "depth")
     values = {}
     for text, entries in _table(doc, "values", path).items():
         w = Word.parse(exact_system.alphabet, text)
@@ -238,7 +257,7 @@ def load_quotient(path: str, alphabet: Alphabet) -> CosetTable:
     if not isinstance(spec, dict):
         raise ValidationError(f"{path}: quotient file needs a 'quotient' object")
     if "cyclic" in spec:
-        group = FiniteGroup.cyclic(_cast(int, spec["cyclic"], path, "quotient.cyclic"))
+        group = FiniteGroup.cyclic(_int(spec["cyclic"], path, "quotient.cyclic"))
     elif "table" in spec:
         table = spec["table"]
         n = len(table) if isinstance(table, list) else 0
@@ -252,7 +271,7 @@ def load_quotient(path: str, alphabet: Alphabet) -> CosetTable:
     images_doc = spec.get("images")
     if not isinstance(images_doc, dict):
         raise ValidationError(f"{path}: quotient needs an 'images' table keyed by letter name")
-    images = {alphabet.letter(name): _cast(int, v, path, f"quotient.images.{name}")
+    images = {alphabet.letter(name): _int(v, path, f"quotient.images.{name}")
               for name, v in images_doc.items()}
     return coset_table_from_quotient(alphabet, group, images)
 
@@ -279,7 +298,7 @@ def load_vf_datum(path_or_name: str) -> VFGroupDatum:
         return psl2z_datum()
     path = path_or_name
     doc = _read_json(path)
-    group = FreeProduct([_cast(int, m, path, "factors") for m in _require(doc, "factors", path)],
+    group = FreeProduct([_int(m, path, "factors") for m in _list(doc, "factors", path)],
                         list(_require(doc, "generators", path)))
     transversal = [group.parse(t) for t in _require(doc, "transversal", path)]
     basis_texts = list(_require(doc, "free_basis", path))

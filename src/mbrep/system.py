@@ -179,7 +179,7 @@ def _trace_normalize(forms: FormTuple) -> FormTuple:
 
 
 def _tuple_dot(x: FormTuple, y: FormTuple) -> float:
-    return float(sum(np.tensordot(a.conj(), b, axes=2).real for a, b in zip(x.forms, y.forms)))
+    return float(sum(np.vdot(a, b).real for a, b in zip(x.forms, y.forms)))
 
 
 def _max_diff(x: FormTuple, y: FormTuple) -> float:
@@ -619,12 +619,13 @@ def decompose(system: MatrixSystem, forms: FormTuple, seed: int = 0,
     unit, downs = _orthonormal_coordinates(system, forms)
     commutant = _commutant_basis(unit)
     cascade: List[float] = []
-    components = _decompose_rec(unit, commutant, downs, np.random.default_rng(seed), tol, cascade)
+    rng = np.random.default_rng(seed) if len(commutant) > 1 else None
+    components = _decompose_rec(unit, commutant, downs, rng, tol, cascade)
     return Decomposition(components, len(commutant), cascade)
 
 
 def _decompose_rec(system: MatrixSystem, commutant: List[List[np.ndarray]],
-                   carried: List[np.ndarray], rng: np.random.Generator,
+                   carried: List[np.ndarray], rng: Optional[np.random.Generator],
                    tol: float, cascade: List[float]) -> List[Component]:
     n = len(system.alphabet)
     if len(commutant) <= 1:

@@ -5,7 +5,8 @@ group words through the table, and induced matrix coefficients.
 Normal forms are alternating syllables (factor, exponent); the factorization
 table realizes t . s = basis_word . t' for every transversal element t and
 standard generator s, which lets any product be routed left to right while
-accumulating a free-subgroup word.
+accumulating a free-subgroup word.  Routing is a cocycle, route(t, lam mu) =
+route(t, lam) route(t', mu), so :func:`vf_gram` routes each element only once.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ class FreeProduct:
             if m < 2:
                 raise ValidationError(f"factor order {m} must be >= 2")
         for nm in names:
-            if len(nm) != 1:
+            if not isinstance(nm, str) or len(nm) != 1:
                 raise ValidationError(f"generator name {nm!r} must be a single character")
         if len(set(names)) != len(names):
             raise ValidationError("generator names must be distinct")
@@ -250,35 +251,41 @@ def vf_validate(datum: VFGroupDatum, probes: int = 500, seed: int = 0) -> List[s
     return problems
 
 
+def _induced_sum(coeff: Callable[[Word, MultVector, MultVector], complex],
+                 blocks: Dict[int, MultVector], carriers: Sequence[int],
+                 routes: Sequence[Tuple[Word, int]]) -> complex:
+    """Sum over the carriers t, routed to (word, end), of
+    ``coeff(word, blocks[end], blocks[t])``; an end without a block adds 0."""
+    total = 0.0 + 0.0j
+    for t, (word, end_idx) in zip(carriers, routes):
+        fe = blocks.get(end_idx)
+        if fe is not None:
+            total += coeff(word, fe, blocks[t])
+    return complex(total)
+
+
 def induce_to_vf(datum: VFGroupDatum, coeff: Callable[[Word, MultVector, MultVector], complex],
                  lam: Element, blocks: Dict[int, MultVector]) -> complex:
     """Matrix coefficient of the representation induced from the free
     subgroup, evaluated by routing ``lam`` through the factorization table:
     the term at transversal element t pairs the block at the routed endpoint,
     moved by the accumulated basis word, with the block at t."""
-    total = 0.0 + 0.0j
-    for t_idx in range(len(datum.transversal)):
-        ft = blocks.get(t_idx)
-        if ft is None:
-            continue
-        word, end_idx = datum.route(t_idx, lam)
-        fe = blocks.get(end_idx)
-        if fe is None:
-            continue
-        total += coeff(word, fe, ft)
-    return complex(total)
+    carriers = [t for t in range(len(datum.transversal)) if t in blocks]
+    return _induced_sum(coeff, blocks, carriers, [datum.route(t, lam) for t in carriers])
 
 
 def vf_gram(datum: VFGroupDatum, coeff: Callable[[Word, MultVector, MultVector], complex],
             elements: Sequence[Element], blocks: Dict[int, MultVector]) -> np.ndarray:
     """Gram matrix [phi(lam_i^-1 lam_j)] of the induced coefficient phi.
 
-    Many pairs share lam_i^-1 lam_j, and many routed terms share their
-    basis word and blocks, so the matrix keeps two memos: the value of
-    :func:`induce_to_vf` per distinct normal form, and the value of ``coeff``
-    per distinct (word, fe, ft) key (a ``MultVector`` hashes by identity).
-    Equal keys give equal values, so the matrix equals the plain double
-    loop's.
+    Routing is a Schreier cocycle, so lam_i^-1 is routed once from each
+    index t carrying a block, lam_j once from each transversal index, and
+    the route of lam_i^-1 lam_j from t is the free product of the two
+    halves; the loop over pairs does no group arithmetic.  Two memos keep
+    the value of :func:`induce_to_vf` per tuple of (word, end) over the
+    carrying t ascending, and the value of ``coeff`` per (word, fe, ft) (a
+    ``MultVector`` hashes by identity).  Equal keys give equal values,
+    summed in the same order, so the matrix equals the plain double loop.
     """
     memo: Dict[Tuple[Word, MultVector, MultVector], complex] = {}
 
@@ -290,17 +297,26 @@ def vf_gram(datum: VFGroupDatum, coeff: Callable[[Word, MultVector, MultVector],
         return val
 
     grp = datum.group
+    carriers = [t for t in range(len(datum.transversal)) if t in blocks]
     k = len(elements)
     g = np.zeros((k, k), dtype=np.complex128)
-    values: Dict[Element, complex] = {}
+    if not carriers:
+        return g
+    heads = [[datum.route(t, li) for t in carriers] for li in map(grp.inverse, elements)]
+    tails = [[datum.route(s, lj) for lj in elements] for s in range(len(datum.transversal))]
+    tail_ends = [[end_idx for _, end_idx in row] for row in tails]
+    values: Dict[Tuple[Tuple[Word, int], ...], complex] = {}
     for i in range(k):
-        li = grp.inverse(elements[i])
-        for j in range(k):
-            lam = grp.multiply(li, elements[j])
-            val = values.get(lam)
+        # entry j of carrier t's column is the route of lam_i^-1 lam_j from t
+        columns = [zip([multiply(word, tail) for tail, _ in tails[s]], tail_ends[s])
+                   for word, s in heads[i]]
+        row = []
+        for key in zip(*columns):
+            val = values.get(key)
             if val is None:
-                val = values[lam] = induce_to_vf(datum, cached, lam, blocks)
-            g[i, j] = val
+                val = values[key] = _induced_sum(cached, blocks, carriers, key)
+            row.append(val)
+        g[i] = row
     return g
 
 

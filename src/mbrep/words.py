@@ -30,18 +30,21 @@ class Alphabet:
         names = tuple(names)
         if len(names) < 4 or len(names) % 2 != 0:
             raise ValidationError(f"alphabet needs an even number >= 4 of letters, got {len(names)}")
+        for nm in names:
+            if not isinstance(nm, str) or len(nm) != 1:
+                raise ValidationError(f"alphabet letter name {nm!r} must be a single character")
         if len(set(names)) != len(names):
             raise ValidationError("alphabet letter names must be distinct")
-        for nm in names:
-            if len(nm) != 1:
-                raise ValidationError(f"letter name {nm!r} must be a single character")
         self.names = names
         self._index = {nm: i for i, nm in enumerate(names)}
         inv = [-1] * len(names)
-        for p, q in involution_pairs:
-            i, j = self._index[p], self._index[q]
+        for pair in involution_pairs:
+            try:
+                i, j = (self._index[nm] for nm in pair)
+            except (KeyError, TypeError, ValueError):
+                raise ValidationError(f"involution pair {pair!r} must name two letters") from None
             if i == j:
-                raise ValidationError(f"letter {p!r} cannot be its own inverse")
+                raise ValidationError(f"letter {names[i]!r} cannot be its own inverse")
             inv[i], inv[j] = j, i
         if any(v < 0 for v in inv):
             missing = [names[i] for i, v in enumerate(inv) if v < 0]
@@ -146,7 +149,8 @@ class Word:
         return self.letters[k]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Word) and self.letters == other.letters and self.alphabet == other.alphabet
+        return (isinstance(other, Word) and self.letters == other.letters
+                and (self.alphabet is other.alphabet or self.alphabet == other.alphabet))
 
     def __hash__(self) -> int:
         return hash(self.letters)
@@ -161,17 +165,17 @@ class Word:
 
 
 def multiply(x: Word, y: Word) -> Word:
-    """Product in the free group: concatenate and cancel inverse pairs."""
-    if x.alphabet != y.alphabet:
+    """Product in the free group; both factors are reduced, so only the
+    junction cancels, dropping a suffix of ``x`` and the prefix of ``y`` inverse to it."""
+    if x.alphabet is not y.alphabet and x.alphabet != y.alphabet:
         raise ValidationError("words over different alphabets")
+    xs, ys = x.letters, y.letters
     inv = x.alphabet.inv
-    out = list(x.letters)
-    for c in y.letters:
-        if out and out[-1] == inv[c]:
-            out.pop()
-        else:
-            out.append(c)
-    return Word._of(x.alphabet, tuple(out))
+    n, m = len(xs), len(ys)
+    k = 0
+    while k < n and k < m and xs[n - 1 - k] == inv[ys[k]]:
+        k += 1
+    return Word._of(x.alphabet, xs[:n - k] + ys[k:])
 
 
 def concat(x: Word, c: int) -> Word:

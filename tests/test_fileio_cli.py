@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mbrep import cli, fileio
 from mbrep._exact import exact_coefficient
@@ -77,6 +78,15 @@ class TestSystemFiles:
         system, _, _ = fileio.load_system(str(path))
         assert system.map(0, 2)[0, 0] == 0.5 - 0.25j
 
+    @pytest.mark.parametrize("entry", ["1/0", "1/0*rt", "1/2+1/00*rt"])
+    def test_zero_denominator_rejected(self, entry, tmp_path):
+        doc = _builtin_doc("spherical2-exact")
+        doc["maps"]["a|b"] = [[entry]]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError):
+            fileio.load_system(str(path))
+
     def test_exact_builtin(self):
         path = cli._resolve("builtin:spherical2-exact")
         system, forms, exact = fileio.load_system(path)
@@ -104,6 +114,54 @@ class TestVectorFiles:
         path.write_text(json.dumps({"depth": 1, "values": {"a": [1.0, 2.0]}}))
         with pytest.raises(ValidationError):
             fileio.load_vector(str(path), spherical_space)
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids,
+                                                               max_size=3),
+    max_leaves=8)
+
+
+@st.composite
+def mutated(draw, base: dict):
+    """``base`` with up to three edits, each replacing one value somewhere
+    inside it by arbitrary JSON or dropping one key."""
+    doc = json.loads(json.dumps(base))
+    for _ in range(draw(st.integers(1, 3))):
+        node = doc
+        while node:
+            key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+            child = node[key]
+            if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+                node = child
+                continue
+            if isinstance(node, dict) and draw(st.integers(0, 4)) == 0:
+                del node[key]
+            else:
+                node[key] = draw(JSON)
+            break
+    return doc
+
+
+def _builtin_doc(name):
+    with open(cli._resolve(f"builtin:{name}")) as fh:
+        return json.load(fh)
+
+
+class TestLoaderFuzz:
+    @settings(derandomize=True, max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(doc=JSON | mutated(_builtin_doc("spherical2")) | mutated(_builtin_doc("spherical2-exact"))
+           | mutated(_builtin_doc("seed-a")))
+    def test_any_document_loads_or_fails_validation(self, doc, spherical_space, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "fuzz.json"
+        path.write_text(json.dumps(doc))
+        for load in (fileio.load_system, lambda p: fileio.load_vector(p, spherical_space)):
+            try:
+                load(str(path))
+            except ValidationError:
+                pass
 
 
 class TestVFDatumFiles:
@@ -470,6 +528,55 @@ class TestCli:
             doc["maps"]["a|b"], field = [["1e400"]], "maps.a|b"
         path.write_text(json.dumps(doc).replace('"@"', "Infinity"))
         assert cli.main(["normalize", "--input", str(path)]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("validation failure:")
+        assert str(path) in err[0] and field in err[0]
+
+    @pytest.mark.parametrize("case,field,value", [
+        ("involution-string", "involution", "ab"),
+        ("involution-scalar", "involution", 7),
+        ("pair-of-three", "involution", [["a", "A", "b"], ["b", "B"]]),
+        ("pair-unknown-name", "involution", [["a", "X"], ["b", "B"]]),
+        ("alphabet-number", "alphabet", [1, "A", "b", "B"]),
+        ("dims-fraction", "dims", 1.5),
+        ("dims-bool", "dims", True),
+        ("dims-string", "dims", "2"),
+        ("depth-fraction", "depth", 1.5),
+        ("depth-bool", "depth", True),
+        ("cyclic-fraction", "quotient.cyclic", 2.5),
+        ("cyclic-string", "quotient.cyclic", "2"),
+        ("image-bool", "quotient.images", True),
+        ("factors-fraction", "factors", 2.0),
+        ("radicand-zero-denominator", "radicand", "1/0"),
+        ("radicand-negative", "radicand", -3),
+    ])
+    def test_malformed_structure_exits_validation(self, case, field, value, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        if field in ("alphabet", "involution", "dims", "radicand"):
+            with open(cli._resolve("builtin:spherical2-exact")) as fh:
+                doc = json.load(fh)
+            if field == "dims":
+                doc["dims"]["a"], field = value, "dims.a"
+            else:
+                doc[field] = value
+            argv = ["normalize", "--input", str(path)]
+        elif field == "depth":
+            doc = {"depth": value, "values": {}}
+            argv = ["coefficients", "--system", "builtin:spherical2", "--vector", str(path)]
+        elif field.startswith("quotient"):
+            quotient = {"cyclic": 2, "images": {"a": 1, "b": 0}}
+            if field == "quotient.cyclic":
+                quotient["cyclic"] = value
+            else:
+                quotient["images"]["a"], field = value, "quotient.images.a"
+            doc = {"quotient": quotient}
+            argv = ["induce", "--system", "builtin:spherical3", "--quotient", str(path)]
+        else:
+            doc = {"factors": [value, 3], "generators": ["s", "r"]}
+            argv = ["vf-induce", "--datum", str(path), "--system", "builtin:spherical2",
+                    "--vector", "builtin:seed-a"]
+        path.write_text(json.dumps(doc))
+        assert cli.main(argv) == cli.EXIT_VALIDATION
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("validation failure:")
         assert str(path) in err[0] and field in err[0]

@@ -215,6 +215,40 @@ class TestInducedCoefficients:
         assert np.array_equal(gram, naive)
         assert len(calls) > len(blocks) and set(calls.values()) == {1}
 
+    def test_gram_composed_routes_match_double_loop_on_all_blocks(self, datum):
+        # blocks on every transversal element, at depths 1 and 2: each pair's
+        # route is composed from the two halves for every carrier at once
+        rng = np.random.default_rng(23)
+        space, _ = random_system(rng, datum.basis_alphabet)
+        blocks = {u: random_vector(space, rng, depth=1 + u % 2) for u in range(6)}
+        grp = datum.group
+        elements = grp.ball(3)
+        gram = vf_gram(datum, coeff_fast, elements, blocks)
+        naive = np.array([[induce_to_vf(datum, coeff_fast,
+                                        grp.multiply(grp.inverse(li), lj), blocks)
+                           for lj in elements] for li in elements])
+        assert np.array_equal(gram, naive)
+
+    def test_gram_routes_each_element_once_per_index(self, datum, block_space, monkeypatch):
+        calls = Counter()
+
+        def counted(cls, name):
+            original = getattr(cls, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counted(VFGroupDatum, "route")
+        counted(FreeProduct, "multiply")
+        blocks = self._blocks(datum, block_space, support=(0, 4))
+        elements = datum.group.ball(4)
+        vf_gram(datum, coeff_fast, elements, blocks)
+        k = len(elements)
+        assert calls["route"] <= k * (len(blocks) + len(datum.transversal))
+        assert calls["multiply"] <= k
+
     def test_unitarity_diagonal(self, datum, block_space):
         blocks = self._blocks(datum, block_space, support=(0, 1))
         norm2 = induce_to_vf(datum, coeff_fast, datum.group.identity, blocks)

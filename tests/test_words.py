@@ -98,6 +98,23 @@ def test_associativity_property(xs, ys, zs):
     assert multiply(multiply(x, y), z) == multiply(x, multiply(y, z))
 
 
+@settings(max_examples=300, derandomize=True)
+@given(words_strategy, words_strategy, st.integers(0, 8))
+def test_multiply_matches_letter_fold(xs, ys, overlap):
+    # y opens with the inverse of up to ``overlap`` trailing letters of x, so
+    # empty words, partial and full cancellation all occur
+    x = _reduce(xs)
+    undo = [A2.inv[c] for c in reversed(x.letters[max(0, len(x) - overlap):])]
+    y = _reduce(undo + ys)
+    assert multiply(x, y) == _reduce(list(x.letters) + list(y.letters))
+    assert multiply(x, Word(Alphabet.rank(2), y.letters)) == multiply(x, y)
+
+
+def test_multiply_rejects_other_alphabet():
+    with pytest.raises(ValidationError):
+        multiply(w("a"), Word(Alphabet.rank(3), (0,)))
+
+
 @settings(max_examples=200, derandomize=True)
 @given(words_strategy)
 def test_double_inverse_property(xs):
