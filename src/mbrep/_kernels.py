@@ -10,14 +10,15 @@ through it.
 The literal inner-product sum over a whole word sphere is the package's
 exponential inner loop.  ``brute_pairing`` seeds each geodesic cone of
 ``multrep.cone_walk`` with the (f, g) values at its roots and steps those
-pairs outward to two levels short of the truncation sphere.  The last two
-steps are folded into path kernels: a sphere word y = u.t, with t a path of
-one or two letters beyond u and M the product of the maps along t, has the
-term conj(g(u))^T K f(u) with K = M^T B^T conj(M) in row form, so each path's
-kernel pairs the rows of u's level directly and the two outer spheres are
-never formed.  The sum stays literal: every sphere word adds its own term,
-no kernels are added together and compatibility is never used.  It is the
-independent oracle for the cone-collapsed ``fast`` backend.
+pairs outward, in chunks of at most ``CHUNK_ROWS`` rows, to three levels
+short of the truncation sphere.  The last three steps are folded into path
+kernels: a sphere word y = u.t, with t a path of one to three letters beyond
+u and M the product of the maps along t, has the term conj(g(u))^T K f(u)
+with K = M^T B^T conj(M) in row form, so each path's kernel pairs the rows
+of u's level directly, the three outer spheres are never formed and memory
+does not grow with |x|.  The sum stays literal: every sphere word adds its
+own term, no kernels are added together and compatibility is never used.
+It is the independent oracle for the cone-collapsed ``fast`` backend.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 Level = Dict[int, Tuple[np.ndarray, Optional[List[Tuple[int, ...]]]]]
 
 #: the brute sum halves a level while its next step would exceed this many rows
-CHUNK_ROWS = 1 << 18
+CHUNK_ROWS = 1 << 15
 
 
 def level_step(maps, inv, level: Level) -> Level:
@@ -71,17 +72,16 @@ def _children(maps, inv, p: int):
 
 def _path_kernels(maps, inv, forms) -> List[List[List[np.ndarray]]]:
     """Per last letter p, the row-form kernels K = M^T B^T conj(M) of the
-    paths of 0, 1 and 2 letters beyond p, indexed by path length: M is the
-    product of the maps along the path and B the form of its last letter.  A
-    path through a ``None`` map is zero and has no kernel."""
+    paths of 0 to 3 letters beyond p, indexed by path length: M is the
+    product of the maps along the path, grown one letter at a time, and B the
+    form of its last letter.  A path through a ``None`` map has no kernel."""
     kernels = []
     for p in range(len(maps)):
-        by_length: List[List[np.ndarray]] = [[forms[p].T], [], []]
-        for c, m in _children(maps, inv, p):
-            by_length[1].append(m.T @ forms[c].T @ m.conj())
-            for c2, m2 in _children(maps, inv, c):
-                path = m2 @ m
-                by_length[2].append(path.T @ forms[c2].T @ path.conj())
+        by_length: List[List[np.ndarray]] = [[forms[p].T]]
+        paths = [(p, np.eye(len(forms[p])))]
+        for _ in range(3):
+            paths = [(c, m @ path) for q, path in paths for c, m in _children(maps, inv, q)]
+            by_length.append([path.T @ forms[c].T @ path.conj() for c, path in paths])
         kernels.append(by_length)
     return kernels
 
@@ -95,21 +95,18 @@ def _pair(kernel, rows) -> complex:
 
 def _pair_sum(maps, inv, kernels, level: Level, rest: int) -> complex:
     """Sum conj(g)^T B f over every word ``rest`` steps beyond a level of
-    stacked (f, g) rows of shape (2, n, d).  Within two steps of the sphere,
-    each path's kernel from :func:`_path_kernels` pairs the level's rows, one
-    term per sphere word; further out the level steps outward, halved first
-    when the next level would exceed ``CHUNK_ROWS`` rows."""
-    if rest <= 2:
+    stacked (f, g) rows of shape (2, n, d).  Within three steps of the
+    sphere, each path's kernel from :func:`_path_kernels` pairs the level's
+    rows, one term per sphere word; further out the level steps outward,
+    halved first when the next level would exceed ``CHUNK_ROWS`` rows."""
+    if rest <= 3:
         return sum(_pair(k, rows) for p, (rows, _) in level.items() for k in kernels[p][rest])
     width = sum(rows.shape[-2] for rows, _ in level.values())
     if width > 1 and width * (len(maps) - 1) > CHUNK_ROWS:
-        # split the level to bound the memory of the next step
-        total = 0.0 + 0.0j
-        for p, (rows, _) in level.items():
-            half = rows.shape[-2] // 2
-            for part in ((rows[:, :half], rows[:, half:]) if half else (rows,)):
-                total += _pair_sum(maps, inv, kernels, {p: (part, None)}, rest)
-        return total
+        # halve the level to bound the memory of the next step
+        return sum(_pair_sum(maps, inv, kernels, {p: (part, None)}, rest)
+                   for p, (rows, _) in level.items()
+                   for part in np.array_split(rows, min(2, rows.shape[-2]), axis=-2))
     return _pair_sum(maps, inv, kernels, level_step(maps, inv, level), rest - 1)
 
 
@@ -118,16 +115,15 @@ def brute_pairing(space, x, f, g, m_depth: int) -> complex:
 
     The sphere is partitioned into the cones of ``multrep.cone_walk``; each
     cone's (f, g) root values, read through one ``multrep.point_values``
-    evaluator per vector, are stepped out towards the sphere of radius
-    ``m_depth``; within two steps of it, the path kernels, built once per
-    call, pair each level's rows, one term per sphere word.
+    evaluator per vector, are stepped out in chunks towards the sphere of
+    radius ``m_depth``; within three steps of it, the path kernels, built
+    once per call, pair each level's rows, one term per sphere word.
     """
     from .multrep import cone_walk, point_values
 
     if m_depth < max(f.depth + len(x), g.depth):
         raise ValueError("truncation depth too small for the brute sum")
-    maps = space.system.maps
-    inv = space.alphabet.inv
+    maps, inv = space.system.maps, space.alphabet.inv
     kernels = _path_kernels(maps, inv, space.forms)
     f_at, g_at = point_values(f), point_values(g)
     total = 0.0 + 0.0j

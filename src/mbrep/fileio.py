@@ -86,24 +86,32 @@ def _require(doc: dict, key: str, path: str):
         raise ValidationError(f"{path}: missing field {key!r}") from None
 
 
-def _int(value, path: str, field: str) -> int:
-    """A JSON integer; floats, booleans and numeric strings are rejected."""
+#: the largest letter dimension or cyclic order: a form or group table holds its square
+_MAX_ORDER = int(DEFAULT_CAP ** 0.5)
+
+
+def _int(value, path: str, field: str, lo: float = -cmath.inf, hi: float = cmath.inf) -> int:
+    """A JSON integer in [lo, hi]; floats, booleans and numeric strings fail."""
     if type(value) is not int:
         raise ValidationError(f"{path}: field {field!r} must be an integer, got {value!r}")
+    if not lo <= value <= hi:
+        raise ValidationError(f"{path}: field {field!r} must lie in [{lo}, {hi}], got {value}")
     return value
 
 
-def _list(doc: dict, key: str, path: str) -> list:
+def _list(doc: dict, key: str, path: str, item=object) -> list:
+    """A required JSON list whose entries are all of type ``item``."""
     value = _require(doc, key, path)
-    if not isinstance(value, list):
-        raise ValidationError(f"{path}: field {key!r} must be a JSON list")
+    if not isinstance(value, list) or not all(isinstance(v, item) for v in value):
+        raise ValidationError(f"{path}: field {key!r} must be a JSON list"
+                              + ("" if item is object else f" of {item.__name__} entries"))
     return value
 
 
 def _table(doc: dict, key: str, path: str) -> dict:
-    """An optional field holding a JSON object keyed by name; absent reads
-    as empty."""
-    table = doc.get(key) or {}
+    """An optional field holding a JSON object keyed by name; absent or null
+    reads as empty."""
+    table = {} if doc.get(key) is None else doc[key]
     if not isinstance(table, dict):
         raise ValidationError(f"{path}: field {key!r} must be a JSON object")
     return table
@@ -123,11 +131,8 @@ def load_system(path: str) -> Tuple[MatrixSystem, Optional[FormTuple], Optional[
     if not isinstance(dims_doc, dict):
         raise ValidationError(f"{path}: system file needs a 'dims' table keyed by letter name")
     dims = [0] * n
-    dim_max = int(DEFAULT_CAP ** 0.5)  # a form holds dim**2 entries
     for name, d in dims_doc.items():
-        if not 0 <= _int(d, path, f"dims.{name}") <= dim_max:
-            raise ValidationError(f"{path}: field 'dims.{name}' must lie in [0, {dim_max}], got {d}")
-        dims[alphabet.letter(name)] = d
+        dims[alphabet.letter(name)] = _int(d, path, f"dims.{name}", 0, _MAX_ORDER)
 
     exact = bool(doc.get("exact"))
     try:
@@ -215,27 +220,28 @@ def save_system(path: str, system: MatrixSystem, forms: Optional[FormTuple] = No
         fh.write("\n")
 
 
-def load_vector(path: str, space: RepSpace) -> MultVector:
+def _vector_doc(path: str, alphabet: Alphabet, entry) -> Tuple[int, dict]:
+    """The depth of a vector file and its values, word -> list of entries,
+    each read by ``entry(e, field)``."""
     doc = _read_json(path)
-    depth = _int(doc.get("depth", 0), path, "depth")
-    values = {}
+    depth, values = _int(doc.get("depth", 0), path, "depth"), {}
     for text, entries in _table(doc, "values", path).items():
-        w = Word.parse(space.alphabet, text)
+        w = Word.parse(alphabet, text)
         if not isinstance(entries, list):
             raise ValidationError(f"{path}: field 'values.{text}' must be a list of entries")
-        values[w] = np.array([_entry_to_complex(e, path, f"values.{text}") for e in entries],
-                             dtype=np.complex128)
-    return MultVector(space, depth, values)
+        values[w] = [entry(e, f"values.{text}") for e in entries]
+    return depth, values
+
+
+def load_vector(path: str, space: RepSpace) -> MultVector:
+    depth, values = _vector_doc(path, space.alphabet, lambda e, fd: _entry_to_complex(e, path, fd))
+    return MultVector(space, depth, {w: np.array(v, np.complex128) for w, v in values.items()})
 
 
 def load_exact_vector(path: str, exact_system: ExactSystem) -> ExactVector:
-    doc = _read_json(path)
-    depth = _int(doc.get("depth", 0), path, "depth")
-    values = {}
-    for text, entries in _table(doc, "values", path).items():
-        w = Word.parse(exact_system.alphabet, text)
-        values[w] = tuple(_parse_exact(str(e), exact_system.radicand) for e in entries)
-    return ExactVector(exact_system, depth, values)
+    depth, values = _vector_doc(path, exact_system.alphabet,
+                                lambda e, _: _parse_exact(str(e), exact_system.radicand))
+    return ExactVector(exact_system, depth, {w: tuple(v) for w, v in values.items()})
 
 
 def save_vector(path: str, vector: MultVector) -> None:
@@ -257,14 +263,14 @@ def load_quotient(path: str, alphabet: Alphabet) -> CosetTable:
     if not isinstance(spec, dict):
         raise ValidationError(f"{path}: quotient file needs a 'quotient' object")
     if "cyclic" in spec:
-        group = FiniteGroup.cyclic(_int(spec["cyclic"], path, "quotient.cyclic"))
+        group = FiniteGroup.cyclic(_int(spec["cyclic"], path, "quotient.cyclic", 1, _MAX_ORDER))
     elif "table" in spec:
         table = spec["table"]
         n = len(table) if isinstance(table, list) else 0
         if not n or not all(isinstance(row, list) and len(row) == n
-                            and all(type(e) is int for e in row) for row in table):
-            raise ValidationError(
-                f"{path}: field 'quotient.table' must be a square list of integer lists")
+                            and all(type(e) is int and 0 <= e < n for e in row) for row in table):
+            raise ValidationError(f"{path}: field 'quotient.table' must be a square list of "
+                                  "lists of element indices")
         group = FiniteGroup(table)
     else:
         raise ValidationError(f"{path}: quotient needs either 'cyclic' or 'table' order data")
@@ -299,18 +305,16 @@ def load_vf_datum(path_or_name: str) -> VFGroupDatum:
     path = path_or_name
     doc = _read_json(path)
     group = FreeProduct([_int(m, path, "factors") for m in _list(doc, "factors", path)],
-                        list(_require(doc, "generators", path)))
-    transversal = [group.parse(t) for t in _require(doc, "transversal", path)]
-    basis_texts = list(_require(doc, "free_basis", path))
-    alphabet = Alphabet.rank(len(basis_texts))
-    basis = []
-    for t in basis_texts:
-        el = group.parse(t)
-        basis.extend([el, group.inverse(el)])
+                        _list(doc, "generators", path, str))
+    transversal = [group.parse(t) for t in _list(doc, "transversal", path, str)]
+    elements = [group.parse(t) for t in _list(doc, "free_basis", path, str)]
+    alphabet = Alphabet.rank(len(elements))
+    basis = [e for el in elements for e in (el, group.inverse(el))]
     t_pos = {group.format(t): i for i, t in enumerate(transversal)}
     gen_pos = {nm: i for i, nm in enumerate(group.names)}
     table = {}
-    for key, val in _require(doc, "table", path).items():
+    _require(doc, "table", path)
+    for key, val in _table(doc, "table", path).items():
         try:
             t_txt, s_txt = key.split("|")
             table[(t_pos[t_txt], gen_pos[s_txt])] = (Word.parse(alphabet, val[1]), t_pos[val[0]])

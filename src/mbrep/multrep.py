@@ -15,8 +15,8 @@ cone.  ``fast`` pairs the values at the roots, because compatibility
 collapses each cone's tail sum onto its roots; one point evaluator per
 vector serves all its roots, so the geodesic is walked once.  ``brute``,
 the literal sphere-sum oracle (exponential, see ``_kernels``), steps the
-root values outward with the same level step as ``deepen`` to two levels
-short of the truncation sphere, where one kernel per path of the last two
+root values outward with the same level step as ``deepen`` to three levels
+short of the truncation sphere, where one kernel per path of the last three
 steps pairs each sphere word's term from the values at its prefix there.
 ``reference`` is the same literal sum word by word through
 :func:`sphere_coefficient`, which the exact mode in ``_exact`` shares; it
@@ -405,11 +405,11 @@ def coefficient(x: Word, f: MultVector, g: MultVector, backend: str = "fast",
     those of g through another, so each root branches off the value at its
     geodesic prefix, already stepped for an earlier cone, with one matvec
     per remaining letter, and the cost grows as O(|x|) matvecs.  ``brute``
-    steps the same root values outward with ``_kernels.level_step`` to two
-    levels short of the truncation sphere and pairs every sphere word there
-    through the kernel of its last one or two steps; each word still adds
-    its own term, so it stays the independent oracle, and its cost grows as
-    (|A|-1)^|x|;
+    steps the same root values outward with ``_kernels.level_step``, in
+    bounded chunks, to three levels short of the truncation sphere and pairs
+    every sphere word there through the kernel of its last one to three
+    steps; each word still adds its own term, so it stays the independent
+    oracle, and its cost grows as (|A|-1)^|x| but not its memory;
     ``reference`` is the plain word-by-word sum of
     :func:`sphere_coefficient`, which walks no cones, the small-case gate
     for both.

@@ -149,6 +149,30 @@ def _builtin_doc(name):
         return json.load(fh)
 
 
+def _psl2z_doc():
+    """The built-in PSL(2,Z) datum written as a datum file."""
+    datum = psl2z_datum()
+    grp = datum.group
+    return {
+        "name": "psl2z-copy",
+        "factors": list(grp.orders),
+        "generators": list(grp.names),
+        "transversal": [grp.format(t) for t in datum.transversal],
+        "free_basis": [grp.format(datum.basis_elements[0]),
+                       grp.format(datum.basis_elements[2])],
+        "table": {
+            f"{grp.format(datum.transversal[t])}|{grp.names[f]}":
+                [grp.format(datum.transversal[t2]), str(word)]
+            for (t, f), (word, t2) in datum.table.items()
+        },
+    }
+
+
+@pytest.fixture(scope="module")
+def exact_spherical():
+    return fileio.load_system(cli._resolve("builtin:spherical2-exact"))[2]
+
+
 class TestLoaderFuzz:
     @settings(derandomize=True, max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -163,26 +187,26 @@ class TestLoaderFuzz:
             except ValidationError:
                 pass
 
+    @settings(derandomize=True, max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(doc=JSON | mutated(_builtin_doc("index2-quotient")) | mutated(_psl2z_doc())
+           | mutated(_builtin_doc("seed-a")))
+    def test_quotient_datum_and_exact_vector_load_or_fail_validation(
+            self, doc, exact_spherical, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "fuzz.json"
+        path.write_text(json.dumps(doc))
+        for load in (lambda p: fileio.load_quotient(p, A2), fileio.load_vf_datum,
+                     lambda p: fileio.load_exact_vector(p, exact_spherical)):
+            try:
+                load(str(path))
+            except ValidationError:
+                pass
+
 
 class TestVFDatumFiles:
     def test_psl2z_roundtrip(self, tmp_path):
-        datum = psl2z_datum()
-        grp = datum.group
-        doc = {
-            "name": "psl2z-copy",
-            "factors": list(grp.orders),
-            "generators": list(grp.names),
-            "transversal": [grp.format(t) for t in datum.transversal],
-            "free_basis": [grp.format(datum.basis_elements[0]),
-                           grp.format(datum.basis_elements[2])],
-            "table": {
-                f"{grp.format(datum.transversal[t])}|{grp.names[f]}":
-                    [grp.format(datum.transversal[t2]), str(word)]
-                for (t, f), (word, t2) in datum.table.items()
-            },
-        }
         path = tmp_path / "datum.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(_psl2z_doc()))
         loaded = fileio.load_vf_datum(str(path))
         assert vf_validate(loaded) == []
         assert loaded.name == "psl2z-copy"
@@ -450,8 +474,8 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("resource cap:")
 
     @pytest.mark.parametrize("case", ["json", "dims", "depth", "factors", "values", "maps",
-                                      "table-scalar", "table-ragged", "entry-pair",
-                                      "entry-list", "map-rows"])
+                                      "table-scalar", "table-ragged", "table-entry",
+                                      "entry-pair", "entry-list", "map-rows"])
     def test_malformed_file_exits_validation(self, case, tmp_path, capsys):
         path = tmp_path / "bad.json"
         with open(cli._resolve("builtin:spherical2-unscaled")) as fh:
@@ -477,6 +501,8 @@ class TestCli:
                              induce, "quotient.table"),
             "table-ragged": ('{"quotient": {"table": [[0, 1], [1]], "images": {"a": 1, "b": 0}}}',
                              induce, "quotient.table"),
+            "table-entry": ('{"quotient": {"table": [[0, 1], [1, 10000000000000000000000]], '
+                            '"images": {"a": 1, "b": 0}}}', induce, "quotient.table"),
             "entry-pair": ('{"depth": 1, "values": {"a": [[1, "q"]]}}',
                            ["coefficients", "--system", "builtin:spherical2", "--vector", str(path)],
                            "values.a"),
@@ -545,8 +571,13 @@ class TestCli:
         ("depth-bool", "depth", True),
         ("cyclic-fraction", "quotient.cyclic", 2.5),
         ("cyclic-string", "quotient.cyclic", "2"),
+        ("cyclic-huge", "quotient.cyclic", 10 ** 12),
         ("image-bool", "quotient.images", True),
         ("factors-fraction", "factors", 2.0),
+        ("generators-scalar", "generators", 7),
+        ("transversal-number", "transversal", [1]),
+        ("free-basis-scalar", "free_basis", 5),
+        ("table-list", "table", []),
         ("radicand-zero-denominator", "radicand", "1/0"),
         ("radicand-negative", "radicand", -3),
     ])
@@ -572,7 +603,8 @@ class TestCli:
             doc = {"quotient": quotient}
             argv = ["induce", "--system", "builtin:spherical3", "--quotient", str(path)]
         else:
-            doc = {"factors": [value, 3], "generators": ["s", "r"]}
+            doc = _psl2z_doc()
+            doc[field] = [value, 3] if field == "factors" else value
             argv = ["vf-induce", "--datum", str(path), "--system", "builtin:spherical2",
                     "--vector", "builtin:seed-a"]
         path.write_text(json.dumps(doc))

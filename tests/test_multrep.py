@@ -13,7 +13,8 @@ from mbrep.multrep import (CrossedElement, MultVector, RepSpace, act,
                            gram_matrix, inner, norm, point_values, precompose, vadd,
                            vscale)
 from mbrep.system import MatrixSystem, normalize, spherical_system
-from mbrep.words import Alphabet, Cylinder, Word, ball, cylinder_image, multiply, refine, sphere
+from mbrep.words import (Alphabet, Cylinder, Word, ball, cylinder_image, multiply, refine,
+                         sphere, sphere_size)
 
 from helpers import random_system, random_vector, random_word
 
@@ -139,34 +140,69 @@ class TestCoefficient:
 
     def test_brute_chunked_sum_matches(self, monkeypatch):
         # a chunk bound of one row halves every level down to single rows
+        # before it steps, where the whole sum steps wider levels
+        widths = []
+        step = _kernels.level_step
+
+        def recording(maps, inv, level):
+            widths[-1].append(sum(rows.shape[-2] for rows, _ in level.values()))
+            return step(maps, inv, level)
+
+        monkeypatch.setattr(_kernels, "level_step", recording)
         rng = np.random.default_rng(41)
         for trial in range(4):
             space, _ = random_system(rng)
             f = random_vector(space, rng, depth=1 + trial % 2)
             g = random_vector(space, rng, depth=1)
             x = random_word(space.alphabet, rng, trial + 1)
-            m_depth = max(f.depth, g.depth) + len(x) + 1
+            m_depth = max(f.depth, g.depth) + len(x) + 4
+            widths.append([])
             whole = _kernels.brute_pairing(space, x, f, g, m_depth)
+            widths.append([])
             with monkeypatch.context() as patch:
                 patch.setattr(_kernels, "CHUNK_ROWS", 1)
                 split = _kernels.brute_pairing(space, x, f, g, m_depth)
+            assert max(widths[-2]) > 1 and set(widths[-1]) == {1}
             assert abs(whole - split) <= 1e-13
+
+    def test_brute_levels_stay_within_chunk_rows(self, seed_a, monkeypatch):
+        # criterion 03's sweep: the sphere three steps short of |x| = 12
+        # exceeds the chunk bound, yet no level the sum steps to holds more
+        # than CHUNK_ROWS rows, whatever |x|
+        widest = [0]
+        step = _kernels.level_step
+
+        def recording(maps, inv, level):
+            grown = step(maps, inv, level)
+            widest[0] = max(widest[0], sum(rows.shape[-2] for rows, _ in grown.values()))
+            return grown
+
+        monkeypatch.setattr(_kernels, "level_step", recording)
+        assert sphere_size(A2, seed_a.depth + 12 + 1 - 3) > _kernels.CHUNK_ROWS
+        for k in range(2, 13):
+            coefficient(w(("ab" * 7)[:k]), seed_a, seed_a, backend="brute")
+        assert 0 < widest[0] <= _kernels.CHUNK_ROWS
 
     @pytest.mark.parametrize("chunk_rows", [_kernels.CHUNK_ROWS, 1])
     def test_brute_pairing_matches_reference(self, chunk_rows, monkeypatch):
         # at the least truncation depth the cones through the end of x are
-        # paired where they start; one and two deeper, the path kernels pair
-        # them; three deeper, a level step comes before the kernels; a chunk
+        # paired where they start; one to three deeper, the path kernels pair
+        # them; four deeper, a level step comes before the kernels; a chunk
         # bound of one row also splits every level that steps
         monkeypatch.setattr(_kernels, "CHUNK_ROWS", chunk_rows)
-        rests = []
-        pair_sum = _kernels._pair_sum
+        rests, steps = [], [0]
+        pair_sum, step = _kernels._pair_sum, _kernels.level_step
 
         def recording(maps, inv, kernels, level, rest):
             rests.append(rest)
             return pair_sum(maps, inv, kernels, level, rest)
 
+        def stepping(maps, inv, level):
+            steps[0] += 1
+            return step(maps, inv, level)
+
         monkeypatch.setattr(_kernels, "_pair_sum", recording)
+        monkeypatch.setattr(_kernels, "level_step", stepping)
         rng = np.random.default_rng(59)
         space, _ = random_system(rng)
         # the same maps with one removed, renormalized to compatible forms
@@ -183,12 +219,15 @@ class TestCoefficient:
                 x = random_word(sp.alphabet, rng, length)
                 ref = coefficient(x, f, g, backend="reference")
                 least = max(f.depth + len(x), g.depth)
-                for m_depth in range(least, least + 4):
+                for m_depth in range(least, least + 5):
                     rests.clear()
+                    steps[0] = 0
                     assert abs(_kernels.brute_pairing(sp, x, f, g, m_depth) - ref) <= 1e-12
                     assert (0 in rests) == (m_depth == least)
-                    seen.update(min(rest, 3) for rest in rests)
-            assert {1, 2, 3} <= seen
+                    # a level steps exactly when the sum reaches a rest of 4 or more
+                    assert (steps[0] > 0) == (max(rests) >= 4)
+                    seen.update(min(rest, 4) for rest in rests)
+            assert {1, 2, 3, 4} <= seen
 
     def test_fast_walk_matches_per_root_sum(self):
         # the fast sum as it was: every root value evaluated from the
