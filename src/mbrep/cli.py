@@ -3,7 +3,8 @@ vf-induce, herz, demo-no-hc, selftest.
 
 Exit codes: 0 success, 1 validation failure, 2 mathematical-invariant
 failure, 3 resource cap.  CSV output uses '.' decimals with 15 significant
-digits and records the seed in its header, so identical configurations give
+digits.  Of the commands that write CSV only ``vf-induce`` reads a seed, and
+it records the seed in its header, so identical configurations give
 byte-identical reports.
 """
 
@@ -29,7 +30,7 @@ from .subgroups import schreier
 from .system import (NORMALIZE_TOL, compatibility_residual, decompose, normalize,
                      radical_quotient, validate)
 from .vfree import vf_gram, vf_validate
-from .words import DEFAULT_CAP, Word, ball, sphere
+from .words import DEFAULT_CAP, Alphabet, Word, ball, sphere
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -188,8 +189,7 @@ def cmd_coefficients(args) -> int:
     vec = fileio.load_vector(_resolve(args.vector), space)
     texts = [t for t in (args.words.split(",") if args.words else []) if t != ""]
     words = [Word.parse(space.alphabet, t) for t in texts]
-    meta = {"command": "coefficients", "backend": args.backend, "seed": args.seed,
-            "depth": vec.depth}
+    meta = {"command": "coefficients", "backend": args.backend, "depth": vec.depth}
     columns = ["word", "re", "im", "backend", "depth"]
     if args.backend == "both":
         columns.append("discrepancy")
@@ -214,7 +214,7 @@ def cmd_induce(args) -> int:
     sub_system, sub_forms, _ = fileio.load_system(_resolve(args.system))
     if sub_forms is None:
         raise ValidationError("subgroup system needs forms")
-    base = fileio.load_quotient(_resolve(args.quotient), _alphabet_for_quotient(args))
+    base = fileio.load_quotient(_resolve(args.quotient), Alphabet.rank(args.base_rank))
     data = schreier(base)
     if sub_system.alphabet != data.subgroup_alphabet:
         raise ValidationError(
@@ -276,15 +276,6 @@ def cmd_induce(args) -> int:
     return EXIT_OK
 
 
-def _alphabet_for_quotient(args):
-    system, _, _ = fileio.load_system(_resolve(args.base_system)) if args.base_system else (None, None, None)
-    if system is not None:
-        return system.alphabet
-    from .words import Alphabet
-
-    return Alphabet.rank(args.base_rank)
-
-
 def cmd_vf_induce(args) -> int:
     datum = fileio.load_vf_datum(args.datum if args.datum == "psl2z" else _resolve(args.datum))
     problems = vf_validate(datum, seed=args.seed)
@@ -324,8 +315,7 @@ def cmd_herz(args) -> int:
     space = _load_space(args.system)
     vec = fileio.load_vector(_resolve(args.vector), space)
     tol = 1e-9 if args.tolerance is None else args.tolerance
-    meta = {"command": "herz", "radius": args.radius, "seed": args.seed,
-            "tolerance": _fmt(tol)}
+    meta = {"command": "herz", "radius": args.radius, "tolerance": _fmt(tol)}
     report = Report(["x", "N", "lhs", "rhs", "margin", "pass"], meta)
     words = list(ball(space.alphabet, args.radius, cap=args.cap))
     mu = spectral_measure(vec, cap=args.cap)
@@ -343,8 +333,6 @@ def cmd_herz(args) -> int:
 
 def cmd_demo_no_hc(args) -> int:
     if args.uniform_rank is not None:
-        from .words import Alphabet
-
         alphabet = Alphabet.rank(args.uniform_rank)
         mu = uniform_measure(alphabet)
         source = f"uniform(rank {args.uniform_rank})"
@@ -383,7 +371,6 @@ def cmd_demo_no_hc(args) -> int:
 def cmd_selftest(args) -> int:
     """Compact seeded end-to-end checks over the shipped data."""
     from .system import spherical_system
-    from .words import Alphabet
 
     checks = []
     rng = np.random.default_rng(args.seed)
@@ -445,15 +432,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", required=True)
     p.add_argument("--vector", required=True)
     p.add_argument("--words", default="", help="comma-separated reduced words ('e' for identity)")
-    _flags(p, "cap", "seed", "backend", "output")
+    _flags(p, "cap", "backend", "output")
     p.set_defaults(fn=cmd_coefficients)
 
     p = sub.add_parser("induce", help="induce a subgroup system through a finite-quotient kernel")
     p.add_argument("--system", required=True, help="system over the subgroup generator alphabet")
     p.add_argument("--quotient", required=True)
     p.add_argument("--base-rank", type=int, default=2, help="rank of the ambient free group")
-    p.add_argument("--base-system", default=None,
-                   help="optional ambient system file fixing the ambient alphabet")
     p.add_argument("--trials", type=int, default=10, help="random checks of the intertwiner")
     _flags(p, "tolerance", "seed", "output")
     p.set_defaults(fn=cmd_induce)
@@ -470,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", required=True)
     p.add_argument("--vector", required=True)
     p.add_argument("--radius", type=int, default=3)
-    _flags(p, "tolerance", "cap", "seed", "output")
+    _flags(p, "tolerance", "cap", "output")
     p.set_defaults(fn=cmd_herz)
 
     p = sub.add_parser("demo-no-hc", help="decay table showing the majorizing measure depends on the vector")

@@ -7,20 +7,23 @@ transversal element and a subgroup generator whose combination u^-1 c' starts
 with ``a``; the induced map carries a block either by copying (when the
 shifted transversal element stays inside the transversal tree) or by applying
 the subgroup map attached to the unique Schreier generator crossing the tree
-boundary.
+boundary.  Both cases are read off one edge table of the layout.
 
 The intertwiner :func:`intertwiner_J` is one routing pass and one evaluated
-level: it routes the (prefix, transversal) pairs of the sphere levels 1, 2,
-... to their source blocks until every block argument h.j reaches its
-source depth, then evaluates that level only, through one
-:func:`~mbrep.multrep.point_values` evaluator per source block, so the
-arguments h.j that share h step out of h's value once.
+level.  It routes the (prefix, transversal) pairs of the sphere levels 1, 2,
+... to their source blocks, stepping each prefix's routes from its parent's
+through the same edge table (Reidemeister-Schreier rewriting run one letter
+at a time), until every block argument h.j reaches its source depth.  Then
+it evaluates that level only, through one :func:`~mbrep.multrep.point_values`
+evaluator per source block, so the arguments h.j that share h step out of
+h's value once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from itertools import accumulate
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -29,8 +32,7 @@ from .multrep import (MultVector, RepSpace, act, cylinder_op, inner, point_value
                       vscale, zero_vector)
 from .subgroups import SchreierData, rewrite_to_subgroup
 from .system import FormTuple, MatrixSystem
-from .words import (DEFAULT_CAP, Alphabet, Cylinder, Word, cylinder_image, multiply, sphere,
-                    sphere_size)
+from .words import DEFAULT_CAP, Alphabet, Cylinder, Word, cylinder_image, multiply, sphere_size
 
 
 @dataclass
@@ -38,18 +40,21 @@ class InducedLayout:
     """Block bookkeeping of the induced letter spaces.
 
     For each ambient letter: the ordered (transversal index, generator index)
-    pairs, the offset of each block, and the block dimensions.
+    pairs, the offset of each block, and the block dimensions.  For letter a
+    and transversal index v, ``edges[a][v]`` is (u, jc): u indexes the coset
+    v.a^-1 and jc is the Schreier generator u.a.v^-1 on its a-edge (-1 on a
+    tree edge).  ``root[v]`` is the :data:`Route` of (e, v), rewritten whole.
     """
 
     pairs: List[List[Tuple[int, int]]]
     offsets: List[List[int]]
     block_dims: List[List[int]]
     slot: List[Dict[Tuple[int, int], int]]
+    edges: List[List[Tuple[int, int]]]
+    root: List[Route]
 
     def letter_dim(self, a: int) -> int:
-        if not self.pairs[a]:
-            return 0
-        return self.offsets[a][-1] + self.block_dims[a][-1]
+        return sum(self.block_dims[a])
 
     def locate(self, a: int, u_idx: int, gen_idx: int) -> Tuple[int, int]:
         k = self.slot[a].get((u_idx, gen_idx))
@@ -60,23 +65,19 @@ class InducedLayout:
 
 
 def _build_layout(data: SchreierData, sub_dims: Tuple[int, ...]) -> InducedLayout:
-    n = len(data.table.alphabet)
-    pairs: List[List[Tuple[int, int]]] = [list(data.pairs[a]) for a in range(n)]
-    offsets: List[List[int]] = []
-    block_dims: List[List[int]] = []
-    slot: List[Dict[Tuple[int, int], int]] = []
-    for a in range(n):
-        offs, dims, pos = [], [], {}
-        run = 0
-        for k, (u_idx, j) in enumerate(pairs[a]):
-            offs.append(run)
-            dims.append(sub_dims[j])
-            pos[(u_idx, j)] = k
-            run += sub_dims[j]
-        offsets.append(offs)
-        block_dims.append(dims)
-        slot.append(pos)
-    return InducedLayout(pairs, offsets, block_dims, slot)
+    inv = data.table.alphabet.inv
+    pairs = [list(p) for p in data.pairs]
+    block_dims = [[sub_dims[j] for _, j in p] for p in pairs]
+    offsets = [list(accumulate(dims, initial=0))[:-1] for dims in block_dims]
+    slot = [{pair: k for k, pair in enumerate(p)} for p in pairs]
+    edges = []
+    for a in range(len(pairs)):
+        cosets = [data.table.step(data.coset_of_transversal(v_idx), inv[a])
+                  for v_idx in range(data.index)]
+        edges.append([(data.transversal_of_coset(c), data.edge_gen[c][a]) for c in cosets])
+    root = [(src_idx, rewrite_to_subgroup(h, data).letters) for src_idx, h in
+            (_decompose_element(data, t.inverse().letters) for t in data.transversal)]
+    return InducedLayout(pairs, offsets, block_dims, slot, edges, root)
 
 
 def induce_system(sub_system: MatrixSystem, sub_forms: FormTuple,
@@ -103,13 +104,9 @@ def induce_system(sub_system: MatrixSystem, sub_forms: FormTuple,
             if db == 0 or da == 0:
                 continue
             block = np.zeros((db, da), dtype=np.complex128)
-            for row_k, (v_idx, jd) in enumerate(layout.pairs[b]):
-                r_off = layout.offsets[b][row_k]
-                r_dim = layout.block_dims[b][row_k]
-                # the edge by letter a into the coset of v
-                coset = data.table.step(data.coset_of_transversal(v_idx), inv[a])
-                u_idx = data.transversal_of_coset(coset)
-                jc = data.edge_gen[coset][a]
+            for (v_idx, jd), r_off, r_dim in zip(layout.pairs[b], layout.offsets[b],
+                                                 layout.block_dims[b]):
+                u_idx, jc = layout.edges[a][v_idx]
                 if jc < 0:
                     # copy block: a tree edge keeps the block inside the tree
                     c_off, c_dim = layout.locate(a, u_idx, jd)
@@ -129,9 +126,7 @@ def induce_system(sub_system: MatrixSystem, sub_forms: FormTuple,
     forms = []
     for a in range(n):
         f = np.zeros((dims[a], dims[a]), dtype=np.complex128)
-        for k, (u_idx, j) in enumerate(layout.pairs[a]):
-            off = layout.offsets[a][k]
-            d = layout.block_dims[a][k]
+        for (_, j), off, d in zip(layout.pairs[a], layout.offsets[a], layout.block_dims[a]):
             f[off:off + d, off:off + d] = sub_forms[j]
         forms.append(f)
 
@@ -187,33 +182,28 @@ def induced_action(x: Word, f: InducedVector) -> InducedVector:
 #: deepest presentation depth the intertwiner's depth search tries
 MAX_INTERTWINER_DEPTH = 16
 
-# the routes of one sphere level: per prefix x and transversal index of u,
-# the source transversal index and the subgroup word h with
-# x . u^-1 = t_source . h (None where no block of x's words needs u)
-Routes = Dict[Tuple[int, ...], List[Optional[Tuple[int, Word]]]]
+#: the route of a prefix x and a transversal element u: the source transversal
+#: index and the letters of the reduced subgroup word h, x . u^-1 = t_source . h
+Route = Tuple[int, Tuple[int, ...]]
+# the routes of one sphere level: per prefix x, one route per transversal index
+Routes = Dict[Tuple[int, ...], List[Route]]
 
 
 def intertwiner_J(f: InducedVector, layout: InducedLayout,
-                  induced_space: RepSpace, depth: Optional[int] = None) -> MultVector:
+                  induced_space: RepSpace) -> MultVector:
     """The unitary identification of the induced space with the induced
     system's multiplicative vectors: the value at a word x.a collects, block
     by block, the source function at x u^-1 evaluated on the crossing
     generator.
 
-    One routing pass walks the sphere levels 1, 2, ... and only routes each
-    (prefix x, transversal u) pair to its source block and subgroup word h;
-    with ``depth=None`` it stops at the first level where every block
-    argument h.j is at least as long as its source block's depth (|h.j| is
-    read off h's letters).  An explicit ``depth`` that is too small raises
-    :class:`DepthError`.  Only the chosen level is evaluated, by one
-    :func:`~mbrep.multrep.point_values` evaluator per source block: the
-    block arguments h.j of one base h share the steps out to h.
+    One routing pass walks the sphere levels 1, 2, ... and routes each
+    (prefix x, transversal u) pair, stepped from x's parent through the
+    layout's edge table.  It stops at the first level where every block
+    argument h.j is at least as long as its source block's depth (else
+    :class:`DepthError` past ``MAX_INTERTWINER_DEPTH``) and evaluates that
+    level only, by one :func:`~mbrep.multrep.point_values` evaluator per
+    source block, so the arguments h.j of one h share the steps out to h.
     """
-    if depth is not None:
-        routes, bad = _route_level(f, layout, depth)
-        if bad is not None:
-            raise DepthError(f"depth {depth} too small to evaluate block at {bad}")
-        return _evaluate_level(f, layout, induced_space, depth, routes)
     for d in range(1, MAX_INTERTWINER_DEPTH + 1):
         routes, bad = _route_level(f, layout, d)
         if bad is None:
@@ -225,16 +215,34 @@ def intertwiner_J(f: InducedVector, layout: InducedLayout,
 
 def _next_letters(alphabet: Alphabet, x: Tuple[int, ...]) -> List[int]:
     """The letters a with x.a reduced, ascending (the sphere order)."""
-    if not x:
-        return list(range(len(alphabet)))
-    return [a for a in range(len(alphabet)) if a != alphabet.inv[x[-1]]]
+    return [a for a in range(len(alphabet)) if not x or a != alphabet.inv[x[-1]]]
 
 
 def _argument(h: Tuple[int, ...], j: int, sub_inv: Tuple[int, ...]) -> Tuple[int, ...]:
-    """The letters of the reduced subgroup word h.j.  h can end in j^-1 even
-    though x.a is reduced: the transversal element of the route may cancel
-    x and the crossing letter of generator j (index 2 at x = e, for one)."""
+    """The letters of the reduced subgroup word h.j: a block argument, or a
+    route stepped over a crossing edge.  h can end in j^-1 even though x.a
+    is reduced: the transversal element of the route may cancel x and the
+    crossing letter of generator j (index 2 at x = e, for one)."""
     return h[:-1] if h and h[-1] == sub_inv[j] else h + (j,)
+
+
+def _prefix_routes(data: SchreierData, layout: InducedLayout,
+                   length: int) -> Iterator[Tuple[Tuple[int, ...], List[Route]]]:
+    """Every reduced prefix x of the given length with its routes, in sphere
+    order, stepped depth-first from e.  With (u, jc) = ``layout.edges[a][v]``,
+    x.a.v^-1 = x.u^-1 . (u.a.v^-1): a tree edge keeps the route of (x, u),
+    and a crossing edge appends jc to its h."""
+    alphabet = data.table.alphabet
+    sub_inv = data.subgroup_alphabet.inv
+    stack = [((), layout.root)]
+    while stack:
+        x, rx = stack.pop()
+        if len(x) == length:
+            yield x, rx
+            continue
+        for a in reversed(_next_letters(alphabet, x)):
+            stack.append((x + (a,), [rx[u] if jc < 0 else (rx[u][0], _argument(rx[u][1], jc, sub_inv))
+                                     for u, jc in layout.edges[a]]))
 
 
 def _route_level(f: InducedVector, layout: InducedLayout,
@@ -253,21 +261,15 @@ def _route_level(f: InducedVector, layout: InducedLayout,
     if held > DEFAULT_CAP:
         raise CapExceededError(f"routing level {depth} would store {held} routes, "
                                f"cap is {DEFAULT_CAP}")
-    inverses = [t.inverse().letters for t in data.transversal]
     sub_inv = data.subgroup_alphabet.inv
     routes: Routes = {}
-    for xw in sphere(alphabet, depth - 1):
-        x = xw.letters
-        rx: List[Optional[Tuple[int, Word]]] = [None] * len(inverses)
+    for x, rx in _prefix_routes(data, layout, depth - 1):
         routes[x] = rx
         for a in _next_letters(alphabet, x):
             for u_idx, j in layout.pairs[a]:
-                route = rx[u_idx]
-                if route is None:
-                    src_idx, h = _decompose_element(data, x + inverses[u_idx])
-                    route = rx[u_idx] = (src_idx, rewrite_to_subgroup(h, data))
-                src = f.blocks.get(route[0])
-                if src is not None and len(_argument(route[1].letters, j, sub_inv)) < src.depth:
+                src_idx, h = rx[u_idx]
+                src = f.blocks.get(src_idx)
+                if src is not None and len(_argument(h, j, sub_inv)) < src.depth:
                     return routes, Word._of(alphabet, x + (a,))
     return routes, None
 
@@ -276,23 +278,21 @@ def _evaluate_level(f: InducedVector, layout: InducedLayout, induced_space: RepS
                     depth: int, routes: Routes) -> MultVector:
     alphabet = f.data.table.alphabet
     sub_inv = f.data.subgroup_alphabet.inv
-    slots = [[(u_idx, j, off, off + dim) for (u_idx, j), off, dim
-              in zip(layout.pairs[a], layout.offsets[a], layout.block_dims[a])]
-             for a in range(len(alphabet))]
     value_of = {src_idx: point_values(src) for src_idx, src in f.blocks.items()}
     values: Dict[Word, np.ndarray] = {}
     for x, rx in routes.items():
         for a in _next_letters(alphabet, x):
             out: Optional[np.ndarray] = None
-            for u_idx, j, lo, hi in slots[a]:
-                route = rx[u_idx]
-                if route is None or route[0] not in value_of:
+            for (u_idx, j), lo, dim in zip(layout.pairs[a], layout.offsets[a],
+                                           layout.block_dims[a]):
+                src_idx, h = rx[u_idx]
+                if src_idx not in value_of:
                     continue
-                val = value_of[route[0]](_argument(route[1].letters, j, sub_inv))
+                val = value_of[src_idx](_argument(h, j, sub_inv))
                 if val is not None and np.count_nonzero(val):
                     if out is None:
                         out = np.zeros(layout.letter_dim(a), dtype=np.complex128)
-                    out[lo:hi] = val
+                    out[lo:lo + dim] = val
             if out is not None:
                 values[Word._of(alphabet, x + (a,))] = out
     return MultVector._of(induced_space, depth, values)

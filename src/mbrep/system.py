@@ -27,6 +27,8 @@ FIXED_POINT_TOL = 1e-9
 INVARIANCE_TOL = 1e-8
 #: default fixed-point tolerance of :func:`normalize` and ``mbrep normalize``
 NORMALIZE_TOL = 1e-13
+#: power-iteration budget of :func:`normalize` (a tenth of it for the probe)
+NORMALIZE_MAX_ITER = 100_000
 
 
 class MatrixSystem:
@@ -231,12 +233,7 @@ def _power_iterate(system: MatrixSystem, start: FormTuple, tol: float,
         if stall > 200:
             # converged to the attainable floating-point plateau
             return best, best_rho, best_res, it
-        if it > max_iter // 2:
-            # damp possible period-two oscillation of an imprimitive system
-            mixed = FormTuple([(x + y / rho) / 2 for x, y in zip(b.forms, tb.forms)])
-            b = _trace_normalize(_hermitize(mixed))
-        else:
-            b = _trace_normalize(tb)
+        b = _trace_normalize(tb)
     return best if best is not None else b, best_rho, best_res, max_iter
 
 
@@ -306,7 +303,7 @@ def _dense_fixed_point(system: MatrixSystem) -> Tuple[FormTuple, float, float, b
     return b, rho, res, degenerate
 
 
-def normalize(system: MatrixSystem, tol: float = NORMALIZE_TOL, max_iter: int = 100_000,
+def normalize(system: MatrixSystem, tol: float = NORMALIZE_TOL,
               degeneracy_probe: bool = True, seed: int = 0) -> NormalizationResult:
     """Scale the system so the transfer map has spectral radius one and return
     a positive semidefinite fixed-point tuple (total trace one).
@@ -325,7 +322,8 @@ def normalize(system: MatrixSystem, tol: float = NORMALIZE_TOL, max_iter: int = 
     if any(d < 1 for d in system.dims):
         raise ValidationError("dimensions must be positive to normalize")
 
-    b, rho, res, iters = _power_iterate(system, FormTuple.identity(system.dims), tol, max_iter)
+    b, rho, res, iters = _power_iterate(system, FormTuple.identity(system.dims), tol,
+                                        NORMALIZE_MAX_ITER)
     degenerate = False
     solver = "power"
     if res > max(tol, 1e-10):
@@ -333,7 +331,7 @@ def normalize(system: MatrixSystem, tol: float = NORMALIZE_TOL, max_iter: int = 
         solver = "dense"
         if res > max(tol, 1e-10):
             raise NormalizationError(
-                f"no fixed point within {max_iter} iterations (residual {res:.3e})",
+                f"no fixed point within {NORMALIZE_MAX_ITER} iterations (residual {res:.3e})",
                 residual=res)
     if rho <= max(tol, 1e-12):
         raise DegenerateSystemError(f"spectral radius {rho:.3e} is numerically zero")
@@ -342,7 +340,7 @@ def normalize(system: MatrixSystem, tol: float = NORMALIZE_TOL, max_iter: int = 
         rng = np.random.default_rng(seed)
         probe = FormTuple([np.eye(d) + 0.5 * _random_psd(rng, d) for d in system.dims])
         try:
-            b2, rho2, res2, _ = _power_iterate(system, probe, 1e-9, max(1000, max_iter // 10))
+            b2, rho2, res2, _ = _power_iterate(system, probe, 1e-9, NORMALIZE_MAX_ITER // 10)
             if res2 <= 1e-8 and (abs(rho2 - rho) > 1e-6 * max(1.0, rho)
                                  or _max_diff(b, b2) > 1e-6):
                 degenerate = True

@@ -56,9 +56,10 @@ class Alphabet:
 
     @classmethod
     def rank(cls, r: int) -> "Alphabet":
-        """Standard alphabet of rank ``r``: a, A, b, B, ... with X = x^-1."""
-        if r < 2:
-            raise ValidationError(f"rank must be >= 2, got {r}")
+        """Standard alphabet of rank ``r``: a, A, b, B, ... with X = x^-1, so
+        ``r`` runs from 2 to 26, one lower-case letter per generator."""
+        if not 2 <= r <= 26:
+            raise ValidationError(f"rank must be between 2 and 26, got {r}")
         lowers = [chr(ord("a") + k) for k in range(r)]
         names: List[str] = []
         pairs = []

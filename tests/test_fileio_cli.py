@@ -413,6 +413,21 @@ class TestCli:
         assert word in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["demo-no-hc", "--uniform-rank", "1200000", "--word", "a"],
+        ["induce", "--system", "builtin:spherical3", "--quotient", "builtin:index2-quotient",
+         "--base-rank", "1200000"]], ids=["uniform-rank", "base-rank"])
+    def test_huge_rank_exits_validation(self, argv, tmp_path, capsys):
+        """A rank beyond the 26 letter names is one validation line, not an
+        exception out of building the letter names."""
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--output", str(out)]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("\n") == 1 and err.startswith("validation failure:")
+        assert "rank must be between 2 and 26" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("extra", [[], ["--uniform-rank", "0"],
                                        ["--system", "builtin:spherical2"]],
                              ids=["no-source", "rank-zero", "no-vector"])

@@ -137,7 +137,7 @@ class TestIntertwiner:
         rng = np.random.default_rng(5)
         f = rand_blocks(setup, rng, depth=2)
         jf = intertwiner_J(f, setup["layout"], setup["ind_space"])
-        deeper = intertwiner_J(f, setup["layout"], setup["ind_space"], depth=jf.depth + 1)
+        deeper = intertwine_at(f, setup["layout"], setup["ind_space"], jf.depth + 1)
         assert distance(deepen(jf, jf.depth + 1), deeper) <= 1e-10
 
     def test_intertwines_action(self, setup):
@@ -157,11 +157,12 @@ class TestIntertwiner:
         jf = intertwiner_J(f, setup["layout"], setup["ind_space"])
         assert abs(inner(jf, jf) - 1.0) <= 1e-10
 
-    def test_forced_depth_too_small(self, setup):
+    def test_forced_depth_too_small(self, setup, monkeypatch):
         rng = np.random.default_rng(11)
         f = rand_blocks(setup, rng, depth=3)
-        with pytest.raises(DepthError):
-            intertwiner_J(f, setup["layout"], setup["ind_space"], depth=1)
+        monkeypatch.setattr(induce, "MAX_INTERTWINER_DEPTH", 1)
+        with pytest.raises(DepthError, match="depth 1 too small"):
+            intertwiner_J(f, setup["layout"], setup["ind_space"])
 
     def test_route_count_held_against_cap(self, s3_setup, monkeypatch):
         # at index 6 a routing level stores 6 routes per word of the sphere
@@ -175,9 +176,9 @@ class TestIntertwiner:
         assert words < routes
         monkeypatch.setattr(induce, "DEFAULT_CAP", routes - 1)
         with pytest.raises(CapExceededError, match=f"store {routes} routes"):
-            intertwiner_J(f, *args, depth=jf.depth)
+            intertwiner_J(f, *args)
         monkeypatch.setattr(induce, "DEFAULT_CAP", routes)
-        assert distance(intertwiner_J(f, *args, depth=jf.depth), jf) == 0.0
+        assert distance(intertwiner_J(f, *args), jf) == 0.0
 
     def test_induced_action_unitary(self, setup):
         rng = np.random.default_rng(13)
@@ -287,7 +288,7 @@ class TestOnePassIntertwiner:
             assert_same_vector(intertwiner_J(cut, layout, space),
                                searched_J(cut, layout, space))
 
-    def test_cancelling_argument(self, setup):
+    def test_cancelling_argument(self, setup, monkeypatch):
         """x.a reduced does not keep a block argument h.j from cancelling: at
         index 2 the block (transversal a, generator aa) of the word a routes
         to h = (aa)^-1, so its argument is the identity, where no depth-1
@@ -303,38 +304,57 @@ class TestOnePassIntertwiner:
         assert induce._argument(hl, j, sub_inv) == ()
         f = rand_blocks(setup, np.random.default_rng(53))
         f = InducedVector(data, f.space, {src_idx: f.blocks[src_idx]})
-        with pytest.raises(DepthError):
-            intertwiner_J(f, layout, space, depth=1)
+        monkeypatch.setattr(induce, "MAX_INTERTWINER_DEPTH", 1)
+        with pytest.raises(DepthError, match="depth 1 too small"):
+            intertwiner_J(f, layout, space)
+        monkeypatch.undo()
         jf = intertwiner_J(f, layout, space)
         assert jf.depth == 2
         assert_same_vector(jf, searched_J(f, layout, space))
 
     def test_evaluates_one_level(self, cyclic3_setup, monkeypatch):
-        """The depth search evaluates nothing: choosing the depth costs no
-        point evaluation beyond those of a call at that depth given."""
+        """The depth search evaluates nothing: J makes one point evaluation
+        per block of the chosen level (every block of it has a source), each
+        at an argument at least as long as its source's depth."""
         layout, space = cyclic3_setup["layout"], cyclic3_setup["ind_space"]
         rng = np.random.default_rng(47)
         f = induced_action(w("ab"), rand_blocks(cyclic3_setup, rng))
+        assert len(f.blocks) == cyclic3_setup["data"].index
         calls = []
 
         def counting(src):
             value_at = point_values(src)
 
             def counted(letters):
-                calls.append(len(letters))
+                calls.append(len(letters) - src.depth)
                 return value_at(letters)
 
             return counted
 
         monkeypatch.setattr(induce, "point_values", counting)
         jf = intertwiner_J(f, layout, space)
-        searched = len(calls)
-        calls.clear()
-        intertwiner_J(f, layout, space, depth=jf.depth)
         assert jf.depth > 1
-        assert searched == len(calls) > 0
         blocks = sum(len(layout.pairs[y.last()]) for y in sphere(space.alphabet, jf.depth))
-        assert searched <= blocks
+        assert len(calls) == blocks > 0
+        assert min(calls) >= 0
+
+    @pytest.mark.parametrize("name", ["setup", "cyclic3_setup", "s3_setup"])
+    def test_stepped_routes_match_rewriting(self, name, request):
+        """The routes stepped through the layout's edge table equal the
+        routes rewritten from scratch, for every prefix of length 0 to 6 and
+        every transversal element, and come in sphere order."""
+        s = request.getfixturevalue(name)
+        data, layout = s["data"], s["layout"]
+        inverses = [t.inverse().letters for t in data.transversal]
+        for length in range(7):
+            prefixes = []
+            for x, rx in induce._prefix_routes(data, layout, length):
+                prefixes.append(x)
+                assert len(rx) == data.index
+                for u_idx, route in enumerate(rx):
+                    src_idx, h = _decompose_element(data, x + inverses[u_idx])
+                    assert route == (src_idx, rewrite_to_subgroup(h, data).letters)
+            assert prefixes == [y.letters for y in sphere(A2, length)]
 
 
 class TestBoundaryAction:

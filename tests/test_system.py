@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from mbrep.errors import DegenerateSystemError, ValidationError
 from mbrep.induce import induce_system
 from mbrep.subgroups import FiniteGroup, coset_table_from_quotient, schreier
-from mbrep.system import (NORMALIZE_TOL, FormTuple, MatrixSystem, Subsystem,
+from mbrep.system import (NORMALIZE_MAX_ITER, NORMALIZE_TOL, FormTuple, MatrixSystem, Subsystem,
                           _commutant_basis, _dense_fixed_point, _hermitian,
                           _hermitian_constraints, _orthonormal_coordinates, _power_iterate,
                           _transfer_matrix, compatibility_residual, decompose,
@@ -543,7 +543,7 @@ class TestDenseTransfer:
         dims = tuple(int(d) for d in rng.integers(1, 5, size=N))
         system = random_complex_system(rng, dims, missing=int(seed % 3 == 0))
         power, rho_power, res, _ = _power_iterate(system, FormTuple.identity(dims),
-                                                  NORMALIZE_TOL, 100_000)
+                                                  NORMALIZE_TOL, NORMALIZE_MAX_ITER)
         assert res <= 1e-10
         dense, rho_dense, _, degenerate = _dense_fixed_point(system)
         assert not degenerate

@@ -35,6 +35,12 @@ class TestAlphabet:
         with pytest.raises(ValidationError):
             Alphabet.rank(1)
 
+    def test_rank_bounded_by_the_letter_names(self):
+        assert Alphabet.rank(26).names[-2:] == ("z", "Z")
+        for r in (27, 1_200_000):
+            with pytest.raises(ValidationError, match="between 2 and 26"):
+                Alphabet.rank(r)
+
 
 class TestMultiply:
     def test_inverse_pair_cancels(self):
