@@ -7,32 +7,32 @@ transversal element and a subgroup generator whose combination u^-1 c' starts
 with ``a``; the induced map carries a block either by copying (when the
 shifted transversal element stays inside the transversal tree) or by applying
 the subgroup map attached to the unique Schreier generator crossing the tree
-boundary.  Both cases are read off one edge table of the layout.
+boundary.  Both cases are read off one edge table of the layout, which gives
+each block of each induced map its one source block.
 
-The intertwiner :func:`intertwiner_J` is one routing pass and one evaluated
-level.  It routes the (prefix, transversal) pairs of the sphere levels 1, 2,
-... to their source blocks, stepping each prefix's routes from its parent's
-through the same edge table (Reidemeister-Schreier rewriting run one letter
-at a time), until every block argument h.j reaches its source depth.  Then
-it evaluates that level only, through one :func:`~mbrep.multrep.point_values`
-evaluator per source block, so the arguments h.j that share h step out of
-h's value once.
+The intertwiner :func:`intertwiner_J` steps a block's argument h.j at a word
+x.a to the next level as the induced maps step values (Reidemeister-Schreier
+rewriting run one letter at a time): a copy block keeps the argument of its
+source block, a crossing block appends its generator.  So its depth is a
+min-plus recursion over the finite states (letter, block, source), and its
+level is stepped out in arrays, one copy or stacked product per block of
+each induced map, reading a source only where an argument reaches its depth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Dict, Iterator, List, Optional, Tuple
+from itertools import accumulate, product
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
 from .errors import CapExceededError, DepthError, LayoutError, ValidationError
 from .multrep import (MultVector, RepSpace, act, cylinder_op, inner, point_values, vadd,
-                      vscale, zero_vector)
+                      zero_vector)
 from .subgroups import SchreierData, rewrite_to_subgroup
 from .system import FormTuple, MatrixSystem
-from .words import DEFAULT_CAP, Alphabet, Cylinder, Word, cylinder_image, multiply, sphere_size
+from .words import DEFAULT_CAP, Cylinder, Word, cylinder_image, multiply
 
 
 @dataclass
@@ -43,41 +43,53 @@ class InducedLayout:
     pairs, the offset of each block, and the block dimensions.  For letter a
     and transversal index v, ``edges[a][v]`` is (u, jc): u indexes the coset
     v.a^-1 and jc is the Schreier generator u.a.v^-1 on its a-edge (-1 on a
-    tree edge).  ``root[v]`` is the :data:`Route` of (e, v), rewritten whole.
+    tree edge).  ``root[v]`` is the :data:`Route` of (e, v), rewritten whole;
+    ``first[a][k]`` holds the source and argument h.j of block k at the word
+    a; ``targets[a][ka]`` lists the (b, k, jc) where the map from a to b fills
+    block k of b from block ka of a, by a copy (jc = -1) or by generator jc.
     """
 
     pairs: List[List[Tuple[int, int]]]
     offsets: List[List[int]]
     block_dims: List[List[int]]
-    slot: List[Dict[Tuple[int, int], int]]
     edges: List[List[Tuple[int, int]]]
     root: List[Route]
+    first: List[List[Route]]
+    targets: List[List[List[Tuple[int, int, int]]]]
 
     def letter_dim(self, a: int) -> int:
         return sum(self.block_dims[a])
 
-    def locate(self, a: int, u_idx: int, gen_idx: int) -> Tuple[int, int]:
-        k = self.slot[a].get((u_idx, gen_idx))
-        if k is None:
-            raise LayoutError(
-                f"pair (transversal {u_idx}, generator {gen_idx}) missing under letter {a}")
-        return self.offsets[a][k], self.block_dims[a][k]
-
 
 def _build_layout(data: SchreierData, sub_dims: Tuple[int, ...]) -> InducedLayout:
     inv = data.table.alphabet.inv
+    sub_inv = data.subgroup_alphabet.inv
+    n = len(inv)
     pairs = [list(p) for p in data.pairs]
     block_dims = [[sub_dims[j] for _, j in p] for p in pairs]
     offsets = [list(accumulate(dims, initial=0))[:-1] for dims in block_dims]
     slot = [{pair: k for k, pair in enumerate(p)} for p in pairs]
     edges = []
-    for a in range(len(pairs)):
+    for a in range(n):
         cosets = [data.table.step(data.coset_of_transversal(v_idx), inv[a])
                   for v_idx in range(data.index)]
         edges.append([(data.transversal_of_coset(c), data.edge_gen[c][a]) for c in cosets])
     root = [(src_idx, rewrite_to_subgroup(h, data).letters) for src_idx, h in
             (_decompose_element(data, t.inverse().letters) for t in data.transversal)]
-    return InducedLayout(pairs, offsets, block_dims, slot, edges, root)
+    first = [[(root[v][0], _argument(root[v][1], j, sub_inv)) for v, j in p] for p in pairs]
+    targets = [[[] for _ in p] for p in pairs]
+    for b, a in product(range(n), range(n)):
+        for k, (v_idx, jd) in enumerate(pairs[b] if a != inv[b] else ()):
+            u_idx, jc = edges[a][v_idx]
+            if jc >= 0 and sub_inv[jc] == jd:
+                raise LayoutError("crossing generator pairs with an inverse letter")
+            # a tree edge copies the block of the same generator
+            pair = (u_idx, jd if jc < 0 else jc)
+            if pair not in slot[a]:
+                raise LayoutError(f"pair (transversal {pair[0]}, generator {pair[1]}) "
+                                  f"missing under letter {a}")
+            targets[a][slot[a][pair]].append((b, k, jc))
+    return InducedLayout(pairs, offsets, block_dims, edges, root, first, targets)
 
 
 def induce_system(sub_system: MatrixSystem, sub_forms: FormTuple,
@@ -90,38 +102,22 @@ def induce_system(sub_system: MatrixSystem, sub_forms: FormTuple,
         raise ValidationError("subgroup system is not over the Schreier generator alphabet")
     alphabet = data.table.alphabet
     n = len(alphabet)
-    inv = alphabet.inv
-    sub_inv = data.subgroup_alphabet.inv
     layout = _build_layout(data, sub_system.dims)
     dims = [layout.letter_dim(a) for a in range(n)]
 
     maps: Dict[Tuple[int, int], np.ndarray] = {}
-    for b in range(n):
-        for a in range(n):
-            if inv[a] == b:
-                continue
-            db, da = dims[b], dims[a]
-            if db == 0 or da == 0:
-                continue
-            block = np.zeros((db, da), dtype=np.complex128)
-            for (v_idx, jd), r_off, r_dim in zip(layout.pairs[b], layout.offsets[b],
-                                                 layout.block_dims[b]):
-                u_idx, jc = layout.edges[a][v_idx]
-                if jc < 0:
-                    # copy block: a tree edge keeps the block inside the tree
-                    c_off, c_dim = layout.locate(a, u_idx, jd)
-                    if c_dim != r_dim:
-                        raise LayoutError("copy block dimensions disagree")
-                    block[r_off:r_off + r_dim, c_off:c_off + c_dim] = np.eye(r_dim)
-                else:
-                    if sub_inv[jc] == jd:
-                        raise LayoutError("crossing generator pairs with an inverse letter")
-                    c_off, c_dim = layout.locate(a, u_idx, jc)
-                    m = sub_system.maps[jd][jc]
-                    if m is not None:  # None is a structurally zero subgroup map
-                        block[r_off:r_off + r_dim, c_off:c_off + c_dim] = m
-            if np.any(block != 0):
-                maps[(b, a)] = block
+    for a, fed_by_block in enumerate(layout.targets):
+        for ka, targets in enumerate(fed_by_block):
+            c_off, c_dim = layout.offsets[a][ka], layout.block_dims[a][ka]
+            for b, k, jc in targets:
+                r_off, r_dim = layout.offsets[b][k], layout.block_dims[b][k]
+                # a None subgroup map is structurally zero
+                m = np.eye(r_dim) if jc < 0 else sub_system.maps[layout.pairs[b][k][1]][jc]
+                if m is not None:
+                    block = maps.setdefault((b, a), np.zeros((dims[b], dims[a]),
+                                                             dtype=np.complex128))
+                    block[r_off:r_off + r_dim, c_off:c_off + c_dim] = m
+    maps = {ba: block for ba, block in maps.items() if np.any(block != 0)}
 
     forms = []
     for a in range(n):
@@ -185,8 +181,6 @@ MAX_INTERTWINER_DEPTH = 16
 #: the route of a prefix x and a transversal element u: the source transversal
 #: index and the letters of the reduced subgroup word h, x . u^-1 = t_source . h
 Route = Tuple[int, Tuple[int, ...]]
-# the routes of one sphere level: per prefix x, one route per transversal index
-Routes = Dict[Tuple[int, ...], List[Route]]
 
 
 def intertwiner_J(f: InducedVector, layout: InducedLayout,
@@ -194,28 +188,22 @@ def intertwiner_J(f: InducedVector, layout: InducedLayout,
     """The unitary identification of the induced space with the induced
     system's multiplicative vectors: the value at a word x.a collects, block
     by block, the source function at x u^-1 evaluated on the crossing
-    generator.
+    generator.  It is presented at the least depth where every block
+    argument h.j reaches its source block's depth (else :class:`DepthError`
+    past ``MAX_INTERTWINER_DEPTH``), found by :func:`_least_depth`, and that
+    level is evaluated in arrays by :func:`_evaluate_level`.
 
-    One routing pass walks the sphere levels 1, 2, ... and routes each
-    (prefix x, transversal u) pair, stepped from x's parent through the
-    layout's edge table.  It stops at the first level where every block
-    argument h.j is at least as long as its source block's depth (else
-    :class:`DepthError` past ``MAX_INTERTWINER_DEPTH``) and evaluates that
-    level only, by one :func:`~mbrep.multrep.point_values` evaluator per
-    source block, so the arguments h.j of one h share the steps out to h.
+    Both step arguments through ``layout.targets``: a copy block keeps the
+    argument of the block feeding it and a crossing block appends its
+    generator.  Once an argument ends in its block's generator no append
+    cancels, as no crossing block pairs a generator with its inverse (the
+    Nielsen property of a Schreier transversal).  A first-level argument
+    can end otherwise, where the transversal element cancels into the
+    crossing letter, and the next appends may cancel it further (at S3 with
+    a to a 3-cycle and b to a transposition, for one), so such an argument
+    is followed letter by letter until an append keeps its last letter.
     """
-    for d in range(1, MAX_INTERTWINER_DEPTH + 1):
-        routes, bad = _route_level(f, layout, d)
-        if bad is None:
-            return _evaluate_level(f, layout, induced_space, d, routes)
-    raise DepthError(
-        f"no admissible presentation depth up to {MAX_INTERTWINER_DEPTH}: "
-        f"depth {MAX_INTERTWINER_DEPTH} too small to evaluate block at {bad}")
-
-
-def _next_letters(alphabet: Alphabet, x: Tuple[int, ...]) -> List[int]:
-    """The letters a with x.a reduced, ascending (the sphere order)."""
-    return [a for a in range(len(alphabet)) if not x or a != alphabet.inv[x[-1]]]
+    return _evaluate_level(f, layout, induced_space, _least_depth(f, layout))
 
 
 def _argument(h: Tuple[int, ...], j: int, sub_inv: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -226,76 +214,121 @@ def _argument(h: Tuple[int, ...], j: int, sub_inv: Tuple[int, ...]) -> Tuple[int
     return h[:-1] if h and h[-1] == sub_inv[j] else h + (j,)
 
 
-def _prefix_routes(data: SchreierData, layout: InducedLayout,
-                   length: int) -> Iterator[Tuple[Tuple[int, ...], List[Route]]]:
-    """Every reduced prefix x of the given length with its routes, in sphere
-    order, stepped depth-first from e.  With (u, jc) = ``layout.edges[a][v]``,
-    x.a.v^-1 = x.u^-1 . (u.a.v^-1): a tree edge keeps the route of (x, u),
-    and a crossing edge appends jc to its h."""
-    alphabet = data.table.alphabet
-    sub_inv = data.subgroup_alphabet.inv
-    stack = [((), layout.root)]
-    while stack:
-        x, rx = stack.pop()
-        if len(x) == length:
-            yield x, rx
-            continue
-        for a in reversed(_next_letters(alphabet, x)):
-            stack.append((x + (a,), [rx[u] if jc < 0 else (rx[u][0], _argument(rx[u][1], jc, sub_inv))
-                                     for u, jc in layout.edges[a]]))
+def _stepped(layout: InducedLayout, a: int, ka: int, arg: Tuple[int, ...],
+             sub_inv: Tuple[int, ...]) -> Iterator[Tuple[int, int, Tuple[int, ...]]]:
+    """The blocks (b, k) that block ka of letter a feeds, each with its
+    argument one level on from ``arg``: kept, or with b's generator appended."""
+    for b, k, jc in layout.targets[a][ka]:
+        yield b, k, arg if jc < 0 else _argument(arg, layout.pairs[b][k][1], sub_inv)
 
 
-def _route_level(f: InducedVector, layout: InducedLayout,
-                 depth: int) -> Tuple[Routes, Optional[Word]]:
-    """Route the blocks of every word x.a on the sphere of radius ``depth``,
-    in sphere order.  Returns the routes and the first word with a block
-    argument shorter than its source depth, where the pass stops (None when
-    there is none).  Both the sphere and the routes it may store, one per
-    (prefix x, transversal u) pair, are held against the cap."""
-    data = f.data
-    alphabet = data.table.alphabet
-    if sphere_size(alphabet, depth) > DEFAULT_CAP:
-        raise CapExceededError(f"sphere of radius {depth} has {sphere_size(alphabet, depth)} "
-                               f"words, cap is {DEFAULT_CAP}")
-    held = sphere_size(alphabet, depth - 1) * len(data.transversal)
-    if held > DEFAULT_CAP:
-        raise CapExceededError(f"routing level {depth} would store {held} routes, "
-                               f"cap is {DEFAULT_CAP}")
-    sub_inv = data.subgroup_alphabet.inv
-    routes: Routes = {}
-    for x, rx in _prefix_routes(data, layout, depth - 1):
-        routes[x] = rx
-        for a in _next_letters(alphabet, x):
-            for u_idx, j in layout.pairs[a]:
-                src_idx, h = rx[u_idx]
-                src = f.blocks.get(src_idx)
-                if src is not None and len(_argument(h, j, sub_inv)) < src.depth:
-                    return routes, Word._of(alphabet, x + (a,))
-    return routes, None
+def _least_depth(f: InducedVector, layout: InducedLayout) -> int:
+    """The least sphere level at which every block argument with a source
+    in ``f`` reaches that source's depth, by a min-plus recursion over the
+    states (letter, block, source): a state keeps its shortest argument, the
+    shortest among the blocks feeding it, one letter longer on a crossing.
+    An argument that does not end in its block's generator is a state of
+    its own.  Every level up to the chosen one is held against the cap.
+    """
+    sub_inv = f.data.subgroup_alphabet.inv
+    n = len(layout.pairs)
+    width = sum(layout.letter_dim(a) for a in range(n))
+    level = [(a, k, s, arg) for a, firsts in enumerate(layout.first)
+             for k, (s, arg) in enumerate(firsts) if s in f.blocks]
+    for depth in range(1, MAX_INTERTWINER_DEPTH + 1):
+        held = (n - 1) ** (depth - 1) * width
+        if held > DEFAULT_CAP:
+            raise CapExceededError(f"intertwiner level {depth} would store {held} entries, "
+                                   f"cap is {DEFAULT_CAP}")
+        shortest: Dict[tuple, Tuple[int, ...]] = {}
+        for a, k, s, arg in level:
+            key = (a, k, s, None if arg[-1:] == (layout.pairs[a][k][1],) else arg)
+            if key not in shortest or len(arg) < len(shortest[key]):
+                shortest[key] = arg
+        if all(len(arg) >= f.blocks[s].depth for (_, _, s, _), arg in shortest.items()):
+            return depth
+        level = [(b, k, s, arg_to) for (a, ka, s, _), arg in shortest.items()
+                 for b, k, arg_to in _stepped(layout, a, ka, arg, sub_inv)]
+    raise DepthError(
+        f"no admissible presentation depth up to {MAX_INTERTWINER_DEPTH}: depth "
+        f"{MAX_INTERTWINER_DEPTH} too small, a block argument is shorter than its source depth")
 
 
 def _evaluate_level(f: InducedVector, layout: InducedLayout, induced_space: RepSpace,
-                    depth: int, routes: Routes) -> MultVector:
+                    depth: int) -> MultVector:
+    """The values of J f on the sphere of radius ``depth``, stepped out from
+    the words of length 1.  A level holds one array per letter, a row per
+    word ending in it (grouped by the parent's last letter) and its blocks
+    side by side; each block of each induced map fills its rows by one copy
+    or one stacked product.  A block is pending, with its argument, until
+    the argument ends in the block's generator and reaches its source's
+    depth; there it is read from the source table, or by a point evaluation
+    where a first-level argument is already longer.
+    """
     alphabet = f.data.table.alphabet
-    sub_inv = f.data.subgroup_alphabet.inv
-    value_of = {src_idx: point_values(src) for src_idx, src in f.blocks.items()}
-    values: Dict[Word, np.ndarray] = {}
-    for x, rx in routes.items():
-        for a in _next_letters(alphabet, x):
-            out: Optional[np.ndarray] = None
-            for (u_idx, j), lo, dim in zip(layout.pairs[a], layout.offsets[a],
-                                           layout.block_dims[a]):
-                src_idx, h = rx[u_idx]
-                if src_idx not in value_of:
-                    continue
-                val = value_of[src_idx](_argument(h, j, sub_inv))
-                if val is not None and np.count_nonzero(val):
-                    if out is None:
-                        out = np.zeros(layout.letter_dim(a), dtype=np.complex128)
-                    out[lo:lo + dim] = val
-            if out is not None:
-                values[Word._of(alphabet, x + (a,))] = out
-    return MultVector._of(induced_space, depth, values)
+    sub_alphabet = f.data.subgroup_alphabet
+    maps = f.space.system.maps
+    n = len(alphabet)
+    inv = alphabet.inv
+    dims = [layout.letter_dim(a) for a in range(n)]
+    value_at = {s: point_values(src) for s, src in f.blocks.items()}
+
+    def settle(a: int, values: np.ndarray, due: list, last: bool) -> list:
+        """Read the due (row, block, source, argument) of letter a, all of
+        them at the last level, into ``values``; return the still pending."""
+        pending = []
+        for row, k, s, arg in due:
+            src = f.blocks[s]
+            if not last and (arg[-1:] != (layout.pairs[a][k][1],) or len(arg) < src.depth):
+                pending.append((row, k, s, arg))
+                continue
+            v = (src.values.get(Word._of(sub_alphabet, arg)) if len(arg) == src.depth
+                 else value_at[s](arg))
+            lo = layout.offsets[a][k]
+            values[row, lo:lo + layout.block_dims[a][k]] = 0 if v is None else v
+        return pending
+
+    level = [np.zeros((1, d), dtype=np.complex128) for d in dims]
+    words = [np.array([[a]]) for a in range(n)]
+    due = [[(0, k, s, arg) for k, (s, arg) in enumerate(layout.first[a]) if s in f.blocks]
+           for a in range(n)]
+    for d in range(1, depth + 1):
+        if d > 1:
+            width = len(words[0])
+            level, previous = [np.empty(((n - 1) * width, dims[b]), dtype=np.complex128)
+                               for b in range(n)], level
+            due = [[] for _ in range(n)]
+            for a, fed_by_block in enumerate(layout.targets):
+                for ka, targets in enumerate(fed_by_block):
+                    lo_a = layout.offsets[a][ka]
+                    v = previous[a][:, lo_a:lo_a + layout.block_dims[a][ka]]
+                    for b, k, jc in targets:
+                        at = (a - (a > inv[b])) * width
+                        lo, jd = layout.offsets[b][k], layout.pairs[b][k][1]
+                        out = level[b][at:at + width, lo:lo + layout.block_dims[b][k]]
+                        if jc < 0:
+                            out[...] = v
+                        elif maps[jd][jc] is None:
+                            out[...] = 0
+                        else:
+                            np.matmul(maps[jd][jc], v[:, :, None], out=out[:, :, None])
+            for a, waiting in enumerate(pending):
+                for row, ka, s, arg in waiting:
+                    for b, k, arg_to in _stepped(layout, a, ka, arg, sub_alphabet.inv):
+                        due[b].append(((a - (a > inv[b])) * width + row, k, s, arg_to))
+            words = [np.concatenate([np.column_stack((words[a], np.full(width, b)))
+                                     for a in range(n) if a != inv[b]]) for b in range(n)]
+        pending = [settle(a, level[a], due[a], d == depth) for a in range(n)]
+
+    # sphere order is the lexicographic order of the letters
+    letters = np.concatenate(words)
+    live = np.concatenate([values.any(axis=1) for values in level])
+    order = np.lexsort(letters.T[::-1])
+    order = order[live[order]]
+    rows = [row for values in level for row in values]
+    return MultVector._of(induced_space, depth, {
+        Word._of(alphabet, key): rows[p]
+        for key, p in zip(map(tuple, letters[order].tolist()), order.tolist())})
 
 
 def boundary_pullback(data: SchreierData, z: Word) -> List[Word]:
@@ -356,20 +389,3 @@ def induced_boundary_op(f: InducedVector, z: Word) -> InducedVector:
         if not acc.is_zero():
             blocks[u_idx] = acc
     return InducedVector(data, f.space, blocks)
-
-
-def induced_distance(f: InducedVector, g: InducedVector) -> float:
-    """Norm distance in the induced space."""
-    total = 0.0
-    keys = set(f.blocks) | set(g.blocks)
-    for u in keys:
-        fv = f.blocks.get(u)
-        gv = g.blocks.get(u)
-        if fv is None:
-            diff = gv
-        elif gv is None:
-            diff = fv
-        else:
-            diff = vadd(fv, vscale(-1.0, gv))
-        total += max(inner(diff, diff).real, 0.0)
-    return float(np.sqrt(total))

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import MembershipError, ValidationError
-from .words import Alphabet, Word, concat, multiply
+from .words import MAX_RANK, Alphabet, Word, concat, multiply
 
 
 class FiniteGroup:
@@ -34,18 +34,20 @@ class FiniteGroup:
                 raise ValidationError(f"row/column {g} is not a permutation")
         self.table = t
         self.order = n
-        inv = np.full(n, -1, dtype=np.int64)
-        for g in range(n):
-            for h in range(n):
-                if t[g, h] == 0:
-                    inv[g] = h
-        self.inverse = inv
+        self.inverse = np.argmax(t == 0, axis=1)
 
     @classmethod
     def cyclic(cls, m: int) -> "FiniteGroup":
         if m < 1:
             raise ValidationError("cyclic order must be >= 1")
-        return cls([[(i + j) % m for j in range(m)] for i in range(m)])
+        # built valid, so the checks of __init__ are skipped
+        group = cls.__new__(cls)
+        k = np.arange(m)
+        group.table = np.add.outer(k, k)
+        np.subtract(group.table, m, out=group.table, where=group.table >= m)
+        group.order = m
+        group.inverse = (m - k) % m
+        return group
 
     def mul(self, g: int, h: int) -> int:
         return int(self.table[g, h])
@@ -196,11 +198,6 @@ class SchreierData:
     def coset_of_transversal(self, u_idx: int) -> int:
         return self._coset_of_transversal[u_idx]
 
-    def pair_words(self, a: int) -> List[Word]:
-        """The reduced words u^-1 . gen indexing the blocks at letter a."""
-        return [multiply(self.transversal[u_idx].inverse(), self.generator_words[j])
-                for u_idx, j in self.pairs[a]]
-
 
 def schreier(table: CosetTable) -> SchreierData:
     """Breadth-first shortlex transversal, Schreier generators, and block
@@ -212,6 +209,10 @@ def schreier(table: CosetTable) -> SchreierData:
     """
     alphabet = table.alphabet
     n_letters = len(alphabet)
+    rank = 1 + table.index * (n_letters // 2 - 1)  # the Schreier formula
+    if rank > MAX_RANK:
+        raise ValidationError(f"a subgroup of index {table.index} in the free group of rank "
+                              f"{n_letters // 2} has rank {rank}, letter names allow {MAX_RANK}")
 
     rep_of_coset: List[Optional[Word]] = [None] * table.index
     rep_of_coset[0] = Word.identity(alphabet)
@@ -255,12 +256,10 @@ def schreier(table: CosetTable) -> SchreierData:
         if letters not in placed:
             placed += [letters, inv_letters]
 
-    rank = len(placed) // 2
-    expected_rank = 1 + table.index * (n_letters // 2 - 1)
-    if rank != expected_rank:
+    if len(placed) != 2 * rank:
         raise ValidationError(
             f"Schreier generator count {len(placed)} contradicts the rank formula "
-            f"(expected rank {expected_rank})")
+            f"(expected rank {rank})")
     sub_alphabet = Alphabet.rank(rank)
     generator_words = [raw[letters][0] for letters in placed]
     generator_factors = [raw[letters][1] for letters in placed]

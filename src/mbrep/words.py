@@ -15,6 +15,9 @@ from .errors import CapExceededError, ValidationError
 #: default ceiling on the number of words any enumeration may materialize
 DEFAULT_CAP = 10_000_000
 
+#: the largest rank of a standard alphabet, one lower-case letter per generator
+MAX_RANK = 26
+
 
 class Alphabet:
     """Finite symmetric set of free generators with a fixed-point-free
@@ -57,9 +60,9 @@ class Alphabet:
     @classmethod
     def rank(cls, r: int) -> "Alphabet":
         """Standard alphabet of rank ``r``: a, A, b, B, ... with X = x^-1, so
-        ``r`` runs from 2 to 26, one lower-case letter per generator."""
-        if not 2 <= r <= 26:
-            raise ValidationError(f"rank must be between 2 and 26, got {r}")
+        ``r`` runs from 2 to :data:`MAX_RANK`."""
+        if not 2 <= r <= MAX_RANK:
+            raise ValidationError(f"rank must be between 2 and {MAX_RANK}, got {r}")
         lowers = [chr(ord("a") + k) for k in range(r)]
         names: List[str] = []
         pairs = []
@@ -341,22 +344,3 @@ def cylinder_image(x: Word, c: Cylinder) -> CylinderUnion:
     acc: List[Cylinder] = []
     _image_one(x, c.stem, acc)
     return CylinderUnion(acc)
-
-
-def union_image(x: Word, u: CylinderUnion) -> CylinderUnion:
-    parts: List[Cylinder] = []
-    for c in u:
-        parts.extend(cylinder_image(x, c))
-    return CylinderUnion(parts)
-
-
-def refine_union_stems(u: CylinderUnion, depth: int, cap: Optional[int] = DEFAULT_CAP) -> frozenset:
-    """Stems (as letter tuples) of the depth-``depth`` refinement of a union.
-
-    Canonical form used by tests to compare boundary sets.
-    """
-    stems = set()
-    for c in u:
-        for fine in refine(c, depth, cap=cap):
-            stems.add(fine.stem.letters)
-    return frozenset(stems)

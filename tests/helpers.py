@@ -2,9 +2,9 @@
 
 import numpy as np
 
-from mbrep.multrep import MultVector, RepSpace, inner, vscale
+from mbrep.multrep import MultVector, RepSpace, inner, vadd, vscale
 from mbrep.system import FormTuple, MatrixSystem, normalize
-from mbrep.words import Alphabet, Word, sphere
+from mbrep.words import Alphabet, CylinderUnion, Word, cylinder_image, multiply, refine, sphere
 
 
 def random_system(rng, alphabet=None, max_dim=3):
@@ -62,3 +62,35 @@ def s3_quotient(alphabet):
     table = [[index[tuple(q[p[k]] for k in range(3))] for q in perms] for p in perms]
     return FiniteGroup(table), {alphabet.letter("a"): index[(1, 0, 2)],
                                 alphabet.letter("b"): index[(1, 2, 0)]}
+
+
+def induced_distance(f, g):
+    """Norm distance of two vectors of an induced space in block form."""
+    total = 0.0
+    for u in set(f.blocks) | set(g.blocks):
+        fv, gv = f.blocks.get(u), g.blocks.get(u)
+        if fv is None:
+            diff = gv
+        elif gv is None:
+            diff = fv
+        else:
+            diff = vadd(fv, vscale(-1.0, gv))
+        total += max(inner(diff, diff).real, 0.0)
+    return float(np.sqrt(total))
+
+
+def union_image(x, u):
+    """The set x . U of a cylinder union U, as a cylinder union."""
+    return CylinderUnion(part for c in u for part in cylinder_image(x, c))
+
+
+def refine_union_stems(u, depth):
+    """Stems (as letter tuples) of the depth-``depth`` refinement of a
+    cylinder union: a canonical form to compare boundary sets."""
+    return frozenset(fine.stem.letters for c in u for fine in refine(c, depth))
+
+
+def pair_words(data, a):
+    """The reduced words u^-1 . gen indexing the induced blocks at letter a."""
+    return [multiply(data.transversal[u_idx].inverse(), data.generator_words[j])
+            for u_idx, j in data.pairs[a]]

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -426,6 +427,26 @@ class TestCli:
         assert "Traceback" not in err
         assert err.count("\n") == 1 and err.startswith("validation failure:")
         assert "rank must be between 2 and 26" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("order", [26, 3000])
+    def test_subgroup_rank_beyond_letter_names_exits_validation(self, order, tmp_path, capsys):
+        """A quotient whose kernel has more generators than letter names
+        fails in one validation line that names the index and the forced
+        rank 1 + index, before the Schreier generators are built."""
+        quotient = tmp_path / "q.json"
+        quotient.write_text(json.dumps({"quotient": {"cyclic": order,
+                                                     "images": {"a": 1, "b": 0}}}))
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        code = cli.main(["induce", "--system", "builtin:spherical3", "--quotient", str(quotient),
+                         "--output", str(out)])
+        assert time.perf_counter() - start < 1.0
+        assert code == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("\n") == 1 and err.startswith("validation failure:")
+        assert f"index {order} in the free group of rank 2 has rank {order + 1}" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("extra", [[], ["--uniform-rank", "0"],

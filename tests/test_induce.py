@@ -3,9 +3,9 @@ import pytest
 
 from mbrep import induce
 from mbrep.errors import CapExceededError, DepthError
-from mbrep.induce import (MAX_INTERTWINER_DEPTH, InducedVector, _decompose_element,
-                          boundary_pullback, induce_system, induced_action,
-                          induced_boundary_op, induced_distance, induced_inner,
+from mbrep.induce import (MAX_INTERTWINER_DEPTH, InducedVector, _argument,
+                          _decompose_element, boundary_pullback, induce_system,
+                          induced_action, induced_boundary_op, induced_inner,
                           intertwiner_J)
 from mbrep.multrep import (MultVector, RepSpace, act, coefficient, cylinder_op,
                            deepen, distance, evaluate, inner, point_values)
@@ -14,7 +14,7 @@ from mbrep.subgroups import (FiniteGroup, coset_table_from_quotient, rewrite_to_
 from mbrep.system import compatibility_residual, spherical_system, validate
 from mbrep.words import Alphabet, Word, multiply, sphere, sphere_size
 
-from helpers import s3_quotient
+from helpers import induced_distance, random_system, s3_quotient
 
 A2 = Alphabet.rank(2)
 
@@ -23,9 +23,15 @@ def w(text):
     return Word.parse(A2, text)
 
 
-def induced_setup(group, images):
+def induced_setup(group, images, rng=None):
+    """Induction through a quotient, from the spherical subgroup system or,
+    given ``rng``, from a seeded random one."""
     data = schreier(coset_table_from_quotient(A2, group, images))
-    sub_system, sub_forms = spherical_system(data.subgroup_alphabet)
+    if rng is None:
+        sub_system, sub_forms = spherical_system(data.subgroup_alphabet)
+    else:
+        space, _ = random_system(rng, data.subgroup_alphabet)
+        sub_system, sub_forms = space.system, space.forms
     ind_system, ind_forms, layout = induce_system(sub_system, sub_forms, data)
     return {
         "data": data,
@@ -46,9 +52,26 @@ def cyclic3_setup():
 
 
 @pytest.fixture(scope="module")
+def cyclic3_random_setup():
+    """Index 3 from a random subgroup system, whose values round differently
+    when the products are taken in another order."""
+    return induced_setup(FiniteGroup.cyclic(3), {A2.letter("a"): 1, A2.letter("b"): 0},
+                         np.random.default_rng(71))
+
+
+@pytest.fixture(scope="module")
 def s3_setup():
     """Induction through the non-abelian quotient S3 (index 6)."""
     return induced_setup(*s3_quotient(A2))
+
+
+@pytest.fixture(scope="module")
+def s3_swapped_setup():
+    """S3 with the letter images exchanged (a to a 3-cycle, b to a
+    transposition): here a crossing step after the first level cancels."""
+    group, images = s3_quotient(A2)
+    a, b = A2.letter("a"), A2.letter("b")
+    return induced_setup(group, {a: images[b], b: images[a]})
 
 
 def rand_blocks(setup_dict, rng, depth=1):
@@ -165,20 +188,21 @@ class TestIntertwiner:
             intertwiner_J(f, setup["layout"], setup["ind_space"])
 
     def test_route_count_held_against_cap(self, s3_setup, monkeypatch):
-        # at index 6 a routing level stores 6 routes per word of the sphere
-        # below it, twice the words of its own sphere
+        # the chosen level holds one row per word, as wide as the space of the
+        # word's last letter: at index 6, 21 entries per word on average, more
+        # than the 6 routes per word that the level search held
         rng = np.random.default_rng(17)
         f = rand_blocks(s3_setup, rng)
         args = (s3_setup["layout"], s3_setup["ind_space"])
         jf = intertwiner_J(f, *args)
-        words = sphere_size(A2, jf.depth)
-        routes = sphere_size(A2, jf.depth - 1) * len(s3_setup["data"].transversal)
-        assert words < routes
-        monkeypatch.setattr(induce, "DEFAULT_CAP", routes - 1)
-        with pytest.raises(CapExceededError, match=f"store {routes} routes"):
+        space = s3_setup["ind_space"]
+        entries = sum(space.dim(y.last()) for y in sphere(A2, jf.depth))
+        assert entries > sphere_size(A2, jf.depth) * len(s3_setup["data"].transversal)
+        monkeypatch.setattr(induce, "DEFAULT_CAP", entries - 1)
+        with pytest.raises(CapExceededError, match=f"level {jf.depth} would store {entries} entries"):
             intertwiner_J(f, *args)
-        monkeypatch.setattr(induce, "DEFAULT_CAP", routes)
-        assert distance(intertwiner_J(f, *args), jf) == 0.0
+        monkeypatch.setattr(induce, "DEFAULT_CAP", entries)
+        assert_same_vector(intertwiner_J(f, *args), jf)
 
     def test_induced_action_unitary(self, setup):
         rng = np.random.default_rng(13)
@@ -249,20 +273,71 @@ def intertwine_at(f, layout, induced_space, depth):
 
 
 def assert_same_vector(got, want):
+    """Same depth, same keys in the same order, and the same bits in every
+    value, down to the sign of a zero."""
     assert got.depth == want.depth
     assert list(got.values) == list(want.values)
     for word, v in want.values.items():
-        assert (got.values[word] == v).all()
+        assert got.values[word].dtype == v.dtype and got.values[word].tobytes() == v.tobytes()
+
+
+def prefix_routes(data, layout, length):
+    """Every reduced prefix x of the given length with its routes, in sphere
+    order, stepped depth-first from e.  With (u, jc) = ``layout.edges[a][v]``,
+    x.a.v^-1 = x.u^-1 . (u.a.v^-1): a tree edge keeps the route of (x, u),
+    and a crossing edge appends jc to its h."""
+    alphabet = data.table.alphabet
+    sub_inv = data.subgroup_alphabet.inv
+    stack = [((), layout.root)]
+    while stack:
+        x, rx = stack.pop()
+        if len(x) == length:
+            yield x, rx
+            continue
+        for a in reversed(next_letters(alphabet, x)):
+            stack.append((x + (a,), [rx[u] if jc < 0 else (rx[u][0], _argument(rx[u][1], jc, sub_inv))
+                                     for u, jc in layout.edges[a]]))
+
+
+def next_letters(alphabet, x):
+    """The letters a with x.a reduced, ascending (the sphere order)."""
+    return [a for a in range(len(alphabet)) if not x or a != alphabet.inv[x[-1]]]
+
+
+def level_arguments(data, layout, depth):
+    """Per word x.a of the sphere of radius ``depth``, in sphere order, the
+    (source index, argument letters) of each block of a, routed through
+    :func:`prefix_routes`."""
+    sub_inv = data.subgroup_alphabet.inv
+    for x, rx in prefix_routes(data, layout, depth - 1):
+        for a in next_letters(data.table.alphabet, x):
+            yield x + (a,), [(rx[u][0], _argument(rx[u][1], j, sub_inv))
+                             for u, j in layout.pairs[a]]
+
+
+def searched_depth(f, layout, levels=MAX_INTERTWINER_DEPTH):
+    """The intertwiner's depth as the level search found it: route the
+    sphere levels 1, 2, ... and stop at the first with no block argument
+    shorter than its source's depth.  Each inadmissible level stops at its
+    first short argument; None when none of ``levels`` levels is
+    admissible."""
+    for depth in range(1, levels + 1):
+        if all(s not in f.blocks or len(arg) >= f.blocks[s].depth
+               for _, args in level_arguments(f.data, layout, depth) for s, arg in args):
+            return depth
+    return None
 
 
 class TestOnePassIntertwiner:
-    """The one routing pass chooses the depth the per-depth search chose and
-    gives bit-identical values in the same key order."""
+    """J chooses the depth the per-depth search chose and gives bit-identical
+    values in the same key order; its depth recursion and its level steps
+    follow the routes that rewriting gives."""
 
     # S3 blocks of depth 3 reach depth 10, where the search takes minutes
     @pytest.mark.parametrize("name,block_depth", [
         ("setup", 1), ("setup", 2), ("setup", 3), ("cyclic3_setup", 1),
-        ("cyclic3_setup", 2), ("cyclic3_setup", 3), ("s3_setup", 1), ("s3_setup", 2)])
+        ("cyclic3_setup", 2), ("cyclic3_setup", 3), ("cyclic3_random_setup", 1),
+        ("cyclic3_random_setup", 2), ("s3_setup", 1), ("s3_setup", 2), ("s3_swapped_setup", 1)])
     def test_matches_search(self, name, block_depth, request):
         s = request.getfixturevalue(name)
         layout, space = s["layout"], s["ind_space"]
@@ -274,7 +349,8 @@ class TestOnePassIntertwiner:
 
     # S3 images reach depth 10 and more, where the search takes minutes
     @pytest.mark.parametrize("name,texts", [("setup", ("a", "Ba", "ab")),
-                                            ("cyclic3_setup", ("A", "ab"))])
+                                            ("cyclic3_setup", ("A", "ab")),
+                                            ("cyclic3_random_setup", ("b", "aB"))])
     def test_matches_search_on_images(self, name, texts, request):
         s = request.getfixturevalue(name)
         layout, space = s["layout"], s["ind_space"]
@@ -312,31 +388,35 @@ class TestOnePassIntertwiner:
         assert jf.depth == 2
         assert_same_vector(jf, searched_J(f, layout, space))
 
-    def test_evaluates_one_level(self, cyclic3_setup, monkeypatch):
-        """The depth search evaluates nothing: J makes one point evaluation
-        per block of the chosen level (every block of it has a source), each
-        at an argument at least as long as its source's depth."""
-        layout, space = cyclic3_setup["layout"], cyclic3_setup["ind_space"]
+    def test_evaluates_one_level(self, setup, monkeypatch):
+        """J makes no per-block point read beyond level 1: a point
+        evaluation reads only a first-level argument that is already longer
+        than its source's depth; every later value is a table read or a step
+        of the induced maps.  At index 2 such arguments exist, and a block
+        of the word a has an empty argument, so J goes deeper than 1."""
+        layout, space = setup["layout"], setup["ind_space"]
         rng = np.random.default_rng(47)
-        f = induced_action(w("ab"), rand_blocks(cyclic3_setup, rng))
-        assert len(f.blocks) == cyclic3_setup["data"].index
         calls = []
 
         def counting(src):
             value_at = point_values(src)
 
             def counted(letters):
-                calls.append(len(letters) - src.depth)
+                calls.append(letters)
                 return value_at(letters)
 
             return counted
 
         monkeypatch.setattr(induce, "point_values", counting)
-        jf = intertwiner_J(f, layout, space)
-        assert jf.depth > 1
-        blocks = sum(len(layout.pairs[y.last()]) for y in sphere(space.alphabet, jf.depth))
-        assert len(calls) == blocks > 0
-        assert min(calls) >= 0
+        plain = rand_blocks(setup, rng)
+        for f in (plain, induced_action(w("ab"), plain)):
+            calls.clear()
+            assert intertwiner_J(f, layout, space).depth > 1
+            longer = [arg for firsts in layout.first for s, arg in firsts
+                      if s in f.blocks and len(arg) > f.blocks[s].depth]
+            assert calls == longer
+            assert len(calls) < sum(len(p) for p in layout.pairs)
+            assert calls or f is not plain
 
     @pytest.mark.parametrize("name", ["setup", "cyclic3_setup", "s3_setup"])
     def test_stepped_routes_match_rewriting(self, name, request):
@@ -348,13 +428,84 @@ class TestOnePassIntertwiner:
         inverses = [t.inverse().letters for t in data.transversal]
         for length in range(7):
             prefixes = []
-            for x, rx in induce._prefix_routes(data, layout, length):
+            for x, rx in prefix_routes(data, layout, length):
                 prefixes.append(x)
                 assert len(rx) == data.index
                 for u_idx, route in enumerate(rx):
                     src_idx, h = _decompose_element(data, x + inverses[u_idx])
                     assert route == (src_idx, rewrite_to_subgroup(h, data).letters)
             assert prefixes == [y.letters for y in sphere(A2, length)]
+
+    @pytest.mark.parametrize("name", ["setup", "cyclic3_setup", "s3_setup", "s3_swapped_setup"])
+    def test_least_depth_matches_level_search(self, name, request, monkeypatch):
+        """The min-plus depth is the level search's depth: for blocks of
+        depth 1 to 3, for a vector with a block left out, and for images
+        under two cylinder operators and three translations.  The cap is
+        lifted, so that the depth search runs past the levels J may store."""
+        s = request.getfixturevalue(name)
+        layout = s["layout"]
+        rng = np.random.default_rng(59)
+        f = rand_blocks(s, rng)
+        cases = [rand_blocks(s, rng, depth=d) for d in (1, 2, 3)]
+        cases.append(InducedVector(s["data"], f.space, dict(list(f.blocks.items())[1:])))
+        cases += [induced_boundary_op(f, w(text)) for text in ("a", "ab")]
+        # translating a block by a long subgroup word takes a minute at the
+        # swapped S3 layout
+        if name != "s3_swapped_setup":
+            cases += [induced_action(w(text), f) for text in ("a", "Ba", "ab")]
+        monkeypatch.setattr(induce, "DEFAULT_CAP", 10 ** 15)
+        depths = []
+        for g in cases:
+            try:
+                depths.append(induce._least_depth(g, layout))
+            except DepthError:
+                depths.append(None)
+        for g, depth in zip(cases, depths):
+            # the search routes a whole admissible level, and an inadmissible
+            # one up to its first short argument: both take seconds at index 6
+            # past levels 8 and 11
+            if depth is not None and depth <= 8:
+                assert searched_depth(g, layout) == depth
+            elif depth is not None and depth <= 11:
+                assert searched_depth(g, layout, depth - 1) is None
+        assert None not in depths
+        if name == "s3_setup":
+            assert depths[-2] == 14  # moved by Ba; the level search stopped at its cap there
+
+    @pytest.mark.parametrize("name", ["setup", "cyclic3_setup", "s3_setup", "s3_swapped_setup"])
+    def test_arguments_step_through_the_feeding_blocks(self, name, request):
+        """Up to words of length 6, each block argument at x.a.b is the
+        argument of the block feeding it at x.a, kept on a copy and with the
+        block's generator appended on a crossing, and the append cancels
+        only where the feeding argument does not end in its block's
+        generator.  In the first three layouts no step after level 1
+        cancels; in the swapped S3 layout one does."""
+        s = request.getfixturevalue(name)
+        data, layout = s["data"], s["layout"]
+        sub_inv = data.subgroup_alphabet.inv
+        previous = dict(level_arguments(data, layout, 1))
+        assert previous == {(a,): layout.first[a] for a in range(len(A2))}
+        cancels = 0
+        for depth in range(2, 7):
+            current = dict(level_arguments(data, layout, depth))
+            for y, args in current.items():
+                a, b = y[-2], y[-1]
+                fed = [(k, ka, jc) for ka, targets in enumerate(layout.targets[a])
+                       for b_to, k, jc in targets if b_to == b]
+                assert sorted(k for k, _, _ in fed) == list(range(len(args)))
+                for k, ka, jc in fed:
+                    (s_to, arg), (s_from, arg_from) = args[k], previous[y[:-1]][ka]
+                    jd = layout.pairs[b][k][1]
+                    assert s_to == s_from
+                    if jc < 0:
+                        assert arg == arg_from
+                        continue
+                    assert arg == _argument(arg_from, jd, sub_inv)
+                    if len(arg) < len(arg_from):
+                        cancels += 1
+                        assert arg_from[-1:] != (layout.pairs[a][ka][1],)
+            previous = current
+        assert (cancels > 0) == (name == "s3_swapped_setup")
 
 
 class TestBoundaryAction:

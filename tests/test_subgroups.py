@@ -6,7 +6,7 @@ from mbrep.subgroups import (CosetTable, FiniteGroup, coset_table_from_quotient,
                              expand_from_subgroup, rewrite_to_subgroup, schreier)
 from mbrep.words import Alphabet, Word, multiply
 
-from helpers import random_word, s3_quotient
+from helpers import pair_words, random_word, s3_quotient
 
 A2 = Alphabet.rank(2)
 
@@ -105,7 +105,7 @@ class TestSchreier:
             "B": {"B", "BA"},
         }
         for name, want in expected.items():
-            got = {str(x) for x in data.pair_words(A2.letter(name))}
+            got = {str(x) for x in pair_words(data, A2.letter(name))}
             assert got == want
         total = sum(len(data.pairs[a]) for a in range(4))
         assert total == data.index * len(data.generator_words)
@@ -117,7 +117,7 @@ class TestSchreier:
         assert [str(x) for x in data.transversal] == ["e"]
         assert {str(g) for g in data.generator_words} == {"a", "A", "b", "B"}
         for name in "aAbB":
-            assert [str(x) for x in data.pair_words(A2.letter(name))] == [name]
+            assert [str(x) for x in pair_words(data, A2.letter(name))] == [name]
 
     def test_prefix_closed(self):
         for images in ({0: 1, 2: 0}, {0: 1, 2: 1}, {0: 0, 2: 1}):

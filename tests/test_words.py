@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from mbrep.errors import CapExceededError, ValidationError
 from mbrep.words import (Alphabet, Cylinder, CylinderUnion, Word, ball,
-                         cylinder_image, multiply, refine, refine_union_stems,
-                         sphere, sphere_size, union_image, word_index)
+                         cylinder_image, multiply, refine, sphere, sphere_size,
+                         word_index)
 
-from helpers import random_word
+from helpers import random_word, refine_union_stems, union_image
 
 A2 = Alphabet.rank(2)
 
