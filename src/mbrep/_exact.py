@@ -170,9 +170,9 @@ def exact_evaluate(f: ExactVector, w: Word) -> Tuple[QuadExt, ...]:
     return v
 
 
-def exact_coefficient(x: Word, f: ExactVector, g: ExactVector,
-                      cap: int = 200_000) -> QuadExt:
-    """Literal truncated sphere sum of the matrix coefficient, exactly."""
+def exact_coefficient(x: Word, f: ExactVector, g: ExactVector) -> QuadExt:
+    """Literal truncated sphere sum of the matrix coefficient, exactly, over
+    at most 200,000 sphere words."""
     system = f.system
 
     def pair(letter: int, fv: Tuple[QuadExt, ...], gv: Tuple[QuadExt, ...]) -> QuadExt:
@@ -181,7 +181,7 @@ def exact_coefficient(x: Word, f: ExactVector, g: ExactVector,
                     for j in range(d)), system.zero())
 
     return sphere_coefficient(system.alphabet, x, f, g, exact_evaluate, pair,
-                              system.zero(), cap)
+                              system.zero(), 200_000)
 
 
 def exact_inner(f: ExactVector, g: ExactVector) -> QuadExt:

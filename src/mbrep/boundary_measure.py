@@ -123,8 +123,7 @@ class HerzResult:
 
 
 def herz_check(v: MultVector, x: Word, depth: int, tol: float = 1e-9,
-               backend: str = "fast", mu: Optional[CylinderMeasure] = None,
-               cap: int = DEFAULT_CAP) -> HerzResult:
+               mu: Optional[CylinderMeasure] = None, cap: int = DEFAULT_CAP) -> HerzResult:
     """Majorization of the matrix coefficient by the quasi-regular
     coefficient of the vector's own spectral measure.
 
@@ -139,7 +138,7 @@ def herz_check(v: MultVector, x: Word, depth: int, tol: float = 1e-9,
     """
     if mu is None:
         mu = spectral_measure(v, cap=cap)
-    lhs = abs(coefficient(x, v, v, backend=backend, cap=cap))
+    lhs = abs(coefficient(x, v, v, cap=cap))
     rhs = quasi_regular_coefficient(mu, x, depth, cap=cap)
     return HerzResult(lhs, rhs, lhs <= rhs + tol)
 

@@ -3,9 +3,9 @@ vf-induce, herz, demo-no-hc, selftest.
 
 Exit codes: 0 success, 1 validation failure, 2 mathematical-invariant
 failure, 3 resource cap.  CSV output uses '.' decimals with 15 significant
-digits.  Of the commands that write CSV only ``vf-induce`` reads a seed, and
-it records the seed in its header, so identical configurations give
-byte-identical reports.
+digits.  No command that writes CSV reads a seed or draws a random number,
+so identical configurations give byte-identical reports.  Subcommands
+declare only the flags they read.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ def cmd_normalize(args) -> int:
             print(f"invalid: {p}", file=sys.stderr)
         return EXIT_VALIDATION
     tol = NORMALIZE_TOL if args.tolerance is None else args.tolerance
-    result = normalize(system, tol=tol, seed=args.seed)
+    result = normalize(system, tol=tol)
     print(f"spectral_radius={_fmt(result.spectral_radius)}")
     print(f"residual={_fmt(result.residual)}")
     print(f"solver={result.solver}")
@@ -278,7 +278,7 @@ def cmd_induce(args) -> int:
 
 def cmd_vf_induce(args) -> int:
     datum = fileio.load_vf_datum(args.datum if args.datum == "psl2z" else _resolve(args.datum))
-    problems = vf_validate(datum, seed=args.seed)
+    problems = vf_validate(datum)
     if problems:
         for p in problems:
             print(f"invalid datum: {p}", file=sys.stderr)
@@ -294,8 +294,11 @@ def cmd_vf_induce(args) -> int:
         return coefficient(w, u, v, cap=args.cap)
 
     elements = grp.ball(args.radius, cap=args.cap)
+    if len(elements) ** 2 > args.cap:
+        raise CapExceededError(f"the Gram matrix of the radius-{args.radius} ball has "
+                               f"{len(elements) ** 2} entries, cap {args.cap}")
     meta = {"command": "vf-induce", "datum": datum.name or args.datum,
-            "radius": args.radius, "seed": args.seed}
+            "radius": args.radius}
     report = Report(["lambda", "re", "im"], meta)
     gram = vf_gram(datum, coeff, elements, blocks)
     # the ball starts at the identity, so row 0 holds the values at each lambda
@@ -419,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("normalize", help="scale a system to transfer radius one and solve the fixed point")
     p.add_argument("--input", required=True)
-    _flags(p, "tolerance", "seed", "output")
+    _flags(p, "tolerance", "output")
     p.set_defaults(fn=cmd_normalize)
 
     p = sub.add_parser("decompose", help="split a system with forms into form-orthogonal "
@@ -448,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", required=True, help="system over the free-basis alphabet")
     p.add_argument("--vector", required=True, help="block vector at the identity coset")
     p.add_argument("--radius", type=int, default=3)
-    _flags(p, "cap", "seed", "output")
+    _flags(p, "cap", "output")
     p.set_defaults(fn=cmd_vf_induce)
 
     p = sub.add_parser("herz", help="majorization report over a word ball")

@@ -8,19 +8,20 @@ single words, one matvec per letter from the longest proper prefix it has
 already stepped through.  Every single-word read is such a walk, among them
 :func:`evaluate`, :func:`cylinder_op` and the spectral measure.
 
-Matrix coefficients come in three backends.  ``fast`` and ``brute`` share
-:func:`cone_walk`, which partitions the sphere into cones by where a word
-leaves the geodesic of the acting word and yields the root pairs of each
-cone.  ``fast`` pairs the values at the roots, because compatibility
+Matrix coefficients come in two backends, ``fast`` and ``brute``.  Both
+share :func:`cone_walk`, which partitions the sphere into cones by where a
+word leaves the geodesic of the acting word and yields the root pairs of
+each cone.  ``fast`` pairs the values at the roots, because compatibility
 collapses each cone's tail sum onto its roots; one point evaluator per
 vector serves all its roots, so the geodesic is walked once.  ``brute``,
 the literal sphere-sum oracle (exponential, see ``_kernels``), steps the
 root values outward with the same level step as ``deepen`` to three levels
 short of the truncation sphere, where one kernel per path of the last three
 steps pairs each sphere word's term from the values at its prefix there.
-``reference`` is the same literal sum word by word through
-:func:`sphere_coefficient`, which the exact mode in ``_exact`` shares; it
-walks no cones, so it checks the partition independently.
+:func:`sphere_coefficient` is the same literal sum word by word, over any
+scalar type; the exact mode in ``_exact`` evaluates through it, and the
+tests' reference oracle does too, which walks no cones and so checks the
+partition independently.
 """
 
 from __future__ import annotations
@@ -377,8 +378,8 @@ def sphere_coefficient(alphabet: Alphabet, x: Word, f, g, value_at: Callable,
     over any scalar type: ``zero`` plus ``pair(letter, f(x^-1 y), g(y))``
     over every y on the sphere of radius max(depths) + |x| + 1, where
     ``letter`` is the last letter of y and ``value_at(f, w)`` evaluates a
-    vector.  The small-case gate for the hot backends, and the exact oracle
-    over Q(sqrt(k)).
+    vector.  The exact oracle over Q(sqrt(k)), and over floats the
+    small-case gate for both backends.
     """
     m_depth = max(f.depth, g.depth) + len(x) + 1
     xinv = x.inverse()
@@ -386,13 +387,6 @@ def sphere_coefficient(alphabet: Alphabet, x: Word, f, g, value_at: Callable,
     for y in sphere(alphabet, m_depth, cap=cap):
         total = total + pair(y.last(), value_at(f, multiply(xinv, y)), value_at(g, y))
     return total
-
-
-def _reference_coefficient(x: Word, f: MultVector, g: MultVector, cap: int) -> complex:
-    forms = f.space.forms
-    return complex(sphere_coefficient(
-        f.space.alphabet, x, f, g, evaluate,
-        lambda a, fv, gv: np.vdot(gv, forms[a] @ fv), 0.0 + 0.0j, cap))
 
 
 def coefficient(x: Word, f: MultVector, g: MultVector, backend: str = "fast",
@@ -409,10 +403,7 @@ def coefficient(x: Word, f: MultVector, g: MultVector, backend: str = "fast",
     bounded chunks, to three levels short of the truncation sphere and pairs
     every sphere word there through the kernel of its last one to three
     steps; each word still adds its own term, so it stays the independent
-    oracle, and its cost grows as (|A|-1)^|x| but not its memory;
-    ``reference`` is the plain word-by-word sum of
-    :func:`sphere_coefficient`, which walks no cones, the small-case gate
-    for both.
+    oracle, and its cost grows as (|A|-1)^|x| but not its memory.
     """
     if f.space != g.space:
         raise ValidationError("vectors live on different systems")
@@ -420,8 +411,6 @@ def coefficient(x: Word, f: MultVector, g: MultVector, backend: str = "fast",
         return _fast_coefficient(x, f, g)
     if backend == "brute":
         return _brute_coefficient(x, f, g, cap)
-    if backend == "reference":
-        return _reference_coefficient(x, f, g, cap)
     raise ValidationError(f"unknown backend {backend!r}")
 
 
@@ -441,14 +430,14 @@ def cylinder_op(z: Union[Word, Cylinder], f: MultVector) -> MultVector:
     return MultVector._of(f.space, len(stem), kept)
 
 
-def covariance_check(x: Word, z: Word, f: MultVector, cap: int = DEFAULT_CAP) -> float:
+def covariance_check(x: Word, z: Word, f: MultVector) -> float:
     """Norm of the defect of the boundary covariance identity on ``f``:
     conjugating the cylinder operator by the action of ``x`` must equal the
     operator of the translated cylinder set."""
-    lhs = act(x, cylinder_op(z, act(x.inverse(), f, cap=cap)), cap=cap)
+    lhs = act(x, cylinder_op(z, act(x.inverse(), f)))
     rhs = zero_vector(f.space, f.depth)
     for part in cylinder_image(x, Cylinder(z)):
-        rhs = vadd(rhs, cylinder_op(part.stem, f), cap=cap)
+        rhs = vadd(rhs, cylinder_op(part.stem, f))
     return distance(lhs, rhs)
 
 
@@ -469,13 +458,13 @@ class CrossedElement:
         return cls(tuple(packed))
 
 
-def apply_crossed(element: CrossedElement, f: MultVector, cap: int = DEFAULT_CAP) -> MultVector:
+def apply_crossed(element: CrossedElement, f: MultVector) -> MultVector:
     out = zero_vector(f.space, f.depth)
     for coeff, cyl, gamma in element.terms:
-        moved = act(gamma, f, cap=cap)
+        moved = act(gamma, f)
         if cyl is not None:
             moved = cylinder_op(cyl, moved)
-        out = vadd(out, vscale(coeff, moved), cap=cap)
+        out = vadd(out, vscale(coeff, moved))
     return out
 
 
@@ -509,7 +498,7 @@ def precompose(coefficient_fn: Callable[[Word], complex],
     return composed
 
 
-def gram_matrix(words: Sequence[Word], f: MultVector, backend: str = "fast") -> np.ndarray:
+def gram_matrix(words: Sequence[Word], f: MultVector) -> np.ndarray:
     """Gram matrix [<act(x_i^-1 x_j, f), f>]; positive semidefinite for any
     unitary representation's coefficient.  Each distinct x_i^-1 x_j is
     evaluated once."""
@@ -522,6 +511,6 @@ def gram_matrix(words: Sequence[Word], f: MultVector, backend: str = "fast") -> 
             x = multiply(wii, wj)
             val = values.get(x)
             if val is None:
-                val = values[x] = coefficient(x, f, f, backend=backend)
+                val = values[x] = coefficient(x, f, f)
             g[i, j] = val
     return g

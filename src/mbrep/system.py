@@ -303,8 +303,7 @@ def _dense_fixed_point(system: MatrixSystem) -> Tuple[FormTuple, float, float, b
     return b, rho, res, degenerate
 
 
-def normalize(system: MatrixSystem, tol: float = NORMALIZE_TOL,
-              degeneracy_probe: bool = True, seed: int = 0) -> NormalizationResult:
+def normalize(system: MatrixSystem, tol: float = NORMALIZE_TOL) -> NormalizationResult:
     """Scale the system so the transfer map has spectral radius one and return
     a positive semidefinite fixed-point tuple (total trace one).
 
@@ -313,9 +312,10 @@ def normalize(system: MatrixSystem, tol: float = NORMALIZE_TOL,
     (imprimitive systems carry peripheral eigenvalues that make it cycle) the
     leading eigenpair is taken from a dense spectral solve instead.  Raises
     :class:`DegenerateSystemError` when every transfer path dies out, and
-    :class:`NormalizationError` when no usable fixed point emerges.  A second
-    iteration from a random seed probes for a (near-)degenerate leading
-    eigenvalue; degeneracy is flagged, not resolved.
+    :class:`NormalizationError` when no usable fixed point emerges.  After a
+    power solve, a second iteration from a fixed pseudo-random start probes
+    for a (near-)degenerate leading eigenvalue; degeneracy is flagged, not
+    resolved.
     """
     if not any(True for _ in system.nonzero_pairs()):
         raise DegenerateSystemError("all maps are zero")
@@ -336,8 +336,8 @@ def normalize(system: MatrixSystem, tol: float = NORMALIZE_TOL,
     if rho <= max(tol, 1e-12):
         raise DegenerateSystemError(f"spectral radius {rho:.3e} is numerically zero")
 
-    if degeneracy_probe and solver == "power":
-        rng = np.random.default_rng(seed)
+    if solver == "power":
+        rng = np.random.default_rng(0)
         probe = FormTuple([np.eye(d) + 0.5 * _random_psd(rng, d) for d in system.dims])
         try:
             b2, rho2, res2, _ = _power_iterate(system, probe, 1e-9, NORMALIZE_MAX_ITER // 10)
@@ -358,8 +358,7 @@ def _random_psd(rng: np.random.Generator, d: int) -> np.ndarray:
     return m @ m.conj().T / d
 
 
-def radical_quotient(system: MatrixSystem, forms: FormTuple,
-                     tol: float = INVARIANCE_TOL) -> Tuple[MatrixSystem, FormTuple]:
+def radical_quotient(system: MatrixSystem, forms: FormTuple) -> Tuple[MatrixSystem, FormTuple]:
     """Quotient every letter space by the kernel of its form.
 
     Compatibility forces the kernel tuple to be an invariant subsystem, so
@@ -368,7 +367,7 @@ def radical_quotient(system: MatrixSystem, forms: FormTuple,
     """
     res = compatibility_residual(system, forms)
     scale = max(forms.max_abs(), 1e-30)
-    if res > max(tol, tol * scale):
+    if res > INVARIANCE_TOL * max(1.0, scale):
         raise ValidationError(f"forms are not compatible (residual {res:.3e})")
     n = len(system.alphabet)
     cobases: List[np.ndarray] = []
@@ -402,8 +401,7 @@ def subsystem_residual(system: MatrixSystem, sub: Subsystem) -> float:
     return worst
 
 
-def _spin_up(system: MatrixSystem, seeds: List[List[np.ndarray]],
-             rank_tol: float = 1e-9) -> Subsystem:
+def _spin_up(system: MatrixSystem, seeds: List[List[np.ndarray]]) -> Subsystem:
     """Close a graded family of vectors under all maps."""
     n = len(system.alphabet)
     spans: List[List[np.ndarray]] = [[v for v in seeds[a]] for a in range(n)]
@@ -413,7 +411,7 @@ def _spin_up(system: MatrixSystem, seeds: List[List[np.ndarray]],
             return np.zeros((d, 0), dtype=np.complex128)
         m = np.column_stack(vectors)
         u, s, _ = np.linalg.svd(m, full_matrices=False)
-        keep = s > rank_tol * max(1.0, s[0] if len(s) else 1.0)
+        keep = s > 1e-9 * max(1.0, s[0] if len(s) else 1.0)
         return u[:, keep]
 
     bases = [orthobasis(spans[a], system.dims[a]) for a in range(n)]
@@ -427,19 +425,19 @@ def _spin_up(system: MatrixSystem, seeds: List[List[np.ndarray]],
             qb = bases[b]
             leftover = image - qb @ (qb.conj().T @ image) if qb.shape[1] else image
             norms = np.linalg.norm(leftover, axis=0)
-            fresh = leftover[:, norms > rank_tol]
+            fresh = leftover[:, norms > 1e-9]
             if fresh.shape[1]:
                 bases[b] = orthobasis([qb, fresh] if qb.shape[1] else [fresh], system.dims[b])
                 changed = True
     return Subsystem(bases)
 
 
-def _random_loop_element(system: MatrixSystem, a: int, rng: np.random.Generator,
-                         max_len: int = 6) -> Optional[np.ndarray]:
-    """Product of maps along a random cycle a -> ... -> a."""
+def _random_loop_element(system: MatrixSystem, a: int,
+                         rng: np.random.Generator) -> Optional[np.ndarray]:
+    """Product of maps along a random cycle a -> ... -> a of 2 to 6 steps."""
     n = len(system.alphabet)
     inv = system.alphabet.inv
-    length = int(rng.integers(2, max_len + 1))
+    length = int(rng.integers(2, 7))
     path = [a]
     for _ in range(length - 1):
         choices = [c for c in range(n) if c != inv[path[-1]]]
@@ -456,15 +454,14 @@ def _random_loop_element(system: MatrixSystem, a: int, rng: np.random.Generator,
     return m
 
 
-def find_invariant_subsystem(system: MatrixSystem, rounds: int = 50, seed: int = 0,
-                             tol: float = INVARIANCE_TOL) -> Optional[Subsystem]:
+def find_invariant_subsystem(system: MatrixSystem, seed: int = 0) -> Optional[Subsystem]:
     """Randomized search for a nontrivial proper invariant subsystem.
 
     Alternates spin-ups of random vectors with spin-ups of eigenvectors of
     random loop-path products (the nullspace trick of computational module
     theory, adapted to the letter-graded setting).  A returned subsystem is
-    an exact witness, re-verified against ``tol``; ``None`` only means no
-    subsystem was found within the round budget.
+    an exact witness, re-verified against ``INVARIANCE_TOL``; ``None`` only
+    means no subsystem was found within 50 rounds.
     """
     n = len(system.alphabet)
     total = system.total_dim()
@@ -474,11 +471,11 @@ def find_invariant_subsystem(system: MatrixSystem, rounds: int = 50, seed: int =
 
     def consider(sub: Subsystem) -> Optional[Subsystem]:
         t = sub.total_dim()
-        if 0 < t < total and subsystem_residual(system, sub) <= tol:
+        if 0 < t < total and subsystem_residual(system, sub) <= INVARIANCE_TOL:
             return sub
         return None
 
-    for round_no in range(rounds):
+    for round_no in range(50):
         a = round_no % n
         if system.dims[a] == 0:
             continue
@@ -562,7 +559,7 @@ def _hermitian_constraints(system: MatrixSystem) -> np.ndarray:
     return mat
 
 
-def _commutant_basis(system: MatrixSystem, null_tol: float = 1e-9) -> List[List[np.ndarray]]:
+def _commutant_basis(system: MatrixSystem) -> List[List[np.ndarray]]:
     """Frobenius-orthonormal real basis of the selfadjoint commutant of a
     system in form-orthonormal coordinates (identity forms): the Hermitian
     tuples with E_b H_ba = H_ba E_a.  The singular values are those of the
@@ -571,7 +568,7 @@ def _commutant_basis(system: MatrixSystem, null_tol: float = 1e-9) -> List[List[
     dims = system.dims
     r = np.linalg.qr(_hermitian_constraints(system), mode="r")
     _, s, vt = np.linalg.svd(r)
-    rank = int(np.sum(s > null_tol * max(1.0, s[0] if len(s) else 1.0)))
+    rank = int(np.sum(s > 1e-9 * max(1.0, s[0] if len(s) else 1.0)))
     ends = np.cumsum([d * d for d in dims])[:-1]
     return [[_hermitian(x, d) for x, d in zip(np.split(v, ends), dims)] for v in vt[rank:]]
 
@@ -589,8 +586,7 @@ def _orthonormal_coordinates(system: MatrixSystem,
     return unit, downs
 
 
-def decompose(system: MatrixSystem, forms: FormTuple, seed: int = 0,
-              tol: float = INVARIANCE_TOL) -> Decomposition:
+def decompose(system: MatrixSystem, forms: FormTuple, seed: int = 0) -> Decomposition:
     """Split a system with a strictly positive definite compatible form tuple
     into pairwise form-orthogonal components, none of which splits further.
 
@@ -618,13 +614,13 @@ def decompose(system: MatrixSystem, forms: FormTuple, seed: int = 0,
     commutant = _commutant_basis(unit)
     cascade: List[float] = []
     rng = np.random.default_rng(seed) if len(commutant) > 1 else None
-    components = _decompose_rec(unit, commutant, downs, rng, tol, cascade)
+    components = _decompose_rec(unit, commutant, downs, rng, cascade)
     return Decomposition(components, len(commutant), cascade)
 
 
 def _decompose_rec(system: MatrixSystem, commutant: List[List[np.ndarray]],
                    carried: List[np.ndarray], rng: Optional[np.random.Generator],
-                   tol: float, cascade: List[float]) -> List[Component]:
+                   cascade: List[float]) -> List[Component]:
     n = len(system.alphabet)
     if len(commutant) <= 1:
         return [Component(system, FormTuple.identity(system.dims), carried)]
@@ -635,20 +631,19 @@ def _decompose_rec(system: MatrixSystem, commutant: List[List[np.ndarray]],
             element = [sum(c * eb[a] for c, eb in zip(coeffs, commutant)) for a in range(n)]
             norm = max(max(np.abs(e).max() for e in element if e.size), 1e-30)
             element = [e / norm for e in element]
-            split = _split_by_element(system, element, cluster_tol, tol)
+            split = _split_by_element(system, element, cluster_tol)
             if split is not None:
                 cascade.append(cluster_tol)
                 out: List[Component] = []
                 for sub_system, sub_bases in split:
                     comp_carried = [carried[a] @ sub_bases[a] for a in range(n)]
                     out.extend(_decompose_rec(sub_system, _commutant_basis(sub_system),
-                                              comp_carried, rng, tol, cascade))
+                                              comp_carried, rng, cascade))
                 return out
     raise NormalizationError("decomposition nonconvergence (tolerance cascade exhausted)")
 
 
-def _split_by_element(system: MatrixSystem, element: List[np.ndarray],
-                      cluster_tol: float, tol: float):
+def _split_by_element(system: MatrixSystem, element: List[np.ndarray], cluster_tol: float):
     """Eigen-split a system with identity forms along one Hermitian commutant
     element; None if the element fails to separate or the split does not
     verify."""
@@ -678,7 +673,7 @@ def _split_by_element(system: MatrixSystem, element: List[np.ndarray],
             image = m @ qa
             coords = qb.conj().T @ image
             if image.size and (np.linalg.norm(image - qb @ coords, 2)
-                               > tol * max(1.0, np.linalg.norm(m, 2))):
+                               > INVARIANCE_TOL * max(1.0, np.linalg.norm(m, 2))):
                 return None
             if qb.shape[1]:
                 sub_maps[(b, a)] = coords

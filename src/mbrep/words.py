@@ -234,11 +234,18 @@ def sphere(alphabet: Alphabet, r: int, cap: Optional[int] = DEFAULT_CAP) -> Iter
 
 
 def ball(alphabet: Alphabet, r: int, cap: Optional[int] = DEFAULT_CAP) -> Iterator[Word]:
-    """All reduced words of length at most ``r``."""
+    """All reduced words of length at most ``r``; a ball of more than ``cap``
+    words is a :class:`CapExceededError` before any word is yielded."""
     if r < 0:
         raise ValidationError(f"radius must be nonnegative, got {r}")
+    if cap is not None:
+        size = 0
+        for k in range(r + 1):
+            size += sphere_size(alphabet, k)
+            if size > cap:
+                raise CapExceededError(f"ball of radius {r} exceeds the cap of {cap} words")
     for k in range(r + 1):
-        yield from sphere(alphabet, k, cap=cap)
+        yield from sphere(alphabet, k, cap=None)
 
 
 def word_index(w: Word) -> int:

@@ -2,9 +2,11 @@
 
 import numpy as np
 
-from mbrep.multrep import MultVector, RepSpace, inner, vadd, vscale
+from mbrep.multrep import (MultVector, RepSpace, evaluate, inner, sphere_coefficient, vadd,
+                           vscale)
 from mbrep.system import FormTuple, MatrixSystem, normalize
-from mbrep.words import Alphabet, CylinderUnion, Word, cylinder_image, multiply, refine, sphere
+from mbrep.words import (DEFAULT_CAP, Alphabet, CylinderUnion, Word, cylinder_image, multiply,
+                         refine, sphere)
 
 
 def random_system(rng, alphabet=None, max_dim=3):
@@ -21,8 +23,17 @@ def random_system(rng, alphabet=None, max_dim=3):
                 maps[(b, a)] = (rng.normal(size=(dims[b], dims[a]))
                                 + 1j * rng.normal(size=(dims[b], dims[a])))
     system = MatrixSystem(alphabet, dims, maps)
-    result = normalize(system, degeneracy_probe=False)
+    result = normalize(system)
     return RepSpace(result.system, result.forms), result
+
+
+def reference_coefficient(x, f, g):
+    """The matrix coefficient <act(x, f), g> as the literal sphere sum, word
+    by word: it walks no cones, so it checks both backends' partition."""
+    forms = f.space.forms
+    return complex(sphere_coefficient(f.space.alphabet, x, f, g, evaluate,
+                                      lambda a, fv, gv: np.vdot(gv, forms[a] @ fv), 0j,
+                                      DEFAULT_CAP))
 
 
 def random_vector(space, rng, depth=1, unit=True):

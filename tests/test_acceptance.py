@@ -63,7 +63,7 @@ def test_criterion_01_fixed_points():
                                     + 1j * rng.normal(size=(dims[b], dims[a])))
         system = MatrixSystem(A2, dims, maps)
         t0 = time.perf_counter()
-        result = normalize(system, degeneracy_probe=False)
+        result = normalize(system)
         elapsed += time.perf_counter() - t0
         worst = max(worst, result.residual)
         min_eig = min(min_eig, result.forms.min_eigenvalue())
@@ -341,7 +341,7 @@ def test_criterion_08_independence_of_subgroup():
 
 def test_criterion_09_virtually_free():
     datum = psl2z_datum()
-    problems = vf_validate(datum, probes=500, seed=17)
+    problems = vf_validate(datum)
     ok_valid = problems == []
 
     system, forms = spherical_system(datum.basis_alphabet)

@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -383,7 +387,9 @@ class TestCli:
                          "--vector", "builtin:seed-a", "--radius", "2",
                          "--output", str(out)])
         assert code == 0
-        assert "gram_min_eigenvalue" in out.read_text()
+        header = [l for l in out.read_text().splitlines() if l.startswith("#")]
+        assert [l.split("=")[0] for l in header] == [
+            "# command", "# datum", "# radius", "# gram_min_eigenvalue"]
 
     def test_vf_induce_cap_exit_code(self, capsys):
         # the radius-6 ball of PSL(2,Z) has 62 elements
@@ -392,6 +398,29 @@ class TestCli:
         assert code == cli.EXIT_CAP
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("resource cap:")
+
+    def test_vf_induce_gram_cap_in_a_child(self, tmp_path):
+        """A radius whose ball fits the cap but whose Gram matrix does not
+        exits 3 with one line before any matrix is allocated; a run that
+        fits never imports ``numpy.random``."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        argv = ["vf-induce", "--system", "builtin:spherical2", "--vector", "builtin:seed-a"]
+        script = ("import sys; from mbrep import cli; code = cli.main(sys.argv[1:]); "
+                  "print('numpy.random' in sys.modules); sys.exit(code)")
+
+        def child(*extra):
+            return subprocess.run([sys.executable, "-c", script, *argv, *extra],
+                                  capture_output=True, text=True, cwd=tmp_path,
+                                  env={**os.environ, "PYTHONPATH": src}, timeout=120)
+
+        # radius 17 has 2,554 elements and radius 18 3,578: 6.5M and 12.8M entries
+        big = child("--radius", "18")
+        assert big.returncode == cli.EXIT_CAP
+        err = big.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("resource cap:")
+        assert "Traceback" not in big.stderr
+        small = child("--radius", "3", "--output", "vf.csv")
+        assert small.returncode == 0 and small.stdout == "False\n"
 
     @pytest.mark.parametrize("command", ["vf-induce", "herz"])
     def test_negative_radius_exits_validation(self, command, capsys):
@@ -683,7 +712,11 @@ class TestCli:
          "--backend", "brute"],
         ["vf-induce", "--system", "builtin:spherical2", "--vector", "builtin:seed-a",
          "--backend", "brute"],
-    ], ids=["bad-value", "removed-flag", "herz-backend", "vf-induce-backend"])
+        ["normalize", "--input", "builtin:spherical2-unscaled", "--seed", "1"],
+        ["vf-induce", "--system", "builtin:spherical2", "--vector", "builtin:seed-a",
+         "--seed", "1"],
+    ], ids=["bad-value", "removed-flag", "herz-backend", "vf-induce-backend",
+            "normalize-seed", "vf-induce-seed"])
     def test_usage_error_exits_validation(self, argv, capsys):
         assert cli.main(argv) == cli.EXIT_VALIDATION
         err = capsys.readouterr().err.splitlines()
@@ -711,3 +744,16 @@ class TestCli:
 
     def test_selftest(self):
         assert cli.main(["selftest"]) == 0
+
+    def test_every_declared_flag_is_read(self):
+        """A subcommand declares only the flags its command function reads."""
+        import argparse
+        import inspect
+
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        for name, parser in sub.choices.items():
+            source = inspect.getsource(parser.get_default("fn"))
+            for action in parser._actions:
+                if action.dest != "help":
+                    assert f"args.{action.dest}" in source, (name, action.dest)

@@ -186,8 +186,8 @@ class TestNormalize:
             system = MatrixSystem(A2, dims, maps)
             c = 2.5
             scaled = system.scaled(c)
-            r1 = normalize(system, degeneracy_probe=False)
-            r2 = normalize(scaled, degeneracy_probe=False)
+            r1 = normalize(system)
+            r2 = normalize(scaled)
             assert abs(r2.spectral_radius - c * c * r1.spectral_radius) <= 1e-6 * r2.spectral_radius
             for b in range(N):
                 for a in range(N):
@@ -389,7 +389,7 @@ def _random_irreducible(rng):
     dims = [int(d) for d in rng.integers(1, 3, size=N)]
     maps = {(b, a): rng.normal(size=(dims[b], dims[a])) + 1j * rng.normal(size=(dims[b], dims[a]))
             for b in range(N) for a in range(N) if A2.inv[a] != b}
-    result = normalize(MatrixSystem(A2, dims, maps), degeneracy_probe=False)
+    result = normalize(MatrixSystem(A2, dims, maps))
     return result.system, result.forms
 
 
@@ -434,7 +434,7 @@ def cyclic3_induced_system():
     dims = (1, 2, 2, 1, 1, 2, 2, 1)
     maps = {(b, a): rng.normal(size=(dims[b], dims[a])) + 1j * rng.normal(size=(dims[b], dims[a]))
             for b in range(8) for a in range(8) if alphabet.inv[a] != b}
-    result = normalize(MatrixSystem(alphabet, dims, maps), degeneracy_probe=False)
+    result = normalize(MatrixSystem(alphabet, dims, maps))
     return induced_through(FiniteGroup.cyclic(3), {A2.letter("a"): 1, A2.letter("b"): 0},
                            result.system, result.forms)
 

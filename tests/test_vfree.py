@@ -95,6 +95,45 @@ class TestDatum:
         problems = vf_validate(broken)
         assert any("violates" in p or "probe" in p for p in problems)
 
+    def test_failed_relation_names_factor_and_element(self, datum):
+        broken = VFGroupDatum(datum.group, datum.transversal, datum.basis_alphabet,
+                              datum.basis_elements, dict(datum.table), name="broken")
+        a_word = Word.parse(datum.basis_alphabet, "a")
+        # s from the transversal element s now picks up the basis letter a
+        assert broken.table[(1, 0)] == (Word.identity(datum.basis_alphabet), 0)
+        broken.table[(1, 0)] = (a_word, 0)
+        problems = vf_validate(broken)
+        assert ("relation s^2 from transversal element s ends at transversal index 1 "
+                "with basis word a, not at itself with e") in problems
+        assert not any(p.startswith("relation r^3") for p in problems)
+        assert vf_validate(broken) == problems
+
+    def test_relation_leaving_the_table_is_reported(self, datum):
+        partial = {key: val for key, val in datum.table.items() if key != (2, 0)}
+        broken = VFGroupDatum(datum.group, datum.transversal, datum.basis_alphabet,
+                              datum.basis_elements, partial, name="broken")
+        problems = vf_validate(broken)
+        assert "table misses entry (2,s)" in problems
+        assert "relation s^2 from transversal element r leaves the table at entry (2, 0)" in problems
+
+    def test_relations_routed_once_from_every_index_without_rng(self, datum, monkeypatch):
+        routed = Counter()
+        route = VFGroupDatum.route
+
+        def recording(self, t_idx, lam):
+            routed[(t_idx, lam)] += 1
+            return route(self, t_idx, lam)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("vf_validate drew a random number")
+
+        monkeypatch.setattr(VFGroupDatum, "route", recording)
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        assert vf_validate(datum) == []
+        assert vf_validate(datum) == []
+        assert routed == Counter({(t, ((f, order),)): 2 for t in range(6)
+                                  for f, order in enumerate((2, 3))})
+
     def test_infinite_dihedral_rejected_by_rank_gate(self):
         with pytest.raises(ValidationError):
             Alphabet.rank(1)  # a rank-one free part cannot even carry an alphabet

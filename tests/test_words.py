@@ -155,6 +155,15 @@ class TestSphere:
         with pytest.raises(CapExceededError):
             list(sphere(A2, 10, cap=100))
 
+    def test_ball_cap_checked_before_the_first_word(self):
+        # every sphere up to radius 14 fits the default cap, the whole ball
+        # of radius 15 does not
+        with pytest.raises(CapExceededError):
+            next(ball(A2, 15))
+        with pytest.raises(CapExceededError):
+            next(ball(A2, 2, cap=16))
+        assert len(list(ball(A2, 2, cap=17))) == 17
+
 
 class TestCylinders:
     def test_stem_must_be_nonempty(self):
