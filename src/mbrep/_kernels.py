@@ -132,10 +132,10 @@ def brute_pairing(space, x, f, g, m_depth: int) -> complex:
         rest = m_depth - len(roots[0][1])
         grouped: Dict[int, Tuple[list, list]] = {}
         for fw, gw in roots:
-            fs, gs = grouped.setdefault(gw.last(), ([], []))
-            fv, gv = f_at(fw.letters), g_at(gw.letters)
+            fs, gs = grouped.setdefault(gw[-1], ([], []))
+            fv, gv = f_at(fw), g_at(gw)
             # a zero value (None) is a zero row; both roots end in one letter
-            zero = np.zeros(space.dim(gw.last()), dtype=np.complex128)
+            zero = np.zeros(space.dim(gw[-1]), dtype=np.complex128)
             fs.append(zero if fv is None else fv)
             gs.append(zero if gv is None else gv)
         level = {p: (np.array(pair, dtype=np.complex128), None)

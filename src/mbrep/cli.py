@@ -289,10 +289,6 @@ def cmd_vf_induce(args) -> int:
     vec = fileio.load_vector(_resolve(args.vector), space)
     blocks = {0: vec}
     grp = datum.group
-
-    def coeff(w, u, v):
-        return coefficient(w, u, v, cap=args.cap)
-
     elements = grp.ball(args.radius, cap=args.cap)
     if len(elements) ** 2 > args.cap:
         raise CapExceededError(f"the Gram matrix of the radius-{args.radius} ball has "
@@ -300,7 +296,7 @@ def cmd_vf_induce(args) -> int:
     meta = {"command": "vf-induce", "datum": datum.name or args.datum,
             "radius": args.radius}
     report = Report(["lambda", "re", "im"], meta)
-    gram = vf_gram(datum, coeff, elements, blocks)
+    gram = vf_gram(datum, coefficient, elements, blocks)
     # the ball starts at the identity, so row 0 holds the values at each lambda
     for lam, val in zip(elements, gram[0]):
         report.add(grp.format(lam), val.real, val.imag)

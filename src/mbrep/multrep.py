@@ -3,17 +3,17 @@ coefficients, boundary cylinder operators, and crossed-product elements.
 
 A vector is a finite germ: values on one word sphere, propagated outward by
 the system maps.  :func:`deepen` propagates a whole table through
-``_kernels.level_step``, one level at a time; :func:`point_values` propagates
-single words, one matvec per letter from the longest proper prefix it has
-already stepped through.  Every single-word read is such a walk, among them
-:func:`evaluate`, :func:`cylinder_op` and the spectral measure.
+``_kernels.level_step``, one level at a time; :func:`point_values` is each
+vector's one memoized evaluator, which steps single words one matvec per
+letter from the longest prefix any reader has stepped through.  Every
+single-word read goes through it; :func:`evaluate` alone walks afresh.
 
 Matrix coefficients come in two backends, ``fast`` and ``brute``.  Both
 share :func:`cone_walk`, which partitions the sphere into cones by where a
 word leaves the geodesic of the acting word and yields the root pairs of
-each cone.  ``fast`` pairs the values at the roots, because compatibility
-collapses each cone's tail sum onto its roots; one point evaluator per
-vector serves all its roots, so the geodesic is walked once.  ``brute``,
+each cone as letter tuples.  ``fast`` pairs the values at the roots, as
+compatibility collapses each cone's tail sum onto them; the vector's one
+evaluator serves all its roots, so a geodesic is walked once.  ``brute``,
 the literal sphere-sum oracle (exponential, see ``_kernels``), steps the
 root values outward with the same level step as ``deepen`` to three levels
 short of the truncation sphere, where one kernel per path of the last three
@@ -91,7 +91,7 @@ class MultVector:
     other.
     """
 
-    __slots__ = ("space", "depth", "values")
+    __slots__ = ("space", "depth", "values", "_at")
 
     def __init__(self, space: RepSpace, depth: int, values: Dict[Word, np.ndarray]):
         if depth < 1:
@@ -109,6 +109,7 @@ class MultVector:
             if np.any(v != 0):
                 table[w] = v
         self.values = table
+        self._at = None
 
     @classmethod
     def _of(cls, space: RepSpace, depth: int, values: Dict[Word, np.ndarray]) -> "MultVector":
@@ -118,6 +119,7 @@ class MultVector:
         out.space = space
         out.depth = depth
         out.values = values
+        out._at = None
         return out
 
     @classmethod
@@ -139,16 +141,24 @@ _UNSET = object()
 
 
 def point_values(f: MultVector) -> Callable[[Tuple[int, ...]], Optional[np.ndarray]]:
-    """A memoized evaluator of ``f``: given the letters of a reduced word of
-    length >= the depth, it returns the value there, or None where it is
-    zero.
+    """The memoized evaluator of ``f``: given the letters of a reduced word
+    of length >= the depth, it returns the value there, or None where it is
+    zero.  It is made on first use and kept for the vector's lifetime, so
+    every reader of ``f`` shares its memo.
 
-    Each word is stepped out from its longest memoized proper prefix, or
-    else from its table entry, one matvec per letter; the table entry and
-    the proper prefixes passed are memoized, the word itself is not.  The
-    chain of products is always the one from the table entry, so values do
-    not depend on the order in which words are asked.
+    Each word is stepped out from its longest memoized prefix, or else from
+    its table entry, one matvec per letter; the table entry, the prefixes
+    passed and the word itself are memoized.  The chain of products is
+    always the one from the table entry, so values do not depend on the
+    order in which words are asked, nor on who asked them.
     """
+    if f._at is None:
+        f._at = _evaluator(f)
+    return f._at
+
+
+def _evaluator(f: MultVector) -> Callable[[Tuple[int, ...]], Optional[np.ndarray]]:
+    """A new evaluator of ``f`` with an empty memo (see :func:`point_values`)."""
     maps = f.space.system.maps
     alphabet = f.space.alphabet
     depth = f.depth
@@ -159,8 +169,8 @@ def point_values(f: MultVector) -> Callable[[Tuple[int, ...]], Optional[np.ndarr
         n = len(letters)
         if n < depth:
             raise DepthError(f"cannot evaluate at {letters}: below presentation depth {depth}")
-        k = max(n - 1, depth)
-        v = memo.get(letters[:k], _UNSET)
+        k = n
+        v = memo.get(letters, _UNSET)
         while v is _UNSET and k > depth:
             k -= 1
             v = memo.get(letters[:k], _UNSET)
@@ -171,8 +181,7 @@ def point_values(f: MultVector) -> Callable[[Tuple[int, ...]], Optional[np.ndarr
             m = maps[letters[k]][letters[k - 1]]
             v = None if m is None else m @ v
             k += 1
-            if k < n:
-                memo[letters[:k]] = v
+            memo[letters[:k]] = v
         return v
 
     return value_at
@@ -180,10 +189,11 @@ def point_values(f: MultVector) -> Callable[[Tuple[int, ...]], Optional[np.ndarr
 
 def evaluate(f: MultVector, w: Word) -> np.ndarray:
     """Value of the propagated function at a word of length >= the depth,
-    by one walk of a fresh :func:`point_values` evaluator."""
+    by one walk of a fresh evaluator that shares no memo with
+    :func:`point_values`; the tests' independent oracle."""
     if len(w) < f.depth:
         raise DepthError(f"cannot evaluate at {w}: below presentation depth {f.depth}")
-    v = point_values(f)(w.letters)
+    v = _evaluator(f)(w.letters)
     if v is None:
         return np.zeros(f.space.dim(w.last()), dtype=np.complex128)
     return v
@@ -324,8 +334,8 @@ def _brute_coefficient(x: Word, f: MultVector, g: MultVector, cap: int) -> compl
     return _kernels.brute_pairing(f.space, x, f, g, m_depth)
 
 
-def cone_walk(x: Word, f_depth: int, g_depth: int) -> Iterator[List[Tuple[Word, Word]]]:
-    """The root pairs (x^-1 y, y) of each geodesic cone of ``x``.
+def cone_walk(x: Word, f_depth: int, g_depth: int) -> Iterator[List[Tuple[tuple, tuple]]]:
+    """The root pairs (x^-1 y, y) of each geodesic cone of ``x``, as letter tuples.
 
     Every reduced y of length > |x| leaves the geodesic of ``x`` after a
     common prefix x[:i] with one letter c, so y lies in the cone of
@@ -348,8 +358,7 @@ def cone_walk(x: Word, f_depth: int, g_depth: int) -> Iterator[List[Tuple[Word, 
             tails = [(c,)]
             for _ in range(max(0, f_depth - (lx - i + 1), g_depth - (i + 1))):
                 tails = [t + (d,) for t in tails for d in range(n) if d != inv[t[-1]]]
-            yield [(Word._of(alphabet, xinv[: lx - i] + t), Word._of(alphabet, xl[:i] + t))
-                   for t in tails]
+            yield [(xinv[: lx - i] + t, xl[:i] + t) for t in tails]
 
 
 def _fast_coefficient(x: Word, f: MultVector, g: MultVector) -> complex:
@@ -362,13 +371,13 @@ def _fast_coefficient(x: Word, f: MultVector, g: MultVector) -> complex:
     for roots in cone_walk(x, f.depth, g.depth):
         for fw, gw in roots:
             # a root where either vector is zero adds an exact zero
-            fv = f_at(fw.letters)
+            fv = f_at(fw)
             if fv is None:
                 continue
-            gv = g_at(gw.letters)
+            gv = g_at(gw)
             if gv is None:
                 continue
-            total += np.vdot(gv, forms[fw.last()] @ fv)
+            total += np.vdot(gv, forms[fw[-1]] @ fv)
     return complex(total)
 
 
@@ -395,9 +404,9 @@ def coefficient(x: Word, f: MultVector, g: MultVector, backend: str = "fast",
 
     ``fast`` pairs f and g at the roots of the O(|x|) cones of
     :func:`cone_walk` and collapses each cone's tail through compatibility;
-    the roots of f are read through one :func:`point_values` evaluator and
-    those of g through another, so each root branches off the value at its
-    geodesic prefix, already stepped for an earlier cone, with one matvec
+    the roots are read through each vector's :func:`point_values` evaluator,
+    so each root branches off the value at its geodesic prefix, already
+    stepped for an earlier cone or an earlier coefficient, with one matvec
     per remaining letter, and the cost grows as O(|x|) matvecs.  ``brute``
     steps the same root values outward with ``_kernels.level_step``, in
     bounded chunks, to three levels short of the truncation sphere and pairs
@@ -496,21 +505,3 @@ def precompose(coefficient_fn: Callable[[Word], complex],
         return coefficient_fn(substituted(w))
 
     return composed
-
-
-def gram_matrix(words: Sequence[Word], f: MultVector) -> np.ndarray:
-    """Gram matrix [<act(x_i^-1 x_j, f), f>]; positive semidefinite for any
-    unitary representation's coefficient.  Each distinct x_i^-1 x_j is
-    evaluated once."""
-    k = len(words)
-    g = np.zeros((k, k), dtype=np.complex128)
-    values: Dict[Word, complex] = {}
-    for i, wi in enumerate(words):
-        wii = wi.inverse()
-        for j, wj in enumerate(words):
-            x = multiply(wii, wj)
-            val = values.get(x)
-            if val is None:
-                val = values[x] = coefficient(x, f, f)
-            g[i, j] = val
-    return g

@@ -313,7 +313,7 @@ def normalize(system: MatrixSystem, tol: float = NORMALIZE_TOL) -> Normalization
     leading eigenpair is taken from a dense spectral solve instead.  Raises
     :class:`DegenerateSystemError` when every transfer path dies out, and
     :class:`NormalizationError` when no usable fixed point emerges.  After a
-    power solve, a second iteration from a fixed pseudo-random start probes
+    power solve, a second iteration from a fixed start probes
     for a (near-)degenerate leading eigenvalue; degeneracy is flagged, not
     resolved.
     """
@@ -337,8 +337,7 @@ def normalize(system: MatrixSystem, tol: float = NORMALIZE_TOL) -> Normalization
         raise DegenerateSystemError(f"spectral radius {rho:.3e} is numerically zero")
 
     if solver == "power":
-        rng = np.random.default_rng(0)
-        probe = FormTuple([np.eye(d) + 0.5 * _random_psd(rng, d) for d in system.dims])
+        probe = FormTuple([np.eye(d) + 0.5 * _probe_psd(a, d) for a, d in enumerate(system.dims)])
         try:
             b2, rho2, res2, _ = _power_iterate(system, probe, 1e-9, NORMALIZE_MAX_ITER // 10)
             if res2 <= 1e-8 and (abs(rho2 - rho) > 1e-6 * max(1.0, rho)
@@ -353,8 +352,11 @@ def normalize(system: MatrixSystem, tol: float = NORMALIZE_TOL) -> Normalization
                                solver)
 
 
-def _random_psd(rng: np.random.Generator, d: int) -> np.ndarray:
-    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+def _probe_psd(a: int, d: int) -> np.ndarray:
+    """M M*/d for the degeneracy probe's start at letter ``a``, with M filled
+    by a fixed closed formula that differs between letters: no generator."""
+    j, k = np.indices((d, d))
+    m = np.cos(1.3 * (a + 1) + 0.7 * j + 2.1 * k) + 1j * np.sin(0.9 * (a + 1) + 1.7 * j + 0.4 * k)
     return m @ m.conj().T / d
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CapExceededError, ValidationError
 from .multrep import MultVector
-from .words import DEFAULT_CAP, Alphabet, Word, multiply
+from .words import DEFAULT_CAP, Alphabet, Word, multiply, product_letters
 
 Element = Tuple[Tuple[int, int], ...]  # alternating (factor, exponent) syllables
 
@@ -280,22 +280,24 @@ def vf_gram(datum: VFGroupDatum, coeff: Callable[[Word, MultVector, MultVector],
     Routing is a Schreier cocycle, so lam_i^-1 is routed once from each
     index t carrying a block, lam_j once from each transversal index, and
     the route of lam_i^-1 lam_j from t is the free product of the two
-    halves; the loop over pairs does no group arithmetic.  Two memos keep
-    the value of :func:`induce_to_vf` per tuple of (word, end) over the
-    carrying t ascending, and the value of ``coeff`` per (word, fe, ft) (a
-    ``MultVector`` hashes by identity).  Equal keys give equal values,
-    summed in the same order, so the matrix equals the plain double loop.
+    halves, reduced at the junction on letter tuples; the loop over pairs
+    does no group arithmetic and builds no ``Word``.  Two memos keep the
+    value of :func:`induce_to_vf` per tuple of (letters, end) over the
+    carrying t ascending, whose words are built only for a new key, and the
+    value of ``coeff`` per (word, fe, ft) (a ``MultVector`` hashes by
+    identity).  Equal keys give equal values, summed in the same order, so
+    the matrix equals the plain double loop.
     """
     memo: Dict[Tuple[Word, MultVector, MultVector], complex] = {}
 
-    def cached(word: Word, fe: MultVector, ft: MultVector) -> complex:
-        key = (word, fe, ft)
+    def cached(*key) -> complex:
         val = memo.get(key)
         if val is None:
-            val = memo[key] = coeff(word, fe, ft)
+            val = memo[key] = coeff(*key)
         return val
 
     grp = datum.group
+    inv = datum.basis_alphabet.inv
     carriers = [t for t in range(len(datum.transversal)) if t in blocks]
     k = len(elements)
     g = np.zeros((k, k), dtype=np.complex128)
@@ -303,17 +305,21 @@ def vf_gram(datum: VFGroupDatum, coeff: Callable[[Word, MultVector, MultVector],
         return g
     heads = [[datum.route(t, li) for t in carriers] for li in map(grp.inverse, elements)]
     tails = [[datum.route(s, lj) for lj in elements] for s in range(len(datum.transversal))]
+    tail_letters = [[word.letters for word, _ in row] for row in tails]
     tail_ends = [[end_idx for _, end_idx in row] for row in tails]
-    values: Dict[Tuple[Tuple[Word, int], ...], complex] = {}
+    values: Dict[Tuple[Tuple[Tuple[int, ...], int], ...], complex] = {}
     for i in range(k):
         # entry j of carrier t's column is the route of lam_i^-1 lam_j from t
-        columns = [zip([multiply(word, tail) for tail, _ in tails[s]], tail_ends[s])
+        columns = [zip([product_letters(inv, word.letters, tail) for tail in tail_letters[s]],
+                       tail_ends[s])
                    for word, s in heads[i]]
         row = []
         for key in zip(*columns):
             val = values.get(key)
             if val is None:
-                val = values[key] = _induced_sum(cached, blocks, carriers, key)
+                routes = [(Word._of(datum.basis_alphabet, letters), end_idx)
+                          for letters, end_idx in key]
+                val = values[key] = _induced_sum(cached, blocks, carriers, routes)
             row.append(val)
         g[i] = row
     return g

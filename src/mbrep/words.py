@@ -168,18 +168,23 @@ class Word:
         return f"Word({self})"
 
 
-def multiply(x: Word, y: Word) -> Word:
-    """Product in the free group; both factors are reduced, so only the
-    junction cancels, dropping a suffix of ``x`` and the prefix of ``y`` inverse to it."""
-    if x.alphabet is not y.alphabet and x.alphabet != y.alphabet:
-        raise ValidationError("words over different alphabets")
-    xs, ys = x.letters, y.letters
-    inv = x.alphabet.inv
+def product_letters(inv: Sequence[int], xs: Tuple[int, ...],
+                    ys: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Letters of the free product of two reduced letter tuples under the
+    involution ``inv``: only the junction cancels, dropping a suffix of
+    ``xs`` and the prefix of ``ys`` inverse to it."""
     n, m = len(xs), len(ys)
     k = 0
     while k < n and k < m and xs[n - 1 - k] == inv[ys[k]]:
         k += 1
-    return Word._of(x.alphabet, xs[:n - k] + ys[k:])
+    return xs[:n - k] + ys[k:]
+
+
+def multiply(x: Word, y: Word) -> Word:
+    """Product in the free group, by :func:`product_letters`."""
+    if x.alphabet is not y.alphabet and x.alphabet != y.alphabet:
+        raise ValidationError("words over different alphabets")
+    return Word._of(x.alphabet, product_letters(x.alphabet.inv, x.letters, y.letters))
 
 
 def concat(x: Word, c: int) -> Word:

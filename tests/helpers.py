@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from mbrep.multrep import (MultVector, RepSpace, evaluate, inner, sphere_coefficient, vadd,
-                           vscale)
+from mbrep.multrep import (MultVector, RepSpace, coefficient, evaluate, inner,
+                           sphere_coefficient, vadd, vscale)
 from mbrep.system import FormTuple, MatrixSystem, normalize
 from mbrep.words import (DEFAULT_CAP, Alphabet, CylinderUnion, Word, cylinder_image, multiply,
                          refine, sphere)
@@ -34,6 +34,24 @@ def reference_coefficient(x, f, g):
     return complex(sphere_coefficient(f.space.alphabet, x, f, g, evaluate,
                                       lambda a, fv, gv: np.vdot(gv, forms[a] @ fv), 0j,
                                       DEFAULT_CAP))
+
+
+def gram_matrix(words, f):
+    """Gram matrix [<act(x_i^-1 x_j, f), f>] by the fast backend; positive
+    semidefinite for any unitary representation's coefficient.  Each
+    distinct x_i^-1 x_j is evaluated once."""
+    k = len(words)
+    g = np.zeros((k, k), dtype=np.complex128)
+    values = {}
+    for i, wi in enumerate(words):
+        wii = wi.inverse()
+        for j, wj in enumerate(words):
+            x = multiply(wii, wj)
+            val = values.get(x)
+            if val is None:
+                val = values[x] = coefficient(x, f, f)
+            g[i, j] = val
+    return g
 
 
 def random_vector(space, rng, depth=1, unit=True):

@@ -17,8 +17,7 @@ from mbrep.boundary_measure import (herz_check, no_harish_chandra_demo,
 from mbrep.induce import (InducedVector, induce_system, induced_action,
                           induced_boundary_op, induced_inner, intertwiner_J)
 from mbrep.multrep import (MultVector, RepSpace, act, coefficient,
-                           covariance_check, cylinder_op, deepen, distance,
-                           gram_matrix, inner)
+                           covariance_check, cylinder_op, deepen, distance, inner)
 from mbrep.subgroups import FiniteGroup, coset_table_from_quotient, schreier
 from mbrep.system import (FormTuple, MatrixSystem, compatibility_residual,
                           decompose, find_invariant_subsystem, normalize,
@@ -27,7 +26,7 @@ from mbrep.vfree import induce_to_vf, psl2z_datum, vf_gram, vf_validate
 from mbrep.words import (Alphabet, Cylinder, Word, ball, cylinder_image, multiply, sphere,
                          sphere_size)
 
-from helpers import random_system, random_vector, random_word
+from helpers import gram_matrix, random_system, random_vector, random_word
 
 A2 = Alphabet.rank(2)
 

@@ -422,6 +422,23 @@ class TestCli:
         small = child("--radius", "3", "--output", "vf.csv")
         assert small.returncode == 0 and small.stdout == "False\n"
 
+    @pytest.mark.parametrize("argv", [
+        # a power solve, so the degeneracy probe runs
+        ["normalize", "--input", "builtin:spherical2-unscaled", "--output", "sys.json"],
+        ["vf-induce", "--system", "builtin:spherical2", "--vector", "builtin:seed-a",
+         "--radius", "4", "--output", "vf.csv"]], ids=["normalize", "vf-induce"])
+    def test_command_does_not_import_numpy_random(self, argv, tmp_path):
+        """Neither command draws random numbers, so a child that runs it
+        has not imported ``numpy.random`` after ``cli.main``."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        script = ("import sys; from mbrep import cli; code = cli.main(sys.argv[1:]); "
+                  "print('numpy.random' in sys.modules); sys.exit(code)")
+        proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                              text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
     @pytest.mark.parametrize("command", ["vf-induce", "herz"])
     def test_negative_radius_exits_validation(self, command, capsys):
         argv = [command, "--system", "builtin:spherical2", "--vector", "builtin:seed-a",

@@ -9,14 +9,14 @@ from mbrep._exact import exact_coefficient, exact_inner, exact_spherical, ExactV
 from mbrep.errors import DepthError, ValidationError
 from mbrep.multrep import (CrossedElement, MultVector, RepSpace, act,
                            apply_crossed, coefficient, cone_walk, covariance_check,
-                           cylinder_op, deepen, distance, evaluate,
-                           gram_matrix, inner, norm, point_values, precompose, vadd,
-                           vscale)
+                           cylinder_op, deepen, distance, evaluate, inner, norm,
+                           point_values, precompose, vadd, vscale)
 from mbrep.system import MatrixSystem, normalize, spherical_system
 from mbrep.words import (Alphabet, Cylinder, Word, ball, cylinder_image, multiply, refine,
                          sphere, sphere_size)
 
-from helpers import random_system, random_vector, random_word, reference_coefficient
+from helpers import (gram_matrix, random_system, random_vector, random_word,
+                     reference_coefficient)
 
 A2 = Alphabet.rank(2)
 
@@ -234,11 +234,12 @@ class TestCoefficient:
         # the fast sum as it was: every root value evaluated from the
         # vector's depth along its whole root word
         def per_root(x, f, g):
-            forms = f.space.forms
+            forms, alphabet = f.space.forms, f.space.alphabet
             total = 0.0 + 0.0j
             for roots in cone_walk(x, f.depth, g.depth):
                 for fw, gw in roots:
-                    total += np.vdot(evaluate(g, gw), forms[fw.last()] @ evaluate(f, fw))
+                    total += np.vdot(evaluate(g, Word(alphabet, gw)),
+                                     forms[fw[-1]] @ evaluate(f, Word(alphabet, fw)))
             return complex(total)
 
         rng = np.random.default_rng(29)
@@ -454,6 +455,31 @@ class TestPointValues:
                         self.assert_agrees(f, at, word[:n])
                 for y in sphere(A2, depth):
                     self.assert_agrees(f, at, y.letters)
+
+    def test_one_shared_evaluator_per_vector(self):
+        # every reader gets the same evaluator, which memoizes the words it
+        # returns; reads in any order, repeats included, match a fresh walk
+        rng = np.random.default_rng(59)
+        space, _ = random_system(rng)
+        for sp in (space, cut_space(space)):
+            for depth in (1, 2):
+                f = MultVector(sp, depth, random_vector(space, rng, depth=depth).values)
+                at = point_values(f)
+                assert point_values(f) is at
+                words = [random_word(A2, rng, depth + int(rng.integers(0, 7))).letters
+                         for _ in range(30)]
+                words += [words[k][:n] for k in range(0, 30, 3)
+                          for n in range(depth, len(words[k]) + 1)]
+                for k in rng.permutation(2 * len(words)):
+                    self.assert_agrees(f, point_values(f), words[k % len(words)])
+                deeper = deepen(f, depth + 2)
+                moved = act(w("ab"), f)
+                assert point_values(deeper) is not at and point_values(moved) is not at
+                assert point_values(deeper) is not point_values(moved)
+                for word in words[:10]:
+                    word = word + (word[-1],) * 2
+                    self.assert_agrees(deeper, point_values(deeper), word)
+                    self.assert_agrees(moved, point_values(moved), word)
 
     def test_below_depth_rejected(self, seed_a):
         with pytest.raises(DepthError):

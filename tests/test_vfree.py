@@ -3,6 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from mbrep import vfree
 from mbrep.errors import CapExceededError, ValidationError
 from mbrep.multrep import MultVector, RepSpace, coefficient, inner
 from mbrep.system import spherical_system
@@ -271,22 +272,26 @@ class TestInducedCoefficients:
     def test_gram_routes_each_element_once_per_index(self, datum, block_space, monkeypatch):
         calls = Counter()
 
-        def counted(cls, name):
-            original = getattr(cls, name)
+        def counted(owner, name, key):
+            original = getattr(owner, name)
 
             def wrapper(*args):
-                calls[name] += 1
+                calls[key] += 1
                 return original(*args)
-            monkeypatch.setattr(cls, name, wrapper)
+            monkeypatch.setattr(owner, name, wrapper)
 
-        counted(VFGroupDatum, "route")
-        counted(FreeProduct, "multiply")
+        counted(VFGroupDatum, "route", "route")
+        counted(FreeProduct, "multiply", "multiply")
+        # the pairs' routes are joined on letter tuples, never by words.multiply
+        counted(vfree, "multiply", "words.multiply")
         blocks = self._blocks(datum, block_space, support=(0, 4))
         elements = datum.group.ball(4)
+        calls.clear()
         vf_gram(datum, coeff_fast, elements, blocks)
         k = len(elements)
         assert calls["route"] <= k * (len(blocks) + len(datum.transversal))
         assert calls["multiply"] <= k
+        assert calls["words.multiply"] == 0
 
     def test_unitarity_diagonal(self, datum, block_space):
         blocks = self._blocks(datum, block_space, support=(0, 1))
