@@ -27,9 +27,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-#: a level: last letter -> (rows, keys), where keys names each row's word as
-#: a letter tuple, or is None when the caller does not track words
-Level = Dict[int, Tuple[np.ndarray, Optional[List[Tuple[int, ...]]]]]
+#: a level: last letter -> (rows, keys), keys an integer array of each row's
+#: word_index (a child's is its parent's times |A|-1 plus its letter's rank), or None
+Level = Dict[int, Tuple[np.ndarray, Optional[np.ndarray]]]
 
 #: the brute sum halves a level while its next step would exceed this many rows
 CHUNK_ROWS = 1 << 15
@@ -46,19 +46,19 @@ def level_step(maps, inv, level: Level) -> Level:
     feeds: Dict[int, list] = {}
     for p, (rows, keys) in level.items():
         for c, m in _children(maps, inv, p):
-            feeds.setdefault(c, []).append((m, rows, keys))
+            feeds.setdefault(c, []).append((m, rows, keys, c if c < inv[p] else c - 1))
     grown: Level = {}
     for c, parts in feeds.items():
         lead = parts[0][1].shape[:-2]
-        width = sum(rows.shape[-2] for _, rows, _ in parts)
+        width = sum(rows.shape[-2] for _, rows, _, _ in parts)
         out = np.empty(lead + (width, parts[0][0].shape[0]), dtype=np.complex128)
         start = 0
-        for m, rows, _ in parts:
+        for m, rows, _, _ in parts:
             stop = start + rows.shape[-2]
             np.matmul(rows, m.T, out=out[..., start:stop, :])
             start = stop
         grown[c] = (out, None if parts[0][2] is None
-                    else [k + (c,) for _, _, keys in parts for k in keys])
+                    else np.concatenate([k * (len(maps) - 1) + r for _, _, k, r in parts]))
     return grown
 
 

@@ -122,10 +122,11 @@ _FLAGS = {
 }
 
 
-def _flags(p: argparse.ArgumentParser, *names: str) -> None:
-    """Declare the shared flags a subcommand reads, in the order given."""
+def _flags(p: argparse.ArgumentParser, *names: str, **helps: str) -> None:
+    """Declare the shared flags a subcommand reads, in the order given, with
+    the help texts in ``helps`` replacing the shared ones."""
     for name in names:
-        p.add_argument(f"--{name}", **_FLAGS[name])
+        p.add_argument(f"--{name}", **{**_FLAGS[name], "help": helps.get(name, _FLAGS[name].get("help"))})
 
 
 class _Parser(argparse.ArgumentParser):
@@ -318,6 +319,7 @@ def cmd_herz(args) -> int:
     report = Report(["x", "N", "lhs", "rhs", "margin", "pass"], meta)
     words = list(ball(space.alphabet, args.radius, cap=args.cap))
     mu = spectral_measure(vec, cap=args.cap)
+    mu.masses(2 * args.radius + 1)  # grown before any check, so a cap fails first
     failures = 0
     for w in words:
         n = len(w) + 1
@@ -339,26 +341,17 @@ def cmd_demo_no_hc(args) -> int:
         if args.system is None or args.vector is None:
             raise ValidationError("the demo needs --uniform-rank, or --system and --vector")
         space = _load_space(args.system)
-        vec = fileio.load_vector(_resolve(args.vector), space)
-        nrm2 = inner(vec, vec).real
-        if abs(nrm2 - 1.0) > 1e-9:
-            raise ValidationError("demo vector must have unit norm")
-        mu = spectral_measure(vec, cap=args.cap)
+        mu = spectral_measure(fileio.load_vector(_resolve(args.vector), space), cap=args.cap)
         alphabet = space.alphabet
         source = "spectral"
     w = Word.parse(alphabet, args.word)
     rows = no_harish_chandra_demo(mu, w, args.max_power, cap=args.cap)
     meta = {"command": "demo-no-hc", "measure": source, "word": str(w)}
     report = Report(["n", "word_length", "phi"], meta)
-    decreasing = True
-    prev = None
-    for n, length, phi in rows:
-        report.add(n, length, phi)
-        if prev is not None and phi >= prev:
-            decreasing = False
-        if phi >= 1.0:
-            decreasing = False
-        prev = phi
+    for row in rows:
+        report.add(*row)
+    phis = [phi for _, _, phi in rows]
+    decreasing = all(phi < 1.0 for phi in phis) and all(b < a for a, b in zip(phis, phis[1:]))
     report.write(args.output)
     if not decreasing:
         print("decay demonstration failed: values not strictly below one and decreasing",
@@ -454,7 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", required=True)
     p.add_argument("--vector", required=True)
     p.add_argument("--radius", type=int, default=3)
-    _flags(p, "tolerance", "cap", "output")
+    _flags(p, "tolerance", "cap", "output", cap="bound on the ball, each Hellinger sum's "
+           "partition and the measure's masses, one per stem of spheres 1 to 2*radius+1")
     p.set_defaults(fn=cmd_herz)
 
     p = sub.add_parser("demo-no-hc", help="decay table showing the majorizing measure depends on the vector")
@@ -464,7 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vector", default=None)
     p.add_argument("--uniform-rank", type=int, default=None,
                    help="use the uniform measure on the rank-r boundary instead of a vector")
-    _flags(p, "cap", "output")
+    _flags(p, "cap", "output", cap="bound on each Hellinger sum's partition and on the "
+           "spectral measure's masses, one per stem of spheres 1 to 2|w^n|+1")
     p.set_defaults(fn=cmd_demo_no_hc)
 
     p = sub.add_parser("selftest", help="compact seeded end-to-end checks")

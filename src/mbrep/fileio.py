@@ -244,17 +244,6 @@ def load_exact_vector(path: str, exact_system: ExactSystem) -> ExactVector:
     return ExactVector(exact_system, depth, {w: tuple(v) for w, v in values.items()})
 
 
-def save_vector(path: str, vector: MultVector) -> None:
-    doc = {
-        "depth": vector.depth,
-        "values": {str(w): [_complex_to_entry(z) for z in v.tolist()]
-                   for w, v in sorted(vector.values.items(), key=lambda kv: kv[0].letters)},
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-
-
 def load_quotient(path: str, alphabet: Alphabet) -> CosetTable:
     """Quotient specification: a finite group (cyclic order or multiplication
     table) and letter images; the subgroup is the kernel."""

@@ -35,7 +35,7 @@ from . import _kernels
 from .errors import CapExceededError, DepthError, ValidationError
 from .system import FormTuple, MatrixSystem, compatibility_residual
 from .words import (DEFAULT_CAP, Alphabet, Cylinder, Word, cylinder_image, multiply,
-                    refine, sphere, sphere_size)
+                    refine, sphere, sphere_size, word_index)
 
 
 class RepSpace:
@@ -216,26 +216,37 @@ def deepen(f: MultVector, new_depth: int, cap: int = DEFAULT_CAP) -> MultVector:
     if len(f.values) * growth > cap:
         raise CapExceededError(
             f"deepening to {new_depth} would track {len(f.values) * growth} words, cap {cap}")
-    grouped: Dict[int, Tuple[list, list]] = {}
-    for w, v in f.values.items():
-        rows, keys = grouped.setdefault(w.last(), ([], []))
-        rows.append(v)
-        keys.append(w.letters)
-    level = {p: (np.array(rows), keys) for p, (rows, keys) in grouped.items()}
+    # indices past int64 stay exact as Python ints
+    level = table_level(f, np.int64 if sphere_size(alphabet, new_depth) < 2 ** 63 else object)
+    letters = {word_index(w): w.letters for w in f.values}
     for _ in range(new_depth - f.depth):
         level = _kernels.level_step(space.system.maps, alphabet.inv, level)
         for c, (rows, keys) in level.items():
             live = np.any(rows != 0, axis=1)
             if not live.all():
-                level[c] = (rows[live], [k for k, keep in zip(keys, live) if keep])
+                level[c] = (rows[live], keys[live])
+        # a child's index divided by |A|-1 is its parent's
+        letters = {k: letters[k // (len(alphabet) - 1)] + (c,)
+                   for c, (_, keys) in level.items() for k in keys.tolist()}
     return MultVector._of(space, new_depth, {
-        Word._of(alphabet, k): row
-        for rows, keys in level.values() for k, row in zip(keys, rows)})
+        Word._of(alphabet, letters[k]): row
+        for rows, keys in level.values() for k, row in zip(keys.tolist(), rows)})
+
+
+def table_level(f: MultVector, dtype=np.int64) -> _kernels.Level:
+    """The table of ``f`` as a ``_kernels.level_step`` level keyed by word index."""
+    grouped: Dict[int, Tuple[list, list]] = {}
+    for w, v in f.values.items():
+        rows, keys = grouped.setdefault(w.last(), ([], []))
+        rows.append(v)
+        keys.append(word_index(w))
+    return {p: (np.array(rows), np.array(keys, dtype=dtype))
+            for p, (rows, keys) in grouped.items()}
 
 
 def _common_depth(f: MultVector, g: MultVector, cap: int = DEFAULT_CAP) -> Tuple[MultVector, MultVector]:
     d = max(f.depth, g.depth)
-    return deepen(f, d, cap=cap), deepen(g, d, cap=cap)
+    return tuple(h if h.depth == d else deepen(h, d, cap=cap) for h in (f, g))
 
 
 def inner(f: MultVector, g: MultVector, cap: int = DEFAULT_CAP) -> complex:

@@ -100,10 +100,6 @@ class CosetTable:
             s = self.action[s][c]
         return s
 
-    def contains(self, w: Word) -> bool:
-        """Membership of a word in the subgroup."""
-        return self.walk(w.letters) == 0
-
 
 def coset_table_from_quotient(alphabet: Alphabet, group: FiniteGroup,
                               images: Dict[int, int]) -> CosetTable:

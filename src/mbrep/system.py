@@ -106,9 +106,6 @@ class FormTuple:
         vals = [np.linalg.eigvalsh(f).min() for f in self.forms if f.size]
         return float(min(vals)) if vals else 0.0
 
-    def is_psd(self, tol: float = 1e-10) -> bool:
-        return self.min_eigenvalue() >= -tol
-
 
 class Subsystem:
     """Graded family of subspaces, one per letter, stored as matrices whose

@@ -74,9 +74,6 @@ class Alphabet:
     def __len__(self) -> int:
         return len(self.names)
 
-    def inverse(self, letter: int) -> int:
-        return self.inv[letter]
-
     def letter(self, name: str) -> int:
         try:
             return self._index[name]
@@ -253,18 +250,18 @@ def ball(alphabet: Alphabet, r: int, cap: Optional[int] = DEFAULT_CAP) -> Iterat
         yield from sphere(alphabet, k, cap=None)
 
 
+def prefix_indices(alphabet: Alphabet, letters: Sequence[int]) -> List[int]:
+    """The :func:`word_index` of each prefix of reduced letters, shortest first."""
+    inv, n = alphabet.inv, len(alphabet)
+    out = [0]
+    for k, c in enumerate(letters):
+        out.append(c if k == 0 else out[-1] * (n - 1) + (c if c < inv[letters[k - 1]] else c - 1))
+    return out
+
+
 def word_index(w: Word) -> int:
     """Dense index of ``w`` within its own sphere (see :func:`sphere`)."""
-    if not w.letters:
-        return 0
-    inv = w.alphabet.inv
-    n = len(w.alphabet)
-    idx = w.letters[0]
-    for k in range(1, len(w.letters)):
-        c, p = w.letters[k], w.letters[k - 1]
-        pos = c if c < inv[p] else c - 1
-        idx = idx * (n - 1) + pos
-    return idx
+    return prefix_indices(w.alphabet, w.letters)[-1]
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,13 @@
-"""Shared generators for seeded random systems, vectors, and words."""
+"""Shared generators for seeded random systems, vectors, and words, and the
+literal oracles and test-only predicates the tests compare the package with."""
+
+import json
+import math
 
 import numpy as np
 
-from mbrep.multrep import (MultVector, RepSpace, coefficient, evaluate, inner,
+from mbrep.fileio import _complex_to_entry
+from mbrep.multrep import (MultVector, RepSpace, coefficient, evaluate, inner, point_values,
                            sphere_coefficient, vadd, vscale)
 from mbrep.system import FormTuple, MatrixSystem, normalize
 from mbrep.words import (DEFAULT_CAP, Alphabet, CylinderUnion, Word, cylinder_image, multiply,
@@ -123,3 +128,79 @@ def pair_words(data, a):
     """The reduced words u^-1 . gen indexing the induced blocks at letter a."""
     return [multiply(data.transversal[u_idx].inverse(), data.generator_words[j])
             for u_idx, j in data.pairs[a]]
+
+
+def point_mass(v):
+    """The spectral mass of a stem, read stem by stem: the form norm of the
+    value at a stem at least as long as the depth, read by the vector's
+    point evaluator, or the sum over the table entries under a shorter stem;
+    the total at the identity.  Masses are memoized by stem."""
+    forms = v.space.forms
+    value_at = point_values(v)
+    memo = {(): max(inner(v, v).real, 0.0)}
+
+    def mass(stem):
+        hit = memo.get(stem.letters)
+        if hit is None:
+            if len(stem) >= v.depth:
+                under = [(stem, value_at(stem.letters))]
+            else:
+                under = [(w, val) for w, val in v.values.items() if w.starts_with(stem)]
+            hit = memo[stem.letters] = max(
+                sum(float(np.vdot(val, forms[w.last()] @ val).real)
+                    for w, val in under if val is not None), 0.0)
+        return hit
+
+    return mass
+
+
+def uniform_mass(alphabet):
+    """The uniform probability measure's mass of a stem, in closed form."""
+    n = len(alphabet)
+    return lambda stem: (1.0 / n) * (n - 1.0) ** (1 - len(stem)) if len(stem) else 1.0
+
+
+def hellinger_oracle(mass, alphabet, x, depth):
+    """The Hellinger sum sum_C sqrt(mass(x.C) mass(C)) over the depth-``depth``
+    partition as the literal loop: one stem at a time, each product by
+    ``multiply``, each mass by ``mass``, and the terms added by ``math.fsum``
+    so that the loop's own rounding does not grow with the partition."""
+    terms = []
+    for stem in sphere(alphabet, depth):
+        m = mass(stem)
+        if m <= 0.0:
+            continue
+        moved = mass(multiply(x, stem))
+        if moved > 0.0:
+            terms.append(math.sqrt(moved * m))
+    return math.fsum(terms)
+
+
+def additivity_defect(mu, stem):
+    """|mu(C) - sum of the masses of C's one-letter refinements|."""
+    alphabet = mu.alphabet
+    children = sum(mu(multiply(stem, Word(alphabet, (c,))))
+                   for c in range(len(alphabet)) if c != alphabet.inv[stem.last()])
+    return abs(mu(stem) - children)
+
+
+def coset_contains(table, w):
+    """Membership of a word in the subgroup of a coset table."""
+    return table.walk(w.letters) == 0
+
+
+def is_psd(forms, tol=1e-10):
+    """Whether every form of a tuple is positive semidefinite up to ``tol``."""
+    return forms.min_eigenvalue() >= -tol
+
+
+def save_vector(path, vector):
+    """Write a vector in the JSON layout ``fileio.load_vector`` reads."""
+    doc = {
+        "depth": vector.depth,
+        "values": {str(w): [_complex_to_entry(z) for z in v.tolist()]
+                   for w, v in sorted(vector.values.items(), key=lambda kv: kv[0].letters)},
+    }
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")

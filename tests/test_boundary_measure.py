@@ -10,7 +10,8 @@ from mbrep.multrep import (MultVector, RepSpace, cylinder_op, deepen, evaluate, 
 from mbrep.system import MatrixSystem
 from mbrep.words import Alphabet, Word, ball, sphere
 
-from helpers import random_system, random_vector, random_word
+from helpers import (additivity_defect, hellinger_oracle, point_mass, random_system,
+                     random_vector, random_word, uniform_mass)
 
 A2 = Alphabet.rank(2)
 SQ3 = 1 / np.sqrt(3)
@@ -44,7 +45,7 @@ class TestSpectralMeasure:
         mu = spectral_measure(seed_a)
         for depth in range(1, 5):
             for stem in sphere(A2, depth):
-                assert mu.additivity_defect(stem) <= 1e-10
+                assert additivity_defect(mu, stem) <= 1e-10
 
     def test_additivity_random_system(self):
         rng = np.random.default_rng(3)
@@ -53,7 +54,7 @@ class TestSpectralMeasure:
         mu = spectral_measure(v)
         for depth in (1, 2, 3):
             for stem in sphere(A2, depth):
-                assert mu.additivity_defect(stem) <= 1e-10
+                assert additivity_defect(mu, stem) <= 1e-10
         assert abs(sum(mu(s) for s in sphere(A2, 1)) - mu.total) <= 1e-10
 
 
@@ -68,7 +69,7 @@ class TestUniformMeasure:
         mu = uniform_measure(A2)
         for stem in ball(A2, 3):
             if not stem.is_identity():
-                assert mu.additivity_defect(stem) <= 1e-15
+                assert additivity_defect(mu, stem) <= 1e-15
 
 
 class TestQuasiRegular:
@@ -109,6 +110,18 @@ class TestQuasiRegular:
         with pytest.raises(ValidationError):
             quasi_regular_coefficient(mu, w("ab"), 2)
 
+    @pytest.mark.parametrize("name", ["depth-1", "depth-2", "seed-a", "none-map",
+                                      "uniform-2", "uniform-3"])
+    def test_matches_stem_loop(self, name, seed_a):
+        # the block sums over the mass arrays against the literal loop over
+        # stems, whose masses are read one stem at a time
+        mu, mass, radius = _oracle_inputs(name, seed_a)
+        for x in ball(mu.alphabet, radius):
+            for depth in range(len(x) + 1, len(x) + 4):
+                got = quasi_regular_coefficient(mu, x, depth)
+                want = hellinger_oracle(mass, mu.alphabet, x, depth)
+                assert abs(got - want) <= 1e-13 * want, (str(x), depth, got, want)
+
     def test_symmetry_for_spherical(self, seed_a):
         # the seed measure is supported on one cone, so symmetry holds for
         # the uniform (reversible) measure instead
@@ -118,6 +131,33 @@ class TestQuasiRegular:
             lhs = quasi_regular_coefficient(mu, x, len(x) + 1)
             rhs = quasi_regular_coefficient(mu, x.inverse(), len(x) + 1)
             assert abs(lhs - rhs) <= 1e-12
+
+
+def _cut_space(space):
+    """The same maps with one removed: a None map grows no rows."""
+    b, a, _ = next(space.system.nonzero_pairs())
+    cut = MatrixSystem(space.alphabet, space.system.dims,
+                       {(q, p): m for q, p, m in space.system.nonzero_pairs() if (q, p) != (b, a)})
+    return RepSpace(cut, space.forms, check=False)
+
+
+def _oracle_inputs(name, seed_a):
+    """(measure, stem-by-stem mass, radius) of one input of the Hellinger
+    oracle test; the rank-3 ball stops at radius 2, where the stem loop
+    still takes well under a second."""
+    rng = np.random.default_rng(29)
+    if name.startswith("uniform"):
+        alphabet = Alphabet.rank(int(name[-1]))
+        return uniform_measure(alphabet), uniform_mass(alphabet), 3 if len(alphabet) == 4 else 2
+    if name == "seed-a":
+        v = seed_a
+    else:
+        space, _ = random_system(rng)
+        depth = 2 if name == "depth-2" else 1
+        v = random_vector(space, rng, depth=depth)
+        if name == "none-map":
+            v = MultVector(_cut_space(space), 1, v.values)
+    return spectral_measure(v), point_mass(v), 3
 
 
 class TestHerz:
@@ -155,7 +195,7 @@ class TestHerz:
 
     def test_incremental_deepen_is_bit_identical(self):
         # a table deepened in stages or at once is one table, and its values
-        # are the point evaluator's, which the measure and cylinder_op read
+        # are the point evaluator's, which cylinder_op reads
         rng = np.random.default_rng(5)
         space, _ = random_system(rng)
         # the same maps with one removed: a None map grows no rows
@@ -181,9 +221,10 @@ class TestHerz:
                     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), str(y)
 
     def test_point_reads_match_deepened_tables(self):
-        # the measure and cylinder_op read single stems through a point
-        # evaluator; a deepened table, filtered under the stem, is the
-        # reference, on the random system and on one with a None map
+        # the measure reads a stem's mass from its per-sphere arrays and
+        # cylinder_op reads the stem through the point evaluator; a deepened
+        # table, filtered under the stem, is the reference for both, on the
+        # random system and on one with a None map
         rng = np.random.default_rng(7)
         space, _ = random_system(rng)
         b, a, _ = next(space.system.nonzero_pairs())

@@ -18,7 +18,7 @@ from mbrep.system import compatibility_residual, spherical_system, validate
 from mbrep.vfree import psl2z_datum, vf_validate
 from mbrep.words import Alphabet, Word, sphere
 
-from helpers import random_system, random_vector
+from helpers import random_system, random_vector, save_vector
 
 A2 = Alphabet.rank(2)
 
@@ -107,7 +107,7 @@ class TestVectorFiles:
         rng = np.random.default_rng(5)
         v = random_vector(spherical_space, rng, depth=2)
         path = tmp_path / "vec.json"
-        fileio.save_vector(str(path), v)
+        save_vector(str(path), v)
         loaded = fileio.load_vector(str(path), spherical_space)
         assert loaded.depth == v.depth
         assert loaded.values.keys() == v.values.keys()
@@ -343,8 +343,8 @@ class TestCli:
         assert "# failures=0" in body
 
     def test_herz_cap_exit_code(self, capsys):
-        # the radius-3 check evaluates the measure on 1,078 cylinders, the
-        # 108 depth-4 stems and their translates among them
+        # the radius-3 check reads the masses of spheres 1 to 7, 4,372
+        # entries, and the measure grows its arrays to them before any check
         code = cli.main(["herz", "--system", "builtin:spherical2",
                          "--vector", "builtin:seed-a", "--radius", "3",
                          "--cap", "200"])
@@ -375,9 +375,9 @@ class TestCli:
                          "--output", str(tmp_path / "herz.csv")])
         assert code == 0
         assert counts["spectral_measure"] == 1
-        # the measure reads single stems through its point evaluator and
-        # the identity's coefficient pairs at the vector's own depth, so no
-        # table is propagated
+        # the measure steps its mass arrays out with the level step, not
+        # deepen, and the identity's coefficient pairs at the vector's own
+        # depth, so no table is deepened
         assert counts["levels"] == 0
 
     def test_vf_induce(self, tmp_path):

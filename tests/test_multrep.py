@@ -48,6 +48,19 @@ class TestDeepen:
         with pytest.raises(ValidationError):
             deepen(deepen(seed_a, 2), 1)
 
+    @pytest.mark.parametrize("start,end", [(37, 39), (38, 40), (41, 42)])
+    def test_word_indices_past_int64(self, spherical_space, start, end):
+        # the rows carry their words' sphere indices, which pass 2^63 on
+        # the rank-2 spheres from radius 40 on
+        assert sphere_size(A2, 39) < 2 ** 63 < sphere_size(A2, 40)
+        stem = Word.parse(A2, ("Ba" * 21)[:start])
+        v = MultVector(spherical_space, start, {stem: [1.0]})
+        deep = deepen(v, end)
+        assert len(deep.values) == 3 ** (end - start)
+        for y, val in deep.values.items():
+            assert y.starts_with(stem)
+            assert np.array_equal(val, evaluate(v, y))
+
 
 class TestInner:
     def test_unit_norm(self, seed_a):

@@ -14,7 +14,7 @@ from mbrep.system import (NORMALIZE_MAX_ITER, NORMALIZE_TOL, FormTuple, MatrixSy
                           subsystem_residual, transfer_apply, validate)
 from mbrep.words import Alphabet
 
-from helpers import random_system, s3_quotient
+from helpers import is_psd, random_system, s3_quotient
 
 A2 = Alphabet.rank(2)
 N = 4
@@ -200,7 +200,7 @@ class TestNormalize:
         for _ in range(20):
             space, result = random_system(rng)
             assert result.residual <= 1e-9
-            assert result.forms.is_psd(1e-10)
+            assert is_psd(result.forms, 1e-10)
             assert compatibility_residual(result.system, result.forms) <= 1e-9
 
     def test_degeneracy_flagged_for_equal_radius_blocks(self):
