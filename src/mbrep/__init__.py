@@ -5,20 +5,19 @@ Submodules: ``words`` (reduced-word combinatorics and cylinders), ``system``
 unitary action, matrix coefficients, boundary operators), ``subgroups``
 (coset tables and Schreier data), ``induce`` (block induction and the
 intertwiner), ``vfree`` (free products of finite cyclic groups),
-``boundary_measure`` (spectral measures and the majorization check), and
-``cli``.
+``boundary_measure`` (spectral measures and the majorization check),
+``fileio`` (the JSON file formats) and ``cli``.  Everything computes in
+double precision: exact entries of a system file load as floats, and the
+exact Q(sqrt(k)) oracle and the other literal oracles live with the tests.
 """
 
 from .words import Alphabet, Cylinder, CylinderUnion, Word, cylinder_image, multiply, refine, sphere
-from .system import (FormTuple, MatrixSystem, NormalizationResult, Subsystem,
-                     compatibility_residual, decompose, find_invariant_subsystem,
-                     normalize, radical_quotient, spherical_system, transfer_apply,
-                     validate)
-from .multrep import (CrossedElement, MultVector, RepSpace, act, apply_crossed,
-                      coefficient, covariance_check, cylinder_op, deepen, inner,
-                      precompose)
-from .subgroups import (CosetTable, FiniteGroup, SchreierData,
-                        coset_table_from_quotient, expand_from_subgroup,
+from .system import (FormTuple, MatrixSystem, NormalizationResult, compatibility_residual,
+                     decompose, normalize, radical_quotient, spherical_system,
+                     transfer_apply, validate)
+from .multrep import (MultVector, RepSpace, act, coefficient, covariance_check,
+                      cylinder_op, deepen, inner)
+from .subgroups import (CosetTable, FiniteGroup, SchreierData, coset_table_from_quotient,
                         rewrite_to_subgroup, schreier)
 from .induce import (InducedLayout, InducedVector, induce_system,
                      induced_action, induced_boundary_op, induced_inner,

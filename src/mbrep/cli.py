@@ -82,7 +82,7 @@ class Report:
 
 
 def _load_space(path: str) -> RepSpace:
-    system, forms, _ = fileio.load_system(_resolve(path))
+    system, forms = fileio.load_system(_resolve(path))
     problems = validate(system)
     if problems:
         raise ValidationError("; ".join(problems))
@@ -138,7 +138,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def cmd_normalize(args) -> int:
-    system, _, _ = fileio.load_system(_resolve(args.input))
+    system, _ = fileio.load_system(_resolve(args.input))
     problems = validate(system)
     if problems:
         for p in problems:
@@ -212,9 +212,10 @@ def cmd_coefficients(args) -> int:
 def cmd_induce(args) -> int:
     if args.trials < 0:
         raise ValidationError(f"trials must be >= 0, got {args.trials}")
-    sub_system, sub_forms, _ = fileio.load_system(_resolve(args.system))
+    path = _resolve(args.system)
+    sub_system, sub_forms = fileio.load_system(path)
     if sub_forms is None:
-        raise ValidationError("subgroup system needs forms")
+        raise ValidationError(f"{path}: subgroup system needs forms")
     base = fileio.load_quotient(_resolve(args.quotient), Alphabet.rank(args.base_rank))
     data = schreier(base)
     if sub_system.alphabet != data.subgroup_alphabet:

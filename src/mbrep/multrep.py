@@ -1,5 +1,5 @@
 """Multiplicative vectors and their unitary action, inner products and matrix
-coefficients, boundary cylinder operators, and crossed-product elements.
+coefficients, and boundary cylinder operators.
 
 A vector is a finite germ: values on one word sphere, propagated outward by
 the system maps.  :func:`deepen` propagates a whole table through
@@ -18,15 +18,10 @@ the literal sphere-sum oracle (exponential, see ``_kernels``), steps the
 root values outward with the same level step as ``deepen`` to three levels
 short of the truncation sphere, where one kernel per path of the last three
 steps pairs each sphere word's term from the values at its prefix there.
-:func:`sphere_coefficient` is the same literal sum word by word, over any
-scalar type; the exact mode in ``_exact`` evaluates through it, and the
-tests' reference oracle does too, which walks no cones and so checks the
-partition independently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -35,7 +30,7 @@ from . import _kernels
 from .errors import CapExceededError, DepthError, ValidationError
 from .system import FormTuple, MatrixSystem, compatibility_residual
 from .words import (DEFAULT_CAP, Alphabet, Cylinder, Word, cylinder_image, multiply,
-                    refine, sphere, sphere_size, word_index)
+                    refine, sphere_size, word_index)
 
 
 class RepSpace:
@@ -392,23 +387,6 @@ def _fast_coefficient(x: Word, f: MultVector, g: MultVector) -> complex:
     return complex(total)
 
 
-def sphere_coefficient(alphabet: Alphabet, x: Word, f, g, value_at: Callable,
-                       pair: Callable, zero, cap: int):
-    """Literal truncated sphere sum of the matrix coefficient <act(x, f), g>
-    over any scalar type: ``zero`` plus ``pair(letter, f(x^-1 y), g(y))``
-    over every y on the sphere of radius max(depths) + |x| + 1, where
-    ``letter`` is the last letter of y and ``value_at(f, w)`` evaluates a
-    vector.  The exact oracle over Q(sqrt(k)), and over floats the
-    small-case gate for both backends.
-    """
-    m_depth = max(f.depth, g.depth) + len(x) + 1
-    xinv = x.inverse()
-    total = zero
-    for y in sphere(alphabet, m_depth, cap=cap):
-        total = total + pair(y.last(), value_at(f, multiply(xinv, y)), value_at(g, y))
-    return total
-
-
 def coefficient(x: Word, f: MultVector, g: MultVector, backend: str = "fast",
                 cap: int = DEFAULT_CAP) -> complex:
     """Matrix coefficient <act(x, f), g>.
@@ -459,60 +437,3 @@ def covariance_check(x: Word, z: Word, f: MultVector) -> float:
     for part in cylinder_image(x, Cylinder(z)):
         rhs = vadd(rhs, cylinder_op(part.stem, f))
     return distance(lhs, rhs)
-
-
-@dataclass(frozen=True)
-class CrossedElement:
-    """Finite sum of (coefficient, cylinder-or-whole-boundary, group element)
-    terms acting by boundary multiplication after translation."""
-
-    terms: Tuple[Tuple[complex, Optional[Cylinder], Word], ...]
-
-    @classmethod
-    def of(cls, *terms) -> "CrossedElement":
-        packed = []
-        for coeff, cyl, gamma in terms:
-            if cyl is not None and not isinstance(cyl, Cylinder):
-                cyl = Cylinder(cyl)
-            packed.append((complex(coeff), cyl, gamma))
-        return cls(tuple(packed))
-
-
-def apply_crossed(element: CrossedElement, f: MultVector) -> MultVector:
-    out = zero_vector(f.space, f.depth)
-    for coeff, cyl, gamma in element.terms:
-        moved = act(gamma, f)
-        if cyl is not None:
-            moved = cylinder_op(cyl, moved)
-        out = vadd(out, vscale(coeff, moved))
-    return out
-
-
-def precompose(coefficient_fn: Callable[[Word], complex],
-               images: Dict[int, Word], alphabet: Alphabet) -> Callable[[Word], complex]:
-    """Precompose a coefficient function with the endomorphism sending each
-    letter to the given reduced word (inverse letters filled in
-    automatically)."""
-    table: Dict[int, Word] = {}
-    for c, w in images.items():
-        table[c] = w
-        ci = alphabet.inv[c]
-        wi = w.inverse()
-        if ci in images and images[ci] != wi:
-            raise ValidationError(
-                f"images of {alphabet.names[c]} and {alphabet.names[ci]} are not inverse")
-        table.setdefault(ci, wi)
-    missing = [alphabet.names[c] for c in range(len(alphabet)) if c not in table]
-    if missing:
-        raise ValidationError(f"no image given for letters {missing}")
-
-    def substituted(w: Word) -> Word:
-        out = Word.identity(alphabet)
-        for c in w.letters:
-            out = multiply(out, table[c])
-        return out
-
-    def composed(w: Word) -> complex:
-        return coefficient_fn(substituted(w))
-
-    return composed

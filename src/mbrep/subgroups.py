@@ -303,12 +303,3 @@ def rewrite_to_subgroup(w: Union[Word, Sequence[int]], data: SchreierData) -> Wo
         spelled = "".join(data.table.alphabet.names[c] for c in letters) or "e"
         raise MembershipError(f"{spelled} is not in the subgroup")
     return Word._of(data.subgroup_alphabet, tuple(out))
-
-
-def expand_from_subgroup(w: Word, data: SchreierData) -> Word:
-    """Inverse of rewriting: evaluate a generator-alphabet word in the free
-    group."""
-    out = Word.identity(data.table.alphabet)
-    for j in w.letters:
-        out = multiply(out, data.generator_words[j])
-    return out

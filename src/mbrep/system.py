@@ -107,22 +107,6 @@ class FormTuple:
         return float(min(vals)) if vals else 0.0
 
 
-class Subsystem:
-    """Graded family of subspaces, one per letter, stored as matrices whose
-    columns are an orthonormal basis (possibly zero columns)."""
-
-    __slots__ = ("bases",)
-
-    def __init__(self, bases: Sequence[np.ndarray]):
-        self.bases = [np.asarray(q, dtype=np.complex128) for q in bases]
-
-    def dims(self) -> Tuple[int, ...]:
-        return tuple(q.shape[1] for q in self.bases)
-
-    def total_dim(self) -> int:
-        return sum(self.dims())
-
-
 def validate(system: MatrixSystem) -> List[str]:
     """Structural diagnostics; an empty list means the system is well formed."""
     problems: List[str] = []
@@ -272,7 +256,7 @@ def _transfer_matrix(system: MatrixSystem) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _dense_fixed_point(system: MatrixSystem) -> Tuple[FormTuple, float, float, bool]:
-    """Exact leading eigenpair of the transfer map: spectral projection of
+    """The exact leading eigenpair of the transfer map: spectral projection of
     the identity tuple onto the leading eigenspace.  Covers imprimitive
     systems whose peripheral spectrum makes plain power iteration cycle."""
     matrix, offsets = _transfer_matrix(system)
@@ -382,128 +366,6 @@ def radical_quotient(system: MatrixSystem, forms: FormTuple) -> Tuple[MatrixSyst
             new_maps[(b, a)] = cobases[b].conj().T @ m @ cobases[a]
     new_forms = FormTuple([q.conj().T @ forms[a] @ q for a, q in enumerate(cobases)])
     return MatrixSystem(system.alphabet, new_dims, new_maps), new_forms
-
-
-def subsystem_residual(system: MatrixSystem, sub: Subsystem) -> float:
-    """Max over letter pairs of ||(I - P_b) H_ba P_a|| with P the orthogonal
-    projection onto the stored basis."""
-    worst = 0.0
-    for b, a, m in system.nonzero_pairs():
-        qa, qb = sub.bases[a], sub.bases[b]
-        if qa.shape[1] == 0:
-            continue
-        image = m @ qa
-        if qb.shape[1]:
-            image = image - qb @ (qb.conj().T @ image)
-        if image.size:
-            worst = max(worst, float(np.linalg.norm(image, 2)))
-    return worst
-
-
-def _spin_up(system: MatrixSystem, seeds: List[List[np.ndarray]]) -> Subsystem:
-    """Close a graded family of vectors under all maps."""
-    n = len(system.alphabet)
-    spans: List[List[np.ndarray]] = [[v for v in seeds[a]] for a in range(n)]
-
-    def orthobasis(vectors: List[np.ndarray], d: int) -> np.ndarray:
-        if not vectors:
-            return np.zeros((d, 0), dtype=np.complex128)
-        m = np.column_stack(vectors)
-        u, s, _ = np.linalg.svd(m, full_matrices=False)
-        keep = s > 1e-9 * max(1.0, s[0] if len(s) else 1.0)
-        return u[:, keep]
-
-    bases = [orthobasis(spans[a], system.dims[a]) for a in range(n)]
-    changed = True
-    while changed:
-        changed = False
-        for b, a, m in system.nonzero_pairs():
-            if bases[a].shape[1] == 0:
-                continue
-            image = m @ bases[a]
-            qb = bases[b]
-            leftover = image - qb @ (qb.conj().T @ image) if qb.shape[1] else image
-            norms = np.linalg.norm(leftover, axis=0)
-            fresh = leftover[:, norms > 1e-9]
-            if fresh.shape[1]:
-                bases[b] = orthobasis([qb, fresh] if qb.shape[1] else [fresh], system.dims[b])
-                changed = True
-    return Subsystem(bases)
-
-
-def _random_loop_element(system: MatrixSystem, a: int,
-                         rng: np.random.Generator) -> Optional[np.ndarray]:
-    """Product of maps along a random cycle a -> ... -> a of 2 to 6 steps."""
-    n = len(system.alphabet)
-    inv = system.alphabet.inv
-    length = int(rng.integers(2, 7))
-    path = [a]
-    for _ in range(length - 1):
-        choices = [c for c in range(n) if c != inv[path[-1]]]
-        path.append(int(rng.choice(choices)))
-    if a == inv[path[-1]]:
-        return None
-    path.append(a)
-    m = np.eye(system.dims[a], dtype=np.complex128)
-    for src, dst in zip(path[:-1], path[1:]):
-        step = system.maps[dst][src]
-        if step is None:
-            return None
-        m = step @ m
-    return m
-
-
-def find_invariant_subsystem(system: MatrixSystem, seed: int = 0) -> Optional[Subsystem]:
-    """Randomized search for a nontrivial proper invariant subsystem.
-
-    Alternates spin-ups of random vectors with spin-ups of eigenvectors of
-    random loop-path products (the nullspace trick of computational module
-    theory, adapted to the letter-graded setting).  A returned subsystem is
-    an exact witness, re-verified against ``INVARIANCE_TOL``; ``None`` only
-    means no subsystem was found within 50 rounds.
-    """
-    n = len(system.alphabet)
-    total = system.total_dim()
-    if total == 0:
-        return None
-    rng = np.random.default_rng(seed)
-
-    def consider(sub: Subsystem) -> Optional[Subsystem]:
-        t = sub.total_dim()
-        if 0 < t < total and subsystem_residual(system, sub) <= INVARIANCE_TOL:
-            return sub
-        return None
-
-    for round_no in range(50):
-        a = round_no % n
-        if system.dims[a] == 0:
-            continue
-        seeds: List[List[np.ndarray]] = [[] for _ in range(n)]
-        if round_no % 2 == 0:
-            v = rng.normal(size=system.dims[a]) + 1j * rng.normal(size=system.dims[a])
-            seeds[a].append(v / np.linalg.norm(v))
-            found = consider(_spin_up(system, seeds))
-            if found is not None:
-                return found
-        else:
-            loop = _random_loop_element(system, a, rng)
-            if loop is None or not np.isfinite(loop).all():
-                continue
-            scale = np.abs(loop).max()
-            if scale < 1e-14:
-                continue
-            eigvals, eigvecs = np.linalg.eig(loop / scale)
-            for k in range(eigvecs.shape[1]):
-                v = eigvecs[:, k]
-                nv = np.linalg.norm(v)
-                if nv < 1e-12:
-                    continue
-                trial: List[List[np.ndarray]] = [[] for _ in range(n)]
-                trial[a].append(v / nv)
-                found = consider(_spin_up(system, trial))
-                if found is not None:
-                    return found
-    return None
 
 
 @dataclass

@@ -1,61 +1,49 @@
-"""Exact evaluation over the real quadratic extension Q(sqrt(k)).
+"""Exact evaluation over the real quadratic extension Q(sqrt(k)), the
+tests' oracle for desk-scale values.
 
 Normalized systems generically carry an irrational map scale sqrt(rho), so
 plain rationals cannot express them; scalars a + b*sqrt(k) with rational a, b
 can, and they close under the arithmetic of the literal sphere sum
-(``multrep.sphere_coefficient``).  This mode exists to pin desk-scale values
-exactly (squares of coefficients come out as honest fractions); it supports
-real entries only.
+(``helpers.sphere_coefficient``).  Squares of coefficients come out as honest
+fractions; real entries only.  Exact entries are read by the package's
+parser, ``fileio._parse_exact``, which the float loader shares.
 """
 
-from __future__ import annotations
-
+import json
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
-from .errors import DepthError, ValidationError
-from .multrep import sphere_coefficient
-from .words import Alphabet, Word
+from mbrep import cli, fileio
+from mbrep.errors import DepthError, ValidationError
+from mbrep.words import Alphabet, Word
+
+from helpers import sphere_coefficient
 
 
 class QuadExt:
-    """Number a + b*sqrt(k) with rational a, b and a fixed radicand k > 0."""
+    """Number a + b*sqrt(k) with rational a, b and a radicand k > 0; the two
+    operands of an operation share k."""
 
     __slots__ = ("a", "b", "k")
 
     def __init__(self, a, b=0, k=1):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.k = Fraction(k)
+        self.a, self.b, self.k = Fraction(a), Fraction(b), Fraction(k)
 
-    def _match(self, other: "QuadExt") -> None:
-        if self.b != 0 and other.b != 0 and self.k != other.k:
+    def _k(self, other: "QuadExt") -> Fraction:
+        if other.k != self.k:
             raise ValidationError(f"mixed radicands {self.k} and {other.k}")
-
-    def _k_or(self, other: "QuadExt") -> Fraction:
-        return self.k if self.b != 0 else other.k
+        return self.k
 
     def __add__(self, other):
-        other = _coerce(other, self.k)
-        self._match(other)
-        return QuadExt(self.a + other.a, self.b + other.b, self._k_or(other))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.k)
+        return QuadExt(self.a + other.a, self.b + other.b, self._k(other))
 
     def __sub__(self, other):
-        return self + (-_coerce(other, self.k))
+        return QuadExt(self.a - other.a, self.b - other.b, self._k(other))
 
     def __mul__(self, other):
-        other = _coerce(other, self.k)
-        self._match(other)
-        k = self._k_or(other)
+        k = self._k(other)
         return QuadExt(self.a * other.a + self.b * other.b * k,
                        self.a * other.b + self.b * other.a, k)
-
-    __rmul__ = __mul__
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
@@ -71,27 +59,15 @@ class QuadExt:
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * float(self.k) ** 0.5
 
-    def __eq__(self, other) -> bool:
-        other = _coerce(other, self.k)
-        return self.a == other.a and self.b == other.b and (self.b == 0 or self.k == other.k)
-
     def __repr__(self) -> str:
-        if self.b == 0:
-            return f"{self.a}"
         return f"{self.a}+{self.b}*sqrt({self.k})"
-
-
-def _coerce(value, k) -> QuadExt:
-    if isinstance(value, QuadExt):
-        return value
-    return QuadExt(Fraction(value), 0, k)
 
 
 ExactMatrix = Tuple[Tuple[QuadExt, ...], ...]
 
 
 class ExactSystem:
-    """Matrix system with entries in one quadratic extension."""
+    """Matrix system with real entries in one quadratic extension."""
 
     def __init__(self, alphabet: Alphabet, dims: Sequence[int],
                  maps: Dict[Tuple[int, int], ExactMatrix],
@@ -102,36 +78,23 @@ class ExactSystem:
         self.forms = forms
         self.radicand = Fraction(radicand)
 
-    def map(self, b: int, a: int) -> Optional[ExactMatrix]:
-        return self.maps.get((b, a))
-
     def zero(self) -> QuadExt:
         return QuadExt(0, 0, self.radicand)
 
     def compatibility_holds(self) -> bool:
-        """Exact check of the transfer fixed-point identity for the forms."""
-        n = len(self.alphabet)
-        for a in range(n):
-            da = self.dims[a]
-            acc = [[self.zero() for _ in range(da)] for _ in range(da)]
-            for b in range(n):
-                m = self.maps.get((b, a))
-                if m is None:
-                    continue
-                fb = self.forms[b]
-                db = self.dims[b]
-                # H^T B H for real entries
-                for i in range(da):
-                    for j in range(da):
-                        s = self.zero()
-                        for p in range(db):
-                            for q in range(db):
-                                s = s + m[p][i] * fb[p][q] * m[q][j]
-                        acc[i][j] = acc[i][j] + s
-            fa = self.forms[a]
+        """Exact check of the transfer fixed-point identity
+        sum_b H_ba^T B_b H_ba = B_a for the forms."""
+        for a, da in enumerate(self.dims):
             for i in range(da):
                 for j in range(da):
-                    if not (acc[i][j] - fa[i][j]).is_zero():
+                    s = self.zero() - self.forms[a][i][j]
+                    for (b, source), m in self.maps.items():
+                        fb, db = self.forms[b], self.dims[b]
+                        if source == a:
+                            for p in range(db):
+                                for q in range(db):
+                                    s = s + m[p][i] * fb[p][q] * m[q][j]
+                    if not s.is_zero():
                         return False
         return True
 
@@ -149,25 +112,16 @@ class ExactVector:
                        if not all(x.is_zero() for x in v)}
 
 
-def _exact_matvec(system: ExactSystem, b: int, a: int,
-                  v: Tuple[QuadExt, ...]) -> Tuple[QuadExt, ...]:
-    m = system.maps.get((b, a))
-    if m is None:
-        return tuple(system.zero() for _ in range(system.dims[b]))
-    return tuple(sum((m[i][j] * v[j] for j in range(system.dims[a])),
-                     system.zero()) for i in range(system.dims[b]))
-
-
 def exact_evaluate(f: ExactVector, w: Word) -> Tuple[QuadExt, ...]:
     if len(w) < f.depth:
         raise DepthError(f"cannot evaluate below depth {f.depth}")
-    prefix = Word(w.alphabet, w.letters[: f.depth])
-    v = f.values.get(prefix)
-    if v is None:
-        return tuple(f.system.zero() for _ in range(f.system.dims[w.last()]))
+    zero = f.system.zero()
+    v = f.values.get(Word(w.alphabet, w.letters[: f.depth]))
     for k in range(f.depth, len(w)):
-        v = _exact_matvec(f.system, w.letters[k], w.letters[k - 1], v)
-    return v
+        m = None if v is None else f.system.maps.get((w.letters[k], w.letters[k - 1]))
+        v = None if m is None else tuple(sum((mi[j] * v[j] for j in range(len(v))), zero)
+                                          for mi in m)
+    return tuple(zero for _ in range(f.system.dims[w.last()])) if v is None else v
 
 
 def exact_coefficient(x: Word, f: ExactVector, g: ExactVector) -> QuadExt:
@@ -184,10 +138,6 @@ def exact_coefficient(x: Word, f: ExactVector, g: ExactVector) -> QuadExt:
                               system.zero(), 200_000)
 
 
-def exact_inner(f: ExactVector, g: ExactVector) -> QuadExt:
-    return exact_coefficient(Word.identity(f.system.alphabet), f, g)
-
-
 def exact_spherical(alphabet: Alphabet) -> ExactSystem:
     """Rank-r spherical system with exact maps 1/sqrt(|A|-1) and unit forms."""
     n = len(alphabet)
@@ -201,3 +151,27 @@ def exact_spherical(alphabet: Alphabet) -> ExactSystem:
                 maps[(b, a)] = ((scale,),)
     forms = {a: ((one,),) for a in range(n)}
     return ExactSystem(alphabet, [1] * n, maps, forms, radicand=k)
+
+
+def load_exact_builtin() -> ExactSystem:
+    """``builtin:spherical2-exact`` as an ``ExactSystem``."""
+    with open(cli._resolve("builtin:spherical2-exact")) as fh:
+        doc = json.load(fh)
+    alphabet, radicand = Alphabet(doc["alphabet"], doc["involution"]), Fraction(doc["radicand"])
+
+    def matrix(rows) -> ExactMatrix:
+        return tuple(tuple(QuadExt(*fileio._parse_exact(e), radicand) for e in row) for row in rows)
+
+    maps = {tuple(alphabet.letter(name) for name in key.split("|")): matrix(rows)
+            for key, rows in doc["maps"].items()}
+    forms = {alphabet.letter(name): matrix(rows) for name, rows in doc["forms"].items()}
+    return ExactSystem(alphabet, [doc["dims"][name] for name in alphabet.names],
+                       maps, forms, radicand)
+
+
+def load_exact_vector(path: str, exact_system: ExactSystem) -> ExactVector:
+    """A vector file with exact entries, read like ``fileio.load_vector``."""
+    depth, values = fileio._vector_doc(
+        path, exact_system.alphabet,
+        lambda e, _: QuadExt(*fileio._parse_exact(e), exact_system.radicand))
+    return ExactVector(exact_system, depth, {w: tuple(v) for w, v in values.items()})

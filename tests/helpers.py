@@ -1,17 +1,23 @@
 """Shared generators for seeded random systems, vectors, and words, and the
-literal oracles and test-only predicates the tests compare the package with."""
+literal oracles and test-only predicates the tests compare the package with:
+the literal sphere sum, crossed-product elements, the expansion of subgroup
+words, and the randomized search for an invariant subsystem.  The exact
+Q(sqrt(k)) oracle is in ``exact``."""
 
 import json
 import math
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from mbrep.fileio import _complex_to_entry
-from mbrep.multrep import (MultVector, RepSpace, coefficient, evaluate, inner, point_values,
-                           sphere_coefficient, vadd, vscale)
-from mbrep.system import FormTuple, MatrixSystem, normalize
-from mbrep.words import (DEFAULT_CAP, Alphabet, CylinderUnion, Word, cylinder_image, multiply,
-                         refine, sphere)
+from mbrep.multrep import (MultVector, RepSpace, act, coefficient, cylinder_op, evaluate,
+                           inner, point_values, vadd, vscale, zero_vector)
+from mbrep.subgroups import SchreierData
+from mbrep.system import INVARIANCE_TOL, MatrixSystem, normalize
+from mbrep.words import (DEFAULT_CAP, Alphabet, Cylinder, CylinderUnion, Word, cylinder_image,
+                         multiply, refine, sphere)
 
 
 def random_system(rng, alphabet=None, max_dim=3):
@@ -30,6 +36,50 @@ def random_system(rng, alphabet=None, max_dim=3):
     system = MatrixSystem(alphabet, dims, maps)
     result = normalize(system)
     return RepSpace(result.system, result.forms), result
+
+
+def sphere_coefficient(alphabet: Alphabet, x: Word, f, g, value_at: Callable,
+                       pair: Callable, zero, cap: int):
+    """Literal truncated sphere sum of the matrix coefficient <act(x, f), g>
+    over any scalar type: ``zero`` plus ``pair(letter, f(x^-1 y), g(y))``
+    over every y on the sphere of radius max(depths) + |x| + 1, where
+    ``letter`` is the last letter of y and ``value_at(f, w)`` evaluates a
+    vector.  The exact oracle over Q(sqrt(k)), and over floats the
+    small-case gate for both backends.
+    """
+    m_depth = max(f.depth, g.depth) + len(x) + 1
+    xinv = x.inverse()
+    total = zero
+    for y in sphere(alphabet, m_depth, cap=cap):
+        total = total + pair(y.last(), value_at(f, multiply(xinv, y)), value_at(g, y))
+    return total
+
+
+@dataclass(frozen=True)
+class CrossedElement:
+    """Finite sum of (coefficient, cylinder-or-whole-boundary, group element)
+    terms acting by boundary multiplication after translation."""
+
+    terms: Tuple[Tuple[complex, Optional[Cylinder], Word], ...]
+
+    @classmethod
+    def of(cls, *terms) -> "CrossedElement":
+        packed = []
+        for coeff, cyl, gamma in terms:
+            if cyl is not None and not isinstance(cyl, Cylinder):
+                cyl = Cylinder(cyl)
+            packed.append((complex(coeff), cyl, gamma))
+        return cls(tuple(packed))
+
+
+def apply_crossed(element: CrossedElement, f: MultVector) -> MultVector:
+    out = zero_vector(f.space, f.depth)
+    for coeff, cyl, gamma in element.terms:
+        moved = act(gamma, f)
+        if cyl is not None:
+            moved = cylinder_op(cyl, moved)
+        out = vadd(out, vscale(coeff, moved))
+    return out
 
 
 def reference_coefficient(x, f, g):
@@ -204,3 +254,142 @@ def save_vector(path, vector):
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
+
+
+def expand_from_subgroup(w: Word, data: SchreierData) -> Word:
+    """Inverse of rewriting: evaluate a generator-alphabet word in the free
+    group."""
+    out = Word.identity(data.table.alphabet)
+    for j in w.letters:
+        out = multiply(out, data.generator_words[j])
+    return out
+
+
+class Subsystem:
+    """Graded family of subspaces, one per letter, stored as matrices whose
+    columns are an orthonormal basis (possibly zero columns)."""
+
+    def __init__(self, bases: Sequence[np.ndarray]):
+        self.bases = [np.asarray(q, dtype=np.complex128) for q in bases]
+
+    def total_dim(self) -> int:
+        return sum(q.shape[1] for q in self.bases)
+
+
+def subsystem_residual(system: MatrixSystem, sub: Subsystem) -> float:
+    """Max over letter pairs of ||(I - P_b) H_ba P_a|| with P the orthogonal
+    projection onto the stored basis."""
+    worst = 0.0
+    for b, a, m in system.nonzero_pairs():
+        qa, qb = sub.bases[a], sub.bases[b]
+        if qa.shape[1] == 0:
+            continue
+        image = m @ qa
+        if qb.shape[1]:
+            image = image - qb @ (qb.conj().T @ image)
+        if image.size:
+            worst = max(worst, float(np.linalg.norm(image, 2)))
+    return worst
+
+
+def _spin_up(system: MatrixSystem, seeds: List[List[np.ndarray]]) -> Subsystem:
+    """Close a graded family of vectors under all maps."""
+    def orthobasis(vectors: List[np.ndarray], d: int) -> np.ndarray:
+        if not vectors:
+            return np.zeros((d, 0), dtype=np.complex128)
+        m = np.column_stack(vectors)
+        u, s, _ = np.linalg.svd(m, full_matrices=False)
+        keep = s > 1e-9 * max(1.0, s[0] if len(s) else 1.0)
+        return u[:, keep]
+
+    bases = [orthobasis(vectors, d) for vectors, d in zip(seeds, system.dims)]
+    changed = True
+    while changed:
+        changed = False
+        for b, a, m in system.nonzero_pairs():
+            if bases[a].shape[1] == 0:
+                continue
+            image = m @ bases[a]
+            qb = bases[b]
+            leftover = image - qb @ (qb.conj().T @ image) if qb.shape[1] else image
+            norms = np.linalg.norm(leftover, axis=0)
+            fresh = leftover[:, norms > 1e-9]
+            if fresh.shape[1]:
+                bases[b] = orthobasis([qb, fresh] if qb.shape[1] else [fresh], system.dims[b])
+                changed = True
+    return Subsystem(bases)
+
+
+def _random_loop_element(system: MatrixSystem, a: int,
+                         rng: np.random.Generator) -> Optional[np.ndarray]:
+    """Product of maps along a random cycle a -> ... -> a of 2 to 6 steps."""
+    n = len(system.alphabet)
+    inv = system.alphabet.inv
+    length = int(rng.integers(2, 7))
+    path = [a]
+    for _ in range(length - 1):
+        choices = [c for c in range(n) if c != inv[path[-1]]]
+        path.append(int(rng.choice(choices)))
+    if a == inv[path[-1]]:
+        return None
+    path.append(a)
+    m = np.eye(system.dims[a], dtype=np.complex128)
+    for src, dst in zip(path[:-1], path[1:]):
+        step = system.maps[dst][src]
+        if step is None:
+            return None
+        m = step @ m
+    return m
+
+
+def find_invariant_subsystem(system: MatrixSystem, seed: int = 0) -> Optional[Subsystem]:
+    """Randomized search for a nontrivial proper invariant subsystem.
+
+    Alternates spin-ups of random vectors with spin-ups of eigenvectors of
+    random loop-path products (the nullspace trick of computational module
+    theory, adapted to the letter-graded setting).  A returned subsystem is
+    an exact witness, re-verified against ``INVARIANCE_TOL``; ``None`` only
+    means no subsystem was found within 50 rounds.
+    """
+    n = len(system.alphabet)
+    total = system.total_dim()
+    if total == 0:
+        return None
+    rng = np.random.default_rng(seed)
+
+    def consider(sub: Subsystem) -> Optional[Subsystem]:
+        t = sub.total_dim()
+        if 0 < t < total and subsystem_residual(system, sub) <= INVARIANCE_TOL:
+            return sub
+        return None
+
+    for round_no in range(50):
+        a = round_no % n
+        if system.dims[a] == 0:
+            continue
+        seeds: List[List[np.ndarray]] = [[] for _ in range(n)]
+        if round_no % 2 == 0:
+            v = rng.normal(size=system.dims[a]) + 1j * rng.normal(size=system.dims[a])
+            seeds[a].append(v / np.linalg.norm(v))
+            found = consider(_spin_up(system, seeds))
+            if found is not None:
+                return found
+        else:
+            loop = _random_loop_element(system, a, rng)
+            if loop is None or not np.isfinite(loop).all():
+                continue
+            scale = np.abs(loop).max()
+            if scale < 1e-14:
+                continue
+            eigvals, eigvecs = np.linalg.eig(loop / scale)
+            for k in range(eigvecs.shape[1]):
+                v = eigvecs[:, k]
+                nv = np.linalg.norm(v)
+                if nv < 1e-12:
+                    continue
+                trial: List[List[np.ndarray]] = [[] for _ in range(n)]
+                trial[a].append(v / nv)
+                found = consider(_spin_up(system, trial))
+                if found is not None:
+                    return found
+    return None

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from mbrep import _kernels, fileio
-from mbrep._exact import ExactVector, exact_coefficient, exact_spherical
 from mbrep.boundary_measure import (herz_check, no_harish_chandra_demo,
                                     quasi_regular_coefficient, spectral_measure)
 from mbrep.induce import (InducedVector, induce_system, induced_action,
@@ -20,13 +19,14 @@ from mbrep.multrep import (MultVector, RepSpace, act, coefficient,
                            covariance_check, cylinder_op, deepen, distance, inner)
 from mbrep.subgroups import FiniteGroup, coset_table_from_quotient, schreier
 from mbrep.system import (FormTuple, MatrixSystem, compatibility_residual,
-                          decompose, find_invariant_subsystem, normalize,
-                          spherical_system, validate)
+                          decompose, normalize, spherical_system, validate)
 from mbrep.vfree import induce_to_vf, psl2z_datum, vf_gram, vf_validate
 from mbrep.words import (Alphabet, Cylinder, Word, ball, cylinder_image, multiply, sphere,
                          sphere_size)
 
-from helpers import gram_matrix, random_system, random_vector, random_word
+from exact import ExactVector, exact_coefficient, exact_spherical
+from helpers import (find_invariant_subsystem, gram_matrix, random_system, random_vector,
+                     random_word)
 
 A2 = Alphabet.rank(2)
 

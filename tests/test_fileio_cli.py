@@ -11,13 +11,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mbrep import cli, fileio
-from mbrep._exact import exact_coefficient
 from mbrep.errors import ValidationError
 from mbrep.multrep import MultVector, RepSpace
 from mbrep.system import compatibility_residual, spherical_system, validate
 from mbrep.vfree import psl2z_datum, vf_validate
 from mbrep.words import Alphabet, Word, sphere
 
+from exact import QuadExt, exact_coefficient, load_exact_builtin, load_exact_vector
 from helpers import random_system, random_vector, save_vector
 
 A2 = Alphabet.rank(2)
@@ -29,8 +29,7 @@ class TestSystemFiles:
         space, _ = random_system(rng)
         path = tmp_path / "sys.json"
         fileio.save_system(str(path), space.system, space.forms)
-        loaded, forms, exact = fileio.load_system(str(path))
-        assert exact is None
+        loaded, forms = fileio.load_system(str(path))
         assert validate(loaded) == []
         assert loaded.dims == space.system.dims
         for b in range(4):
@@ -41,7 +40,7 @@ class TestSystemFiles:
 
     def test_builtin_spherical(self):
         path = cli._resolve("builtin:spherical2")
-        system, forms, _ = fileio.load_system(path)
+        system, forms = fileio.load_system(path)
         assert validate(system) == []
         assert compatibility_residual(system, forms) <= 1e-12
 
@@ -54,7 +53,7 @@ class TestSystemFiles:
         }
         path = tmp_path / "sparse.json"
         path.write_text(json.dumps(doc))
-        system, forms, _ = fileio.load_system(str(path))
+        system, forms = fileio.load_system(str(path))
         assert forms is None
         assert np.abs(system.map(0, 3)).max() == 0
         assert system.map(0, 2)[0, 0] == 0.5
@@ -80,7 +79,7 @@ class TestSystemFiles:
         }
         path = tmp_path / "cplx.json"
         path.write_text(json.dumps(doc))
-        system, _, _ = fileio.load_system(str(path))
+        system, _ = fileio.load_system(str(path))
         assert system.map(0, 2)[0, 0] == 0.5 - 0.25j
 
     @pytest.mark.parametrize("entry", ["1/0", "1/0*rt", "1/2+1/00*rt"])
@@ -93,13 +92,54 @@ class TestSystemFiles:
             fileio.load_system(str(path))
 
     def test_exact_builtin(self):
-        path = cli._resolve("builtin:spherical2-exact")
-        system, forms, exact = fileio.load_system(path)
-        assert exact is not None
+        system, forms = fileio.load_system(cli._resolve("builtin:spherical2-exact"))
+        exact = load_exact_builtin()
         assert exact.compatibility_holds()
-        f = fileio.load_exact_vector(cli._resolve("builtin:seed-a"), exact)
+        for (b, a), m in exact.maps.items():
+            assert system.map(b, a)[0, 0] == float(m[0][0])
+        assert all(forms[a][0, 0] == float(exact.forms[a][0][0]) for a in range(4))
+        f = load_exact_vector(cli._resolve("builtin:seed-a"), exact)
         val = exact_coefficient(Word.parse(A2, "a"), f, f)
         assert val.square().as_fraction() == Fraction(1, 3)
+
+
+RATIONALS = st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 6)
+
+
+class TestExactEntries:
+    """Exact entries a + b*rt load as float(a) + float(b) * sqrt(radicand),
+    bit for bit the float of the exact oracle's number."""
+
+    @staticmethod
+    def _load_entry(tmp_path, entry, radicand):
+        doc = _builtin_doc("spherical2-exact")
+        doc["radicand"] = str(radicand)
+        doc["maps"]["a|b"] = [[entry]]
+        path = tmp_path / "entry.json"
+        path.write_text(json.dumps(doc))
+        system, _ = fileio.load_system(str(path))
+        return system.map(A2.letter("a"), A2.letter("b"))[0, 0]
+
+    @settings(derandomize=True, max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(a=RATIONALS, b=RATIONALS,
+           k=st.fractions(min_value=0, max_value=10 ** 6, max_denominator=10 ** 6)
+           .filter(lambda k: k > 0))
+    def test_float_parity(self, tmp_path, a, b, k):
+        for entry, want in ((f"{a}", QuadExt(a, 0, k)), (f"{b}*rt", QuadExt(0, b, k)),
+                            (f"{a}+{b}*rt", QuadExt(a, b, k))):
+            got = self._load_entry(tmp_path, entry, k)
+            assert got.imag == 0.0 and got.real == float(want), entry
+        big, top = (a or 1) * 10 ** 400, 10 ** 308
+        for entry, radicand in ((f"{big}", k), (f"{a}+{big}*rt", k),
+                                (f"{top}+{top}*rt", max(k, 1))):
+            with pytest.raises(ValidationError):
+                self._load_entry(tmp_path, entry, radicand)
+
+    def test_builtin_entry(self):
+        system, _ = fileio.load_system(cli._resolve("builtin:spherical2-exact"))
+        got = system.map(A2.letter("a"), A2.letter("a"))[0, 0]
+        assert got == 0.0 + float(Fraction(1, 3)) * 3 ** 0.5
 
 
 class TestVectorFiles:
@@ -175,7 +215,7 @@ def _psl2z_doc():
 
 @pytest.fixture(scope="module")
 def exact_spherical():
-    return fileio.load_system(cli._resolve("builtin:spherical2-exact"))[2]
+    return load_exact_builtin()
 
 
 class TestLoaderFuzz:
@@ -189,8 +229,8 @@ class TestLoaderFuzz:
         for load in (fileio.load_system, lambda p: fileio.load_vector(p, spherical_space)):
             try:
                 load(str(path))
-            except ValidationError:
-                pass
+            except ValidationError as err:
+                assert str(path) in str(err)
 
     @settings(derandomize=True, max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -201,7 +241,7 @@ class TestLoaderFuzz:
         path = tmp_path_factory.getbasetemp() / "fuzz.json"
         path.write_text(json.dumps(doc))
         for load in (lambda p: fileio.load_quotient(p, A2), fileio.load_vf_datum,
-                     lambda p: fileio.load_exact_vector(p, exact_spherical)):
+                     lambda p: load_exact_vector(p, exact_spherical)):
             try:
                 load(str(path))
             except ValidationError:
@@ -225,7 +265,7 @@ class TestCli:
         assert code == 0
         text = capsys.readouterr().out
         assert "spectral_radius=3" in text
-        system, forms, _ = fileio.load_system(str(out))
+        system, forms = fileio.load_system(str(out))
         assert validate(system) == []
         assert compatibility_residual(system, forms) <= 1e-9
 
@@ -306,7 +346,7 @@ class TestCli:
         assert code == 0
         text = capsys.readouterr().out
         assert "(4, 4, 2, 2)" in text
-        system, forms, _ = fileio.load_system(str(out))
+        system, forms = fileio.load_system(str(out))
         assert validate(system) == []
         assert compatibility_residual(system, forms) <= 1e-9
 
@@ -756,7 +796,7 @@ class TestCli:
         assert "commutant_dim=2" in out
         assert "cascade=1e-06" in out
         for k in range(2):
-            comp, cf, _ = fileio.load_system(str(tmp_path / f"comp-{k}.json"))
+            comp, cf = fileio.load_system(str(tmp_path / f"comp-{k}.json"))
             assert validate(comp) == []
 
     def test_selftest(self):

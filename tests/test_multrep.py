@@ -5,18 +5,17 @@ import numpy as np
 import pytest
 
 from mbrep import _kernels
-from mbrep._exact import exact_coefficient, exact_inner, exact_spherical, ExactVector
 from mbrep.errors import DepthError, ValidationError
-from mbrep.multrep import (CrossedElement, MultVector, RepSpace, act,
-                           apply_crossed, coefficient, cone_walk, covariance_check,
-                           cylinder_op, deepen, distance, evaluate, inner, norm,
-                           point_values, precompose, vadd, vscale)
+from mbrep.multrep import (MultVector, RepSpace, act, coefficient, cone_walk,
+                           covariance_check, cylinder_op, deepen, distance, evaluate,
+                           inner, norm, point_values, vadd)
 from mbrep.system import MatrixSystem, normalize, spherical_system
 from mbrep.words import (Alphabet, Cylinder, Word, ball, cylinder_image, multiply, refine,
                          sphere, sphere_size)
 
-from helpers import (gram_matrix, random_system, random_vector, random_word,
-                     reference_coefficient)
+from exact import ExactVector, exact_coefficient, exact_spherical
+from helpers import (CrossedElement, apply_crossed, gram_matrix, random_system, random_vector,
+                     random_word, reference_coefficient)
 
 A2 = Alphabet.rank(2)
 
@@ -375,38 +374,6 @@ class TestCrossedElements:
         assert norm(apply_crossed(e, seed_a)) <= 1e-14
 
 
-class TestPrecompose:
-    def _coeff_fn(self, seed_a):
-        return lambda x: coefficient(x, seed_a, seed_a)
-
-    def test_identity(self, seed_a):
-        fn = self._coeff_fn(seed_a)
-        images = {A2.letter("a"): w("a"), A2.letter("b"): w("b")}
-        composed = precompose(fn, images, A2)
-        for text in ("e", "a", "ab"):
-            assert abs(composed(w(text)) - fn(w(text))) <= 1e-14
-
-    def test_generator_inversion(self, seed_a):
-        fn = self._coeff_fn(seed_a)
-        images = {A2.letter("a"): w("A"), A2.letter("b"): w("B")}
-        composed = precompose(fn, images, A2)
-        assert abs(composed(w("a")) - fn(w("A"))) <= 1e-14
-
-    def test_substitution_with_reduction(self, seed_a):
-        fn = self._coeff_fn(seed_a)
-        images = {A2.letter("a"): w("ab"), A2.letter("b"): w("b")}
-        composed = precompose(fn, images, A2)
-        assert abs(composed(w("a")) - fn(w("ab"))) <= 1e-14
-        # aB substitutes to ab.B = a
-        assert abs(composed(w("aB")) - fn(w("a"))) <= 1e-14
-
-    def test_inconsistent_images_rejected(self, seed_a):
-        fn = self._coeff_fn(seed_a)
-        images = {A2.letter("a"): w("ab"), A2.letter("A"): w("ab")}
-        with pytest.raises(ValidationError):
-            precompose(fn, images, A2)
-
-
 class TestEvaluate:
     def test_below_depth_rejected(self, seed_a):
         deep = deepen(seed_a, 3)
@@ -542,7 +509,7 @@ class TestExactMode:
         f = ExactVector(system, 1, {w("a"): (one,)})
         val = exact_coefficient(w("a"), f, f)
         assert val.square().as_fraction() == Fraction(1, 3)
-        assert exact_inner(f, f).as_fraction() == 1
+        assert exact_coefficient(Word.identity(A2), f, f).as_fraction() == 1
 
     def test_matches_float_backend(self, seed_a):
         system = exact_spherical(A2)

@@ -3,10 +3,10 @@ import pytest
 
 from mbrep.errors import MembershipError, ValidationError
 from mbrep.subgroups import (CosetTable, FiniteGroup, coset_table_from_quotient,
-                             expand_from_subgroup, rewrite_to_subgroup, schreier)
+                             rewrite_to_subgroup, schreier)
 from mbrep.words import Alphabet, Word, multiply
 
-from helpers import coset_contains, pair_words, random_word, s3_quotient
+from helpers import coset_contains, expand_from_subgroup, pair_words, random_word, s3_quotient
 
 A2 = Alphabet.rank(2)
 

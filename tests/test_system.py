@@ -5,16 +5,15 @@ from hypothesis import given, settings, strategies as st
 from mbrep.errors import DegenerateSystemError, ValidationError
 from mbrep.induce import induce_system
 from mbrep.subgroups import FiniteGroup, coset_table_from_quotient, schreier
-from mbrep.system import (NORMALIZE_MAX_ITER, NORMALIZE_TOL, FormTuple, MatrixSystem, Subsystem,
+from mbrep.system import (NORMALIZE_MAX_ITER, NORMALIZE_TOL, FormTuple, MatrixSystem,
                           _commutant_basis, _dense_fixed_point, _hermitian,
                           _hermitian_constraints, _orthonormal_coordinates, _power_iterate,
-                          _transfer_matrix, compatibility_residual, decompose,
-                          find_invariant_subsystem, normalize,
-                          radical_quotient, spherical_system,
-                          subsystem_residual, transfer_apply, validate)
+                          _transfer_matrix, compatibility_residual, decompose, normalize,
+                          radical_quotient, spherical_system, transfer_apply, validate)
 from mbrep.words import Alphabet
 
-from helpers import is_psd, random_system, s3_quotient
+from helpers import (Subsystem, find_invariant_subsystem, is_psd, random_system, s3_quotient,
+                     subsystem_residual)
 
 A2 = Alphabet.rank(2)
 N = 4
@@ -293,8 +292,6 @@ class TestInvariantSubsystems:
             assert abs(abs(q[0, 0]) - 1.0) <= 1e-8  # the first coordinate axis
 
     def test_triangular_complement_not_invariant(self):
-        from mbrep.system import Subsystem
-
         system = triangular_system()
         complement = Subsystem([np.array([[0.0], [1.0]], dtype=complex)] * N)
         assert subsystem_residual(system, complement) > 0.1
@@ -638,8 +635,6 @@ def test_commutant_matches_old_formulation(build):
 def _projective_grid_oracle(system, steps=16):
     """Exhaustive search for a one-dimensional-per-letter invariant family by
     propagating grid lines; None when no candidate survives."""
-    from mbrep.system import Subsystem, subsystem_residual
-
     n = len(system.alphabet)
     for theta in np.linspace(0, np.pi / 2, steps):
         for phi in np.linspace(0, 2 * np.pi, steps, endpoint=False):
