@@ -82,13 +82,17 @@ class Report:
 
 
 def _load_space(path: str) -> RepSpace:
-    system, forms = fileio.load_system(_resolve(path))
+    resolved = _resolve(path)
+    system, forms = fileio.load_system(resolved)
     problems = validate(system)
     if problems:
-        raise ValidationError("; ".join(problems))
+        raise ValidationError(f"{resolved}: " + "; ".join(problems))
     if forms is None:
         raise ValidationError(f"system file {path} carries no forms; run normalize first")
-    return RepSpace(system, forms)
+    try:
+        return RepSpace(system, forms)
+    except ValidationError as err:
+        raise ValidationError(f"{resolved}: {err}") from None
 
 
 def _tolerance(text: str) -> float:
@@ -298,7 +302,7 @@ def cmd_vf_induce(args) -> int:
     meta = {"command": "vf-induce", "datum": datum.name or args.datum,
             "radius": args.radius}
     report = Report(["lambda", "re", "im"], meta)
-    gram = vf_gram(datum, coefficient, elements, blocks)
+    gram = vf_gram(datum, elements, blocks)
     # the ball starts at the identity, so row 0 holds the values at each lambda
     for lam, val in zip(elements, gram[0]):
         report.add(grp.format(lam), val.real, val.imag)

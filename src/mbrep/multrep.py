@@ -8,13 +8,13 @@ vector's one memoized evaluator, which steps single words one matvec per
 letter from the longest prefix any reader has stepped through.  Every
 single-word read goes through it; :func:`evaluate` alone walks afresh.
 
-Matrix coefficients come in two backends, ``fast`` and ``brute``.  Both
-share :func:`cone_walk`, which partitions the sphere into cones by where a
-word leaves the geodesic of the acting word and yields the root pairs of
-each cone as letter tuples.  ``fast`` pairs the values at the roots, as
-compatibility collapses each cone's tail sum onto them; the vector's one
-evaluator serves all its roots, so a geodesic is walked once.  ``brute``,
-the literal sphere-sum oracle (exponential, see ``_kernels``), steps the
+Matrix coefficients come in two backends over the cones of
+:func:`cone_walk`, which partitions the sphere by where a word leaves the
+geodesic of the acting word.  ``fast``, :func:`coefficients`, regroups the
+cone sum into one row carried along the prefixes of a word set, a few small
+matvecs per prefix shared by every word through it: the matrix-product form
+of the coefficients of multiplicative representations.  ``brute``, the
+literal sphere-sum oracle (exponential, see ``_kernels``), steps the cones'
 root values outward with the same level step as ``deepen`` to three levels
 short of the truncation sphere, where one kernel per path of the last three
 steps pairs each sphere word's term from the values at its prefix there.
@@ -22,7 +22,8 @@ steps pairs each sphere word's term from the values at its prefix there.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+import functools
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -57,6 +58,18 @@ class RepSpace:
 
     def dim(self, letter: int) -> int:
         return self.system.dims[letter]
+
+    @functools.cached_property
+    def cone_tables(self) -> Tuple[list, list]:
+        """The maps H[b][a], zero matrices for None maps, and the cone kernels
+        K[a][b] = sum over c not in {b, a^-1} of H[c][a]^* B_c H[c][b^-1]
+        (None where b is a^-1), built on first use, once per space."""
+        inv, forms, n = self.alphabet.inv, self.forms, len(self.alphabet)
+        H = [[self.system.map(b, a) for a in range(n)] for b in range(n)]
+        K = [[None if b == inv[a] else sum(H[c][a].conj().T @ forms[c] @ H[c][inv[b]]
+                                            for c in range(n) if c != b and c != inv[a])
+              for b in range(n)] for a in range(n)]
+        return H, K
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -367,46 +380,106 @@ def cone_walk(x: Word, f_depth: int, g_depth: int) -> Iterator[List[Tuple[tuple,
             yield [(xinv[: lx - i] + t, xl[:i] + t) for t in tails]
 
 
-def _fast_coefficient(x: Word, f: MultVector, g: MultVector) -> complex:
-    if x.is_identity():
-        return inner(f, g)
-    forms = f.space.forms
-    f_at = point_values(f)
-    g_at = point_values(g)
-    total = 0.0 + 0.0j
-    for roots in cone_walk(x, f.depth, g.depth):
-        for fw, gw in roots:
-            # a root where either vector is zero adds an exact zero
-            fv = f_at(fw)
-            if fv is None:
-                continue
-            gv = g_at(gw)
-            if gv is None:
-                continue
-            total += np.vdot(gv, forms[fw[-1]] @ fv)
-    return complex(total)
+def _prefix_step(g: MultVector, cone: Callable, s: Optional[np.ndarray],
+                 p: Tuple[int, ...]) -> np.ndarray:
+    """The row s_k of :func:`coefficients` at a nonempty prefix p = x[:k+1]
+    from s_{k-1} at x[:k] (None at the identity): r_k is
+    ``cone(g, x[:k], x_{k+1}^-1)`` up to g's depth, then conj(g(x[:k])) K."""
+    H, K = g.space.cone_tables
+    inv = g.space.alphabet.inv
+    if len(p) <= g.depth:
+        r = cone(g, p[:-1], inv[p[-1]])
+    else:
+        v = point_values(g)(p[:-1])
+        r = 0 if v is None else v.conj() @ K[p[-2]][p[-1]]
+    return r if s is None else s @ H[inv[p[-2]]][inv[p[-1]]] + r
+
+
+def coefficients(words: Iterable[Tuple[int, ...]], f: MultVector,
+                 g: MultVector) -> Dict[Tuple[int, ...], complex]:
+    """Matrix coefficients <act(x, f), g> at the reduced words x of a set,
+    given as letter tuples, by one :func:`_prefix_step` per node of the trie
+    of their nonempty prefixes.
+
+    With f of depth M, g of depth N and x = x_1 ... x_n, the cone of
+    :func:`cone_walk` at i pairs g at x[:i] c with f at x^-1[:n-i] c.  For
+    N <= i <= n - M it is conj(g(x[:i])) K(x_i, x_{i+1}) f(x^-1[:n-i]) (K of
+    :attr:`RepSpace.cone_tables`), and f(x^-1[:n-i]) is the map of
+    x_{i+1}^-1 applied to f(x^-1[:n-i-1]).  So the row
+    s_k = s_{k-1} H[x_k^-1][x_{k+1}^-1] + r_k, carried from each prefix to
+    its children, sums the cones up to k, and s_{n-M} meets f at x^-1[:M].
+    The first N rows r_k pull g's table back; each of the last M cones
+    meets g(x[:i]) with f's table pulled back or, below both depths, pairs
+    the two over common extensions; the identity's one cone is the whole
+    sphere.  A value's chain of products is fixed by its word, so it does
+    not depend on the set it is asked with.
+    """
+    if f.space != g.space:
+        raise ValidationError("vectors live on different systems")
+    inv, forms, H = f.space.alphabet.inv, f.space.forms, f.space.cone_tables[0]
+    every, M, N = range(len(inv)), f.depth, g.depth
+    f_at, g_at = point_values(f), point_values(g)
+
+    @functools.cache
+    def row(h, u):
+        """conj(h) B at a nonempty word u, pulled back to u from h's depth."""
+        if len(u) < h.depth:
+            return cone(h, u, u[-1])
+        v = point_values(h)(u)
+        return np.zeros(h.space.dim(u[-1]), dtype=np.complex128) if v is None else v.conj() @ forms[u[-1]]
+
+    @functools.cache
+    def cone(h, w, e):
+        """The rows of h at w c times H[c][e], over the letters c after w and e."""
+        return sum(row(h, w + (c,)) @ H[c][e] for c in every if inv[c] not in w[-1:] + (e,))
+
+    def below(u, v):
+        """A root pair below both depths: g's row against f, over the common
+        extensions to f's depth."""
+        if len(v) < M:
+            return sum(below(u + (d,), v + (d,)) for d in every if d != inv[u[-1]])
+        w = f_at(v)
+        return 0j if w is None else row(g, u) @ w
+
+    state: Dict[Tuple[int, ...], Optional[np.ndarray]] = {(): None}
+    out: Dict[Tuple[int, ...], complex] = {}
+    for x in words:
+        lx = k = len(x)
+        while x[:k] not in state:
+            k -= 1
+        for j in range(k + 1, lx + 1):
+            state[x[:j]] = _prefix_step(g, cone, state[x[:j - 1]], x[:j])
+        xinv = tuple(inv[c] for c in reversed(x))
+        w = f_at(xinv[:M]) if lx >= M else None
+        total = 0j if w is None else state[x[:lx - M + 1]] @ w
+        for i in range(max(lx - M + 1, 0), lx + 1):
+            u, v = x[:i], xinv[:lx - i]
+            if i < N:
+                total += sum(below(u + (c,), v + (c,)) for c in every if inv[c] not in u[-1:] + v[-1:])
+            elif (gv := g_at(u)) is not None:
+                total += np.conj(cone(f, v, u[-1]) @ gv)
+        out[x] = complex(total)
+    return out
 
 
 def coefficient(x: Word, f: MultVector, g: MultVector, backend: str = "fast",
                 cap: int = DEFAULT_CAP) -> complex:
     """Matrix coefficient <act(x, f), g>.
 
-    ``fast`` pairs f and g at the roots of the O(|x|) cones of
-    :func:`cone_walk` and collapses each cone's tail through compatibility;
-    the roots are read through each vector's :func:`point_values` evaluator,
-    so each root branches off the value at its geodesic prefix, already
-    stepped for an earlier cone or an earlier coefficient, with one matvec
-    per remaining letter, and the cost grows as O(|x|) matvecs.  ``brute``
-    steps the same root values outward with ``_kernels.level_step``, in
-    bounded chunks, to three levels short of the truncation sphere and pairs
-    every sphere word there through the kernel of its last one to three
-    steps; each word still adds its own term, so it stays the independent
-    oracle, and its cost grows as (|A|-1)^|x| but not its memory.
+    ``fast`` is :func:`coefficients` on the prefixes of x: one step of a few
+    small matvecs per prefix, so the cost grows as O(|x|) matvecs; over a
+    word set each new prefix costs one step, shared by every word through
+    it.  ``brute`` steps the root values of the cones of :func:`cone_walk`
+    outward with ``_kernels.level_step``, in bounded chunks, to three levels
+    short of the truncation sphere and pairs every sphere word there through
+    the kernel of its last one to three steps; each word still adds its own
+    term, so it stays the independent oracle, and its cost grows as
+    (|A|-1)^|x| but not its memory.
     """
     if f.space != g.space:
         raise ValidationError("vectors live on different systems")
     if backend == "fast":
-        return _fast_coefficient(x, f, g)
+        return coefficients([x.letters], f, g)[x.letters]
     if backend == "brute":
         return _brute_coefficient(x, f, g, cap)
     raise ValidationError(f"unknown backend {backend!r}")

@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 import numpy as np
 
 from .errors import CapExceededError, ValidationError
-from .multrep import MultVector
+from .multrep import MultVector, coefficients
 from .words import DEFAULT_CAP, Alphabet, Word, multiply, product_letters
 
 Element = Tuple[Tuple[int, int], ...]  # alternating (factor, exponent) syllables
@@ -250,79 +250,54 @@ def vf_validate(datum: VFGroupDatum) -> List[str]:
     return problems
 
 
-def _induced_sum(coeff: Callable[[Word, MultVector, MultVector], complex],
-                 blocks: Dict[int, MultVector], carriers: Sequence[int],
-                 routes: Sequence[Tuple[Word, int]]) -> complex:
-    """Sum over the carriers t, routed to (word, end), of
-    ``coeff(word, blocks[end], blocks[t])``; an end without a block adds 0."""
-    total = 0.0 + 0.0j
-    for t, (word, end_idx) in zip(carriers, routes):
-        fe = blocks.get(end_idx)
-        if fe is not None:
-            total += coeff(word, fe, blocks[t])
-    return complex(total)
-
-
 def induce_to_vf(datum: VFGroupDatum, coeff: Callable[[Word, MultVector, MultVector], complex],
                  lam: Element, blocks: Dict[int, MultVector]) -> complex:
     """Matrix coefficient of the representation induced from the free
     subgroup, evaluated by routing ``lam`` through the factorization table:
     the term at transversal element t pairs the block at the routed endpoint,
-    moved by the accumulated basis word, with the block at t."""
-    carriers = [t for t in range(len(datum.transversal)) if t in blocks]
-    return _induced_sum(coeff, blocks, carriers, [datum.route(t, lam) for t in carriers])
+    moved by the accumulated basis word, with the block at t; an endpoint
+    without a block adds 0."""
+    total = 0.0 + 0.0j
+    for t in range(len(datum.transversal)):
+        if t in blocks:
+            word, end_idx = datum.route(t, lam)
+            if end_idx in blocks:
+                total += coeff(word, blocks[end_idx], blocks[t])
+    return complex(total)
 
 
-def vf_gram(datum: VFGroupDatum, coeff: Callable[[Word, MultVector, MultVector], complex],
-            elements: Sequence[Element], blocks: Dict[int, MultVector]) -> np.ndarray:
+def vf_gram(datum: VFGroupDatum, elements: Sequence[Element],
+            blocks: Dict[int, MultVector]) -> np.ndarray:
     """Gram matrix [phi(lam_i^-1 lam_j)] of the induced coefficient phi.
 
-    Routing is a Schreier cocycle, so lam_i^-1 is routed once from each
-    index t carrying a block, lam_j once from each transversal index, and
-    the route of lam_i^-1 lam_j from t is the free product of the two
-    halves, reduced at the junction on letter tuples; the loop over pairs
-    does no group arithmetic and builds no ``Word``.  Two memos keep the
-    value of :func:`induce_to_vf` per tuple of (letters, end) over the
-    carrying t ascending, whose words are built only for a new key, and the
-    value of ``coeff`` per (word, fe, ft) (a ``MultVector`` hashes by
-    identity).  Equal keys give equal values, summed in the same order, so
-    the matrix equals the plain double loop.
+    Routing is a Schreier cocycle: lam_i^-1 is routed once from each index t
+    carrying a block, lam_j once from each transversal index, and the route
+    of lam_i^-1 lam_j from t joins the two on letter tuples.  Each pair gets
+    the index of its key, the (letters, end) of its routes over the carriers;
+    the words of each (end, carrier) block pair go through one
+    :func:`multrep.coefficients` call, and a key's terms add up in the order
+    of :func:`induce_to_vf`.
     """
-    memo: Dict[Tuple[Word, MultVector, MultVector], complex] = {}
-
-    def cached(*key) -> complex:
-        val = memo.get(key)
-        if val is None:
-            val = memo[key] = coeff(*key)
-        return val
-
     grp = datum.group
     inv = datum.basis_alphabet.inv
     carriers = [t for t in range(len(datum.transversal)) if t in blocks]
     k = len(elements)
-    g = np.zeros((k, k), dtype=np.complex128)
     if not carriers:
-        return g
+        return np.zeros((k, k), dtype=np.complex128)
     heads = [[datum.route(t, li) for t in carriers] for li in map(grp.inverse, elements)]
-    tails = [[datum.route(s, lj) for lj in elements] for s in range(len(datum.transversal))]
-    tail_letters = [[word.letters for word, _ in row] for row in tails]
-    tail_ends = [[end_idx for _, end_idx in row] for row in tails]
-    values: Dict[Tuple[Tuple[Tuple[int, ...], int], ...], complex] = {}
+    tails = [[(word.letters, end_idx) for word, end_idx in (datum.route(s, lj) for lj in elements)]
+             for s in range(len(datum.transversal))]
+    keys: Dict[Tuple[Tuple[Tuple[int, ...], int], ...], int] = {}
+    index = np.empty((k, k), dtype=np.int32 if k * k < 2 ** 31 else np.int64)
     for i in range(k):
         # entry j of carrier t's column is the route of lam_i^-1 lam_j from t
-        columns = [zip([product_letters(inv, word.letters, tail) for tail in tail_letters[s]],
-                       tail_ends[s])
+        columns = [[(product_letters(inv, word.letters, tail), end_idx) for tail, end_idx in tails[s]]
                    for word, s in heads[i]]
-        row = []
-        for key in zip(*columns):
-            val = values.get(key)
-            if val is None:
-                routes = [(Word._of(datum.basis_alphabet, letters), end_idx)
-                          for letters, end_idx in key]
-                val = values[key] = _induced_sum(cached, blocks, carriers, routes)
-            row.append(val)
-        g[i] = row
-    return g
+        index[i] = [keys.setdefault(key, len(keys)) for key in zip(*columns)]
+    values = {(e, t): coefficients({key[c][0] for key in keys if key[c][1] == e}, blocks[e], blocks[t])
+              for c, t in enumerate(carriers) for e in blocks}
+    return np.array([sum((values[e, t][letters] for t, (letters, e) in zip(carriers, key)
+                          if e in blocks), 0.0 + 0.0j) for key in keys], dtype=np.complex128)[index]
 
 
 def _basis_word_search(grp: FreeProduct, basis: List[Element],

@@ -1,8 +1,8 @@
 """Shared generators for seeded random systems, vectors, and words, and the
 literal oracles and test-only predicates the tests compare the package with:
-the literal sphere sum, crossed-product elements, the expansion of subgroup
-words, and the randomized search for an invariant subsystem.  The exact
-Q(sqrt(k)) oracle is in ``exact``."""
+the literal sphere sum, the root-by-root cone sum, crossed-product elements,
+the expansion of subgroup words, and the randomized search for an invariant
+subsystem.  The exact Q(sqrt(k)) oracle is in ``exact``."""
 
 import json
 import math
@@ -12,8 +12,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from mbrep.fileio import _complex_to_entry
-from mbrep.multrep import (MultVector, RepSpace, act, coefficient, cylinder_op, evaluate,
-                           inner, point_values, vadd, vscale, zero_vector)
+from mbrep.multrep import (MultVector, RepSpace, act, coefficient, cone_walk, cylinder_op,
+                           evaluate, inner, point_values, vadd, vscale, zero_vector)
 from mbrep.subgroups import SchreierData
 from mbrep.system import INVARIANCE_TOL, MatrixSystem, normalize
 from mbrep.words import (DEFAULT_CAP, Alphabet, Cylinder, CylinderUnion, Word, cylinder_image,
@@ -89,6 +89,29 @@ def reference_coefficient(x, f, g):
     return complex(sphere_coefficient(f.space.alphabet, x, f, g, evaluate,
                                       lambda a, fv, gv: np.vdot(gv, forms[a] @ fv), 0j,
                                       DEFAULT_CAP))
+
+
+def _fast_coefficient(x, f, g):
+    """The cone sum of the fast backend root by root: for each cone of
+    ``cone_walk``, the form pairing of f and g at its roots, each read
+    through the vector's point evaluator; the identity's is ``inner``."""
+    if x.is_identity():
+        return inner(f, g)
+    forms = f.space.forms
+    f_at = point_values(f)
+    g_at = point_values(g)
+    total = 0.0 + 0.0j
+    for roots in cone_walk(x, f.depth, g.depth):
+        for fw, gw in roots:
+            # a root where either vector is zero adds an exact zero
+            fv = f_at(fw)
+            if fv is None:
+                continue
+            gv = g_at(gw)
+            if gv is None:
+                continue
+            total += np.vdot(gv, forms[fw[-1]] @ fv)
+    return complex(total)
 
 
 def gram_matrix(words, f):

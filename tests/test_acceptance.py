@@ -354,7 +354,7 @@ def test_criterion_09_virtually_free():
         return coefficient(word, u, v, backend="fast")
 
     elements = datum.group.ball(3)
-    gram = vf_gram(datum, coeff, elements, blocks)
+    gram = vf_gram(datum, elements, blocks)
     scale = max(1.0, float(np.abs(gram).max()))
     eig = float(np.linalg.eigvalsh((gram + gram.conj().T) / 2).min())
     ok_psd = eig >= -1e-8 * scale

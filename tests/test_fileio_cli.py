@@ -314,6 +314,31 @@ class TestCli:
         path.write_text(json.dumps(doc))
         assert cli.main(["normalize", "--input", str(path)]) == cli.EXIT_VALIDATION
 
+    def test_invalid_system_names_its_file(self, tmp_path, capsys):
+        # the structural check runs after the file has loaded
+        doc = json.loads(Path(cli._resolve("builtin:spherical2")).read_text())
+        doc["dims"]["a"] = 0
+        doc["maps"] = {k: m for k, m in doc["maps"].items() if "a" not in k.split("|")}
+        doc["forms"]["a"] = []
+        path = tmp_path / "no-a.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["herz", "--system", str(path), "--vector", "builtin:seed-a"])
+        assert code == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert str(path) in err and "letter a has dimension 0" in err
+
+    def test_incompatible_forms_name_their_file(self, tmp_path, capsys):
+        # the forms are checked against the maps after the file has loaded
+        doc = json.loads(Path(cli._resolve("builtin:spherical2")).read_text())
+        doc["forms"]["a"] = [[2.0]]
+        path = tmp_path / "bad-forms.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["coefficients", "--system", str(path), "--vector", "builtin:seed-a",
+                         "--words", "a"])
+        assert code == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert str(path) in err and "forms are not compatible with the maps" in err
+
     def test_coefficients_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "c1.csv", tmp_path / "c2.csv"
         args = ["coefficients", "--system", "builtin:spherical2",

@@ -6,7 +6,7 @@ import pytest
 
 from mbrep import _kernels
 from mbrep.errors import DepthError, ValidationError
-from mbrep.multrep import (MultVector, RepSpace, act, coefficient, cone_walk,
+from mbrep.multrep import (MultVector, RepSpace, act, coefficient, coefficients, cone_walk,
                            covariance_check, cylinder_op, deepen, distance, evaluate,
                            inner, norm, point_values, vadd)
 from mbrep.system import MatrixSystem, normalize, spherical_system
@@ -14,8 +14,8 @@ from mbrep.words import (Alphabet, Cylinder, Word, ball, cylinder_image, multipl
                          sphere, sphere_size)
 
 from exact import ExactVector, exact_coefficient, exact_spherical
-from helpers import (CrossedElement, apply_crossed, gram_matrix, random_system, random_vector,
-                     random_word, reference_coefficient)
+from helpers import (CrossedElement, _fast_coefficient, apply_crossed, gram_matrix, random_system,
+                     random_vector, random_word, reference_coefficient)
 
 A2 = Alphabet.rank(2)
 
@@ -243,7 +243,7 @@ class TestCoefficient:
             assert {1, 2, 3, 4} <= seen
 
     def test_fast_walk_matches_per_root_sum(self):
-        # the fast sum as it was: every root value evaluated from the
+        # the oracle's cone sum against every root value evaluated from the
         # vector's depth along its whole root word
         def per_root(x, f, g):
             forms, alphabet = f.space.forms, f.space.alphabet
@@ -267,7 +267,36 @@ class TestCoefficient:
                 g = MultVector(sp, g_depth, random_vector(space, rng, depth=g_depth).values)
                 for length in range(1, 13):
                     x = random_word(A2, rng, length)
-                    assert coefficient(x, f, g) == per_root(x, f, g), str(x)
+                    assert _fast_coefficient(x, f, g) == per_root(x, f, g), str(x)
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_prefix_recursion_matches_oracles(self, rank):
+        # every word of a ball in one call, against the root-by-root cone sum
+        # and, on a few short words, the literal sphere sum; depths up to 3
+        # on either side, on a full system and on one with a map cut to None
+        alphabet = Alphabet.rank(rank)
+        rng = np.random.default_rng(61 + rank)
+        space, _ = random_system(rng, alphabet)
+        b, a, _ = next(space.system.nonzero_pairs())
+        cut = normalize(MatrixSystem(alphabet, space.system.dims,
+                                     {(q, p): m for q, p, m in space.system.nonzero_pairs()
+                                      if (q, p) != (b, a)}))
+        assert cut.system.maps[b][a] is None
+        words = list(ball(alphabet, 5 if rank == 2 else 3))
+        for sp in (space, RepSpace(cut.system, cut.forms)):
+            for f_depth, g_depth in ((1, 1), (2, 1), (1, 3), (3, 2)):
+                f = random_vector(sp, rng, depth=f_depth)
+                g = random_vector(sp, rng, depth=g_depth)
+                got = coefficients([x.letters for x in words], f, g)
+                assert len(got) == len(words)
+                for x in words:
+                    want = _fast_coefficient(x, f, g)
+                    assert abs(got[x.letters] - want) <= 1e-12 * abs(want), (str(x), f_depth, g_depth)
+                # the sphere sums truncate deeper than the cones, so they are
+                # compared relative to |f| |g| = 1, which bounds every value
+                for length in range((6 if rank == 2 else 5) - max(f_depth, g_depth)):
+                    x = random_word(alphabet, rng, length)
+                    assert abs(coefficient(x, f, g) - reference_coefficient(x, f, g)) <= 1e-12
 
     def test_gram_memo_matches_double_loop(self):
         rng = np.random.default_rng(31)

@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from mbrep import vfree
+from mbrep import multrep, vfree
 from mbrep.errors import CapExceededError, ValidationError
 from mbrep.multrep import MultVector, RepSpace, coefficient, inner
 from mbrep.system import spherical_system
@@ -232,7 +232,7 @@ class TestInducedCoefficients:
         blocks = {0: MultVector(block_space, 1, vals),
                   3: MultVector.seed(block_space, {Word.parse(block_space.alphabet, "b"): [1.0]})}
         elements = datum.group.ball(2)
-        gram = vf_gram(datum, coeff_fast, elements, blocks)
+        gram = vf_gram(datum, elements, blocks)
         eigs = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
         assert eigs.min() >= -1e-8 * max(1.0, float(np.abs(gram).max()))
 
@@ -240,20 +240,13 @@ class TestInducedCoefficients:
         rng = np.random.default_rng(17)
         space, _ = random_system(rng, datum.basis_alphabet)
         blocks = {u: random_vector(space, rng, depth=1 + u % 2) for u in (0, 2, 3)}
-        calls = Counter()
-
-        def counting(word, fe, ft):
-            calls[(word, fe, ft)] += 1
-            return coefficient(word, fe, ft, backend="fast")
-
         grp = datum.group
         elements = grp.ball(3)
-        gram = vf_gram(datum, counting, elements, blocks)
+        gram = vf_gram(datum, elements, blocks)
         naive = np.array([[induce_to_vf(datum, coeff_fast,
                                         grp.multiply(grp.inverse(li), lj), blocks)
                            for lj in elements] for li in elements])
         assert np.array_equal(gram, naive)
-        assert len(calls) > len(blocks) and set(calls.values()) == {1}
 
     def test_gram_composed_routes_match_double_loop_on_all_blocks(self, datum):
         # blocks on every transversal element, at depths 1 and 2: each pair's
@@ -263,11 +256,35 @@ class TestInducedCoefficients:
         blocks = {u: random_vector(space, rng, depth=1 + u % 2) for u in range(6)}
         grp = datum.group
         elements = grp.ball(3)
-        gram = vf_gram(datum, coeff_fast, elements, blocks)
+        gram = vf_gram(datum, elements, blocks)
         naive = np.array([[induce_to_vf(datum, coeff_fast,
                                         grp.multiply(grp.inverse(li), lj), blocks)
                            for lj in elements] for li in elements])
         assert np.array_equal(gram, naive)
+
+    def test_gram_steps_each_prefix_once(self, datum, block_space, monkeypatch):
+        # one batch per (end, carrier) block pair over the Gram words of
+        # ball(3): one trie step per nonempty prefix of its words, each once
+        steps = []
+        step = multrep._prefix_step
+
+        def counting(g, cone, s, p):
+            steps.append(p)
+            return step(g, cone, s, p)
+
+        monkeypatch.setattr(multrep, "_prefix_step", counting)
+        grp = datum.group
+        elements = grp.ball(3)
+        blocks = self._blocks(datum, block_space, support=range(len(datum.transversal)))
+        vf_gram(datum, elements, blocks)
+        closures = Counter()
+        for t in blocks:
+            routes = [datum.route(t, grp.multiply(grp.inverse(li), lj))
+                      for li in elements for lj in elements]
+            for e in blocks:
+                words = {word.letters for word, end in routes if end == e}
+                closures.update({w[:k] for w in words for k in range(1, len(w) + 1)})
+        assert len(steps) == sum(closures.values()) and Counter(steps) == closures
 
     def test_gram_routes_each_element_once_per_index(self, datum, block_space, monkeypatch):
         calls = Counter()
@@ -287,7 +304,7 @@ class TestInducedCoefficients:
         blocks = self._blocks(datum, block_space, support=(0, 4))
         elements = datum.group.ball(4)
         calls.clear()
-        vf_gram(datum, coeff_fast, elements, blocks)
+        vf_gram(datum, elements, blocks)
         k = len(elements)
         assert calls["route"] <= k * (len(blocks) + len(datum.transversal))
         assert calls["multiply"] <= k
