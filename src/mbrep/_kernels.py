@@ -27,8 +27,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-#: a level: last letter -> (rows, keys), keys an integer array of each row's
-#: word_index (a child's is its parent's times |A|-1 plus its letter's rank), or None
+#: a level: last letter -> (rows, keys), keys each row's word_index (a child's is
+#: its parent's times |A|-1 plus its letter's rank), int64 or, past 2^63 words,
+#: Python ints; None only inside the brute sum, which needs no keys
 Level = Dict[int, Tuple[np.ndarray, Optional[np.ndarray]]]
 
 #: the brute sum halves a level while its next step would exceed this many rows

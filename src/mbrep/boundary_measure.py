@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import CapExceededError, ValidationError
-from .multrep import MultVector, coefficient, inner, table_level
+from .multrep import MultVector, coefficient, inner
 from .words import (DEFAULT_CAP, Alphabet, Word, multiply, prefix_indices, sphere_size,
                     word_index)
 
@@ -50,15 +50,15 @@ def spectral_measure(v: MultVector, cap: int = DEFAULT_CAP) -> CylinderMeasure:
     operators are commuting orthogonal projections.
 
     A stem at least as long as the depth M has its value's form norm as
-    mass: the table steps out a sphere at a time by ``_kernels.level_step``,
-    rows keyed by word index, with one einsum per letter; a shorter stem
+    mass: the vector's level steps out a sphere at a time by
+    ``_kernels.level_step``, with one einsum per letter; a shorter stem
     sums its block of sphere M.  Deeper spheres grow on first use, so one
     measure serves a whole ball; ``cap`` bounds the masses held.
     """
     alphabet, forms = v.space.alphabet, v.space.forms
 
     def spheres() -> Iterator[np.ndarray]:
-        level = table_level(v)
+        level = v.level
         for r in itertools.count(v.depth):
             top = np.zeros(sphere_size(alphabet, r))
             for p, (rows, keys) in level.items():

@@ -106,21 +106,25 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _cap(text: str) -> int:
-    """A cap flag's value: a positive integer, else a usage error."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"cap must be a positive integer, got {text!r}")
-    return value
+def _integer(flag: str, least: int):
+    """The argparse type of an integer flag: a value that is no integer, or
+    is below ``least`` (0 or 1), is a usage error."""
+    def value_of(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = least - 1
+        if value < least:
+            kind = "positive" if least else "nonnegative"
+            raise argparse.ArgumentTypeError(f"{flag} must be a {kind} integer, got {text!r}")
+        return value
+    return value_of
 
 
 _FLAGS = {
     "tolerance": dict(type=_tolerance, default=None, help="override the default tolerance"),
-    "cap": dict(type=_cap, default=DEFAULT_CAP, help="word-enumeration cap"),
-    "seed": dict(type=int, default=0, help="seed for randomized checks"),
+    "cap": dict(type=_integer("cap", 1), default=DEFAULT_CAP, help="word-enumeration cap"),
+    "seed": dict(type=_integer("seed", 0), default=0, help="seed for randomized checks"),
     "backend": dict(choices=["fast", "brute", "both"], default="fast"),
     "output": dict(default=None, help="output file (reports default to stdout)"),
 }
@@ -246,14 +250,9 @@ def cmd_induce(args) -> int:
     test_words = [w for r in range(1, 3) for w in sphere(ind_space.alphabet, r)]
     depths: List[int] = []
     for trial in range(args.trials):
-        blocks = {}
-        for u in range(data.index):
-            vals = {}
-            for w in sphere(sub_space.alphabet, 1):
-                d = sub_space.dim(w.last())
-                vals[w] = rng.normal(size=d) + 1j * rng.normal(size=d)
-            blocks[u] = MultVector(sub_space, 1, vals)
-        f = InducedVector(data, sub_space, blocks)
+        f = InducedVector(data, sub_space, {u: MultVector(sub_space, 1, {
+            Word(sub_space.alphabet, (a,)): rng.normal(size=d) + 1j * rng.normal(size=d)
+            for a, d in enumerate(sub_system.dims)}) for u in range(data.index)})
         jf = intertwiner_J(f, layout, ind_space)
         worst_inner = max(worst_inner, abs(inner(jf, jf) - induced_inner(f, f)))
         x = Word(ind_space.alphabet,

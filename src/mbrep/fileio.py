@@ -197,15 +197,9 @@ def load_system(path: str) -> Tuple[MatrixSystem, Optional[FormTuple]]:
 def save_system(path: str, system: MatrixSystem, forms: Optional[FormTuple] = None) -> None:
     alphabet = system.alphabet
     names = alphabet.names
-    pairs = []
-    seen = set()
-    for i, j in enumerate(alphabet.inv):
-        if i not in seen:
-            pairs.append([names[i], names[j]])
-            seen.update((i, j))
     doc = {
         "alphabet": list(names),
-        "involution": pairs,
+        "involution": [[names[i], names[j]] for i, j in enumerate(alphabet.inv) if i < j],
         "dims": {names[a]: system.dims[a] for a in range(len(alphabet))},
         "maps": {},
     }
@@ -236,8 +230,7 @@ def _vector_doc(path: str, alphabet: Alphabet, entry) -> Tuple[int, dict]:
 
 @_names_file
 def load_vector(path: str, space: RepSpace) -> MultVector:
-    depth, values = _vector_doc(path, space.alphabet, _entry_to_complex)
-    return MultVector(space, depth, {w: np.array(v, np.complex128) for w, v in values.items()})
+    return MultVector(space, *_vector_doc(path, space.alphabet, _entry_to_complex))
 
 
 @_names_file

@@ -28,8 +28,8 @@ from typing import Dict, Iterator, List, Tuple
 import numpy as np
 
 from .errors import CapExceededError, DepthError, LayoutError, ValidationError
-from .multrep import (MultVector, RepSpace, act, cylinder_op, inner, point_values, vadd,
-                      zero_vector)
+from .multrep import (MultVector, RepSpace, act, cylinder_op, inner, key_dtype, live_rows,
+                      point_values, table_row, vadd, zero_vector)
 from .subgroups import SchreierData, rewrite_to_subgroup
 from .system import FormTuple, MatrixSystem
 from .words import DEFAULT_CAP, Cylinder, Word, cylinder_image, multiply
@@ -259,10 +259,11 @@ def _evaluate_level(f: InducedVector, layout: InducedLayout, induced_space: RepS
     """The values of J f on the sphere of radius ``depth``, stepped out from
     the words of length 1.  A level holds one array per letter, a row per
     word ending in it (grouped by the parent's last letter) and its blocks
-    side by side; each block of each induced map fills its rows by one copy
+    side by side, with the words' keys stepped as ``_kernels.level_step``
+    steps them; each block of each induced map fills its rows by one copy
     or one stacked product.  A block is pending, with its argument, until
     the argument ends in the block's generator and reaches its source's
-    depth; there it is read from the source table, or by a point evaluation
+    depth; there it is a row of the source's level, or a point evaluation
     where a first-level argument is already longer.
     """
     alphabet = f.data.table.alphabet
@@ -282,19 +283,18 @@ def _evaluate_level(f: InducedVector, layout: InducedLayout, induced_space: RepS
             if not last and (arg[-1:] != (layout.pairs[a][k][1],) or len(arg) < src.depth):
                 pending.append((row, k, s, arg))
                 continue
-            v = (src.values.get(Word._of(sub_alphabet, arg)) if len(arg) == src.depth
-                 else value_at[s](arg))
+            v = table_row(src, arg) if len(arg) == src.depth else value_at[s](arg)
             lo = layout.offsets[a][k]
             values[row, lo:lo + layout.block_dims[a][k]] = 0 if v is None else v
         return pending
 
     level = [np.zeros((1, d), dtype=np.complex128) for d in dims]
-    words = [np.array([[a]]) for a in range(n)]
+    keys = [np.array([a], dtype=key_dtype(alphabet, depth)) for a in range(n)]
     due = [[(0, k, s, arg) for k, (s, arg) in enumerate(layout.first[a]) if s in f.blocks]
            for a in range(n)]
     for d in range(1, depth + 1):
         if d > 1:
-            width = len(words[0])
+            width = len(keys[0])
             level, previous = [np.empty(((n - 1) * width, dims[b]), dtype=np.complex128)
                                for b in range(n)], level
             due = [[] for _ in range(n)]
@@ -316,19 +316,11 @@ def _evaluate_level(f: InducedVector, layout: InducedLayout, induced_space: RepS
                 for row, ka, s, arg in waiting:
                     for b, k, arg_to in _stepped(layout, a, ka, arg, sub_alphabet.inv):
                         due[b].append(((a - (a > inv[b])) * width + row, k, s, arg_to))
-            words = [np.concatenate([np.column_stack((words[a], np.full(width, b)))
-                                     for a in range(n) if a != inv[b]]) for b in range(n)]
+            # a child's key is its parent's times |A|-1 plus its letter's rank
+            keys = [np.concatenate([keys[a] * (n - 1) + (b - (b > inv[a]))
+                                    for a in range(n) if a != inv[b]]) for b in range(n)]
         pending = [settle(a, level[a], due[a], d == depth) for a in range(n)]
-
-    # sphere order is the lexicographic order of the letters
-    letters = np.concatenate(words)
-    live = np.concatenate([values.any(axis=1) for values in level])
-    order = np.lexsort(letters.T[::-1])
-    order = order[live[order]]
-    rows = [row for values in level for row in values]
-    return MultVector._of(induced_space, depth, {
-        Word._of(alphabet, key): rows[p]
-        for key, p in zip(map(tuple, letters[order].tolist()), order.tolist())})
+    return MultVector._of(induced_space, depth, live_rows(dict(enumerate(zip(level, keys)))))
 
 
 def boundary_pullback(data: SchreierData, z: Word) -> List[Word]:

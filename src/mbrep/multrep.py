@@ -2,11 +2,13 @@
 coefficients, and boundary cylinder operators.
 
 A vector is a finite germ: values on one word sphere, propagated outward by
-the system maps.  :func:`deepen` propagates a whole table through
-``_kernels.level_step``, one level at a time; :func:`point_values` is each
-vector's one memoized evaluator, which steps single words one matvec per
-letter from the longest prefix any reader has stepped through.  Every
-single-word read goes through it; :func:`evaluate` alone walks afresh.
+the system maps, held as one ``_kernels.Level`` keyed by word index, int64
+or, past 2^63 words, Python ints.  :func:`deepen` steps it through
+``_kernels.level_step``, :func:`inner` and :func:`vadd` match its keys letter
+by letter; :func:`point_values` is each vector's one memoized evaluator,
+which steps single words one matvec per letter from the longest prefix any
+reader has stepped through.  Every single-word read goes through it;
+:func:`evaluate` alone walks afresh.
 
 Matrix coefficients come in two backends over the cones of
 :func:`cone_walk`, which partitions the sphere by where a word leaves the
@@ -23,15 +25,15 @@ steps pairs each sphere word's term from the values at its prefix there.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from . import _kernels
 from .errors import CapExceededError, DepthError, ValidationError
 from .system import FormTuple, MatrixSystem, compatibility_residual
-from .words import (DEFAULT_CAP, Alphabet, Cylinder, Word, cylinder_image, multiply,
-                    refine, sphere_size, word_index)
+from .words import (DEFAULT_CAP, Alphabet, Cylinder, Word, cylinder_image, index_word,
+                    multiply, prefix_indices, refine, sphere_size, word_index)
 
 
 class RepSpace:
@@ -76,37 +78,35 @@ class RepSpace:
             return True
         if not isinstance(other, RepSpace):
             return NotImplemented
-        if self.system.alphabet != other.system.alphabet:
-            return False
-        if self.system.dims != other.system.dims:
-            return False
-        for b in range(len(self.alphabet)):
-            for a in range(len(self.alphabet)):
-                if not np.array_equal(self.system.map(b, a), other.system.map(b, a)):
-                    return False
-        return all(np.array_equal(x, y) for x, y in zip(self.forms.forms, other.forms.forms))
+        letters = range(len(self.alphabet))
+        return (self.system.alphabet == other.system.alphabet
+                and self.system.dims == other.system.dims
+                and all(np.array_equal(self.system.map(b, a), other.system.map(b, a))
+                        for b in letters for a in letters)
+                and all(np.array_equal(x, y) for x, y in zip(self.forms.forms, other.forms.forms)))
 
     def __hash__(self):
         return hash((self.system.alphabet, self.system.dims))
 
 
 class MultVector:
-    """Finite presentation of a multiplicative function: a depth M >= 1 and a
-    table of values on the radius-M sphere (absent words mean zero).
+    """Finite presentation of a multiplicative function: a depth M >= 1 and
+    its values on the radius-M sphere as one ``_kernels.Level``: per last
+    letter, the nonzero rows and their word-index keys, of :func:`key_dtype`
+    (absent words mean zero).  The constructor validates a dict from words
+    to values; :attr:`values` decodes the level back to one.
 
     Values at longer words follow by map propagation; two presentations of
     different depths describe the same function when one deepens to the
     other.
     """
 
-    __slots__ = ("space", "depth", "values", "_at")
+    __slots__ = ("space", "depth", "level", "_at")
 
     def __init__(self, space: RepSpace, depth: int, values: Dict[Word, np.ndarray]):
         if depth < 1:
             raise ValidationError(f"depth must be >= 1, got {depth}")
-        self.space = space
-        self.depth = depth
-        table: Dict[Word, np.ndarray] = {}
+        items = []
         for w, v in values.items():
             if len(w) != depth:
                 raise ValidationError(f"value word {w} has length {len(w)}, expected {depth}")
@@ -114,34 +114,70 @@ class MultVector:
             want = space.dim(w.last())
             if v.shape != (want,):
                 raise ValidationError(f"value at {w} has shape {v.shape}, expected ({want},)")
-            if np.any(v != 0):
-                table[w] = v
-        self.values = table
-        self._at = None
+            items.append((w.last(), word_index(w), v))
+        self.space, self.depth, self._at = space, depth, None
+        self.level = _grouped(space.alphabet, depth, items)
 
     @classmethod
-    def _of(cls, space: RepSpace, depth: int, values: Dict[Word, np.ndarray]) -> "MultVector":
-        """Trusted constructor for a table the program built itself: keys of
-        length ``depth``, values of the right shapes, no zero values."""
+    def _of(cls, space: RepSpace, depth: int, level: _kernels.Level) -> "MultVector":
+        """Trusted constructor for a level the program built itself: keys of
+        the :func:`key_dtype` of ``depth``, no zero row and no empty letter."""
         out = cls.__new__(cls)
-        out.space = space
-        out.depth = depth
-        out.values = values
-        out._at = None
+        out.space, out.depth, out.level, out._at = space, depth, level, None
         return out
 
-    @classmethod
-    def seed(cls, space: RepSpace, values: Dict[Word, Sequence[complex]]) -> "MultVector":
-        depths = {len(w) for w in values}
-        if len(depths) != 1:
-            raise ValidationError("seed words must all have the same length")
-        return cls(space, depths.pop(), {w: np.asarray(v) for w, v in values.items()})
+    @property
+    def values(self) -> Dict[Word, np.ndarray]:
+        """The table as a dict from words to values in sphere order, decoded
+        from the level on each read."""
+        pairs = sorted(((k, row) for rows, keys in self.level.values()
+                        for k, row in zip(keys.tolist(), rows)), key=lambda kr: kr[0])
+        return {index_word(self.space.alphabet, self.depth, k): row for k, row in pairs}
 
     def is_zero(self) -> bool:
-        return not self.values
+        return not self.level
 
     def __repr__(self) -> str:
         return f"MultVector(depth={self.depth}, support={len(self.values)})"
+
+
+def key_dtype(alphabet: Alphabet, depth: int):
+    """The dtype of a level's keys at ``depth``: past int64, exact Python ints."""
+    return np.int64 if sphere_size(alphabet, depth) < 2 ** 63 else object
+
+
+def live_rows(level: _kernels.Level) -> _kernels.Level:
+    """The level without its zero rows, and without the letters they empty."""
+    out = {}
+    for p, (rows, keys) in level.items():
+        live = rows.any(axis=1)
+        if live.any():
+            out[p] = (rows, keys) if live.all() else (rows[live], keys[live])
+    return out
+
+
+def _grouped(alphabet: Alphabet, depth: int, items) -> _kernels.Level:
+    """The level of (last letter, word index, value) triples of words of
+    length ``depth``: rows grouped by last letter in the order given, zero
+    rows dropped."""
+    grouped: Dict[int, Tuple[list, list]] = {}
+    for p, k, v in items:
+        rows, keys = grouped.setdefault(p, ([], []))
+        rows.append(v)
+        keys.append(k)
+    return live_rows({p: (np.array(rows, dtype=np.complex128),
+                          np.array(keys, dtype=key_dtype(alphabet, depth)))
+                      for p, (rows, keys) in grouped.items()})
+
+
+def table_row(f: MultVector, letters: Tuple[int, ...]) -> Optional[np.ndarray]:
+    """The table value of ``f`` at a word of its depth, given by its letters,
+    or None off the table."""
+    part = f.level.get(letters[-1])
+    if part is None:
+        return None
+    hit = np.flatnonzero(part[1] == prefix_indices(f.space.alphabet, letters)[-1])
+    return part[0][hit[0]] if hit.size else None
 
 
 #: marks a word that an evaluator has not memoized (None is a zero value)
@@ -168,9 +204,7 @@ def point_values(f: MultVector) -> Callable[[Tuple[int, ...]], Optional[np.ndarr
 def _evaluator(f: MultVector) -> Callable[[Tuple[int, ...]], Optional[np.ndarray]]:
     """A new evaluator of ``f`` with an empty memo (see :func:`point_values`)."""
     maps = f.space.system.maps
-    alphabet = f.space.alphabet
     depth = f.depth
-    table = f.values
     memo: Dict[Tuple[int, ...], Optional[np.ndarray]] = {}
 
     def value_at(letters: Tuple[int, ...]) -> Optional[np.ndarray]:
@@ -184,7 +218,7 @@ def _evaluator(f: MultVector) -> Callable[[Tuple[int, ...]], Optional[np.ndarray
             v = memo.get(letters[:k], _UNSET)
         if v is _UNSET:
             head = letters[:depth]
-            v = memo[head] = table.get(Word._of(alphabet, head))
+            v = memo[head] = table_row(f, head)
         while k < n and v is not None:
             m = maps[letters[k]][letters[k - 1]]
             v = None if m is None else m @ v
@@ -210,9 +244,9 @@ def evaluate(f: MultVector, w: Word) -> np.ndarray:
 def deepen(f: MultVector, new_depth: int, cap: int = DEFAULT_CAP) -> MultVector:
     """Re-present the same function on a deeper sphere by propagation.
 
-    The table is stepped out one level at a time by
+    The level is stepped out one sphere at a time by
     :func:`_kernels.level_step`; rows that become zero are dropped at each
-    level, so the new table, like every table, holds no zero values.
+    step, so the new level, like every level, holds no zero rows.
     """
     if new_depth < f.depth:
         raise ValidationError(f"cannot deepen from {f.depth} to shallower {new_depth}")
@@ -220,36 +254,17 @@ def deepen(f: MultVector, new_depth: int, cap: int = DEFAULT_CAP) -> MultVector:
         return f
     space = f.space
     alphabet = space.alphabet
+    words = sum(len(keys) for _, keys in f.level.values())
     growth = (len(alphabet) - 1) ** (new_depth - f.depth)
-    if len(f.values) * growth > cap:
+    if words * growth > cap:
         raise CapExceededError(
-            f"deepening to {new_depth} would track {len(f.values) * growth} words, cap {cap}")
-    # indices past int64 stay exact as Python ints
-    level = table_level(f, np.int64 if sphere_size(alphabet, new_depth) < 2 ** 63 else object)
-    letters = {word_index(w): w.letters for w in f.values}
+            f"deepening to {new_depth} would track {words * growth} words, cap {cap}")
+    level = f.level
+    if key_dtype(alphabet, new_depth) is object:
+        level = {p: (rows, keys.astype(object)) for p, (rows, keys) in level.items()}
     for _ in range(new_depth - f.depth):
-        level = _kernels.level_step(space.system.maps, alphabet.inv, level)
-        for c, (rows, keys) in level.items():
-            live = np.any(rows != 0, axis=1)
-            if not live.all():
-                level[c] = (rows[live], keys[live])
-        # a child's index divided by |A|-1 is its parent's
-        letters = {k: letters[k // (len(alphabet) - 1)] + (c,)
-                   for c, (_, keys) in level.items() for k in keys.tolist()}
-    return MultVector._of(space, new_depth, {
-        Word._of(alphabet, letters[k]): row
-        for rows, keys in level.values() for k, row in zip(keys.tolist(), rows)})
-
-
-def table_level(f: MultVector, dtype=np.int64) -> _kernels.Level:
-    """The table of ``f`` as a ``_kernels.level_step`` level keyed by word index."""
-    grouped: Dict[int, Tuple[list, list]] = {}
-    for w, v in f.values.items():
-        rows, keys = grouped.setdefault(w.last(), ([], []))
-        rows.append(v)
-        keys.append(word_index(w))
-    return {p: (np.array(rows), np.array(keys, dtype=dtype))
-            for p, (rows, keys) in grouped.items()}
+        level = live_rows(_kernels.level_step(space.system.maps, alphabet.inv, level))
+    return MultVector._of(space, new_depth, level)
 
 
 def _common_depth(f: MultVector, g: MultVector, cap: int = DEFAULT_CAP) -> Tuple[MultVector, MultVector]:
@@ -269,10 +284,11 @@ def inner(f: MultVector, g: MultVector, cap: int = DEFAULT_CAP) -> complex:
     fd, gd = _common_depth(f, g, cap=cap)
     forms = f.space.forms
     total = 0.0 + 0.0j
-    for w, fv in fd.values.items():
-        gv = gd.values.get(w)
-        if gv is not None:
-            total += np.vdot(gv, forms[w.last()] @ fv)
+    for p, (frows, fkeys) in fd.level.items():
+        if p in gd.level:
+            grows, gkeys = gd.level[p]
+            _, at_f, at_g = np.intersect1d(fkeys, gkeys, assume_unique=True, return_indices=True)
+            total += np.vdot(grows[at_g], frows[at_f] @ forms[p].T)
     return complex(total)
 
 
@@ -284,27 +300,25 @@ def vadd(f: MultVector, g: MultVector, cap: int = DEFAULT_CAP) -> MultVector:
     if f.space != g.space:
         raise ValidationError("vectors live on different systems")
     fd, gd = _common_depth(f, g, cap=cap)
-    vals = dict(fd.values)
-    for w, v in gd.values.items():
-        s = vals.get(w)
-        if s is None:
-            vals[w] = v
+    level = dict(fd.level)
+    for p, (grows, gkeys) in gd.level.items():
+        if p in level:
+            frows, fkeys = level[p]
+            keys = np.union1d(fkeys, gkeys)
+            rows = np.zeros((len(keys), grows.shape[1]), dtype=np.complex128)
+            rows[np.searchsorted(keys, fkeys)] = frows
+            rows[np.searchsorted(keys, gkeys)] += grows
+            level[p] = (rows, keys)
         else:
-            # a sum that cancels drops out; the other values are nonzero
-            s = s + v
-            if np.count_nonzero(s):
-                vals[w] = s
-            else:
-                del vals[w]
-    return MultVector._of(f.space, fd.depth, vals)
+            level[p] = (grows, gkeys)
+    # a sum that cancels drops out
+    return MultVector._of(f.space, fd.depth, live_rows(level))
 
 
 def vscale(c: complex, f: MultVector) -> MultVector:
-    vals = {w: c * v for w, v in f.values.items()}
-    if c != 1 and c != -1:
-        # only a factor of +-1 is exact; any other can round a value to zero
-        vals = {w: v for w, v in vals.items() if np.count_nonzero(v)}
-    return MultVector._of(f.space, f.depth, vals)
+    level = {p: (c * rows, keys) for p, (rows, keys) in f.level.items()}
+    # only a factor of +-1 is exact; any other can round a value to zero
+    return MultVector._of(f.space, f.depth, level if c in (1, -1) else live_rows(level))
 
 
 def vsub(f: MultVector, g: MultVector) -> MultVector:
@@ -329,20 +343,20 @@ def act(x: Word, f: MultVector, cap: int = DEFAULT_CAP) -> MultVector:
     new_depth = f.depth + len(x)
     xinv = x.inverse()
     value_at = point_values(f)
-    values: Dict[Word, np.ndarray] = {}
+    items = []
     budget = 0
-    n = len(space.alphabet)
     for z in f.values:
         for part in cylinder_image(x, Cylinder(z)):
-            budget += (n - 1) ** (new_depth - len(part.stem))
+            width = (len(space.alphabet) - 1) ** (new_depth - len(part.stem))
+            budget += width
             if budget > cap:
                 raise CapExceededError(f"action support would exceed cap {cap}")
-            for fine in refine(part, new_depth, cap=cap):
-                y = fine.stem
-                v = value_at(multiply(xinv, y).letters)
-                if v is not None and np.count_nonzero(v):
-                    values[y] = v
-    return MultVector._of(space, new_depth, values)
+            # refine keeps sphere order: the words under a stem take consecutive keys
+            for k, fine in enumerate(refine(part, new_depth, cap=cap), word_index(part.stem) * width):
+                v = value_at(multiply(xinv, fine.stem).letters)
+                if v is not None:
+                    items.append((fine.stem.last(), k, v))
+    return MultVector._of(space, new_depth, _grouped(space.alphabet, new_depth, items))
 
 
 def _brute_coefficient(x: Word, f: MultVector, g: MultVector, cap: int) -> complex:
@@ -489,16 +503,25 @@ def cylinder_op(z: Union[Word, Cylinder], f: MultVector) -> MultVector:
     """Boundary multiplication operator of the cylinder indicator at ``z``:
     keep the values inside the cone, zero the rest.  The cone of a stem at
     least as long as the depth holds one word, the stem, so the result is the
-    value there, read by :func:`point_values` and presented at depth |stem|."""
+    value there, read by :func:`point_values` and presented at depth |stem|.
+    Under a shorter stem of index i lie the keys [i w, (i+1) w), w the count
+    of words under it, as word_index is prefix-major."""
     stem = z.stem if isinstance(z, Cylinder) else z
     if stem.is_identity():
         raise ValidationError("cylinder stem must be nonempty")
+    alphabet = f.space.alphabet
     if len(stem) < f.depth:
-        return MultVector._of(f.space, f.depth,
-                              {w: v for w, v in f.values.items() if w.starts_with(stem)})
+        width = (len(alphabet) - 1) ** (f.depth - len(stem))
+        low = word_index(stem) * width
+        level = {}
+        for p, (rows, keys) in f.level.items():
+            kept = (keys >= low) & (keys < low + width)
+            if kept.any():
+                level[p] = (rows[kept], keys[kept])
+        return MultVector._of(f.space, f.depth, level)
     v = point_values(f)(stem.letters)
-    kept = {stem: v} if v is not None and np.count_nonzero(v) else {}
-    return MultVector._of(f.space, len(stem), kept)
+    kept = [] if v is None else [(stem.last(), word_index(stem), v)]
+    return MultVector._of(f.space, len(stem), _grouped(alphabet, len(stem), kept))
 
 
 def covariance_check(x: Word, z: Word, f: MultVector) -> float:

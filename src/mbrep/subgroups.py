@@ -139,10 +139,8 @@ def coset_table_from_quotient(alphabet: Alphabet, group: FiniteGroup,
                 queue.append(h)
     elements.sort()
     pos = {g: i for i, g in enumerate(elements)}
-    action = np.zeros((len(elements), len(alphabet)), dtype=np.int64)
-    for i, g in enumerate(elements):
-        for c in range(len(alphabet)):
-            action[i, c] = pos[group.mul(g, full[c])]
+    action = np.array([[pos[group.mul(g, full[c])] for c in range(len(alphabet))]
+                       for g in elements], dtype=np.int64)
     # relabel so the identity coset is 0
     if pos[0] != 0:
         perm = list(range(len(elements)))

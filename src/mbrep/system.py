@@ -50,8 +50,7 @@ class MatrixSystem:
         self.dims = tuple(int(d) for d in dims)
         grid: List[List[Optional[np.ndarray]]] = [[None] * n for _ in range(n)]
         for (b, a), m in maps.items():
-            m = np.asarray(m, dtype=np.complex128)
-            grid[b][a] = m
+            grid[b][a] = np.asarray(m, dtype=np.complex128)
         self.maps = grid
 
     def map(self, b: int, a: int) -> np.ndarray:
@@ -70,9 +69,6 @@ class MatrixSystem:
     def scaled(self, factor: float) -> "MatrixSystem":
         return MatrixSystem(self.alphabet, self.dims,
                             {(b, a): factor * m for b, a, m in self.nonzero_pairs()})
-
-    def total_dim(self) -> int:
-        return sum(self.dims)
 
     def __repr__(self) -> str:
         return f"MatrixSystem(dims={self.dims})"
@@ -357,13 +353,10 @@ def radical_quotient(system: MatrixSystem, forms: FormTuple) -> Tuple[MatrixSyst
     cut = 1e-9 * max(scale, 1.0)
     for a in range(n):
         w, v = np.linalg.eigh((forms[a] + forms[a].conj().T) / 2)
-        keep = w > cut
-        cobases.append(v[:, keep])
+        cobases.append(v[:, w > cut])
     new_dims = [q.shape[1] for q in cobases]
-    new_maps = {}
-    for b, a, m in system.nonzero_pairs():
-        if new_dims[b] and new_dims[a]:
-            new_maps[(b, a)] = cobases[b].conj().T @ m @ cobases[a]
+    new_maps = {(b, a): cobases[b].conj().T @ m @ cobases[a]
+                for b, a, m in system.nonzero_pairs() if new_dims[b] and new_dims[a]}
     new_forms = FormTuple([q.conj().T @ forms[a] @ q for a, q in enumerate(cobases)])
     return MatrixSystem(system.alphabet, new_dims, new_maps), new_forms
 
@@ -549,10 +542,6 @@ def spherical_system(alphabet: Alphabet, scale: Optional[float] = None) -> Tuple
     n = len(alphabet)
     if scale is None:
         scale = 1.0 / np.sqrt(n - 1)
-    maps = {}
     one = np.array([[scale]], dtype=np.complex128)
-    for b in range(n):
-        for a in range(n):
-            if alphabet.inv[a] != b:
-                maps[(b, a)] = one.copy()
+    maps = {(b, a): one.copy() for b in range(n) for a in range(n) if alphabet.inv[a] != b}
     return MatrixSystem(alphabet, [1] * n, maps), FormTuple([np.eye(1)] * n)

@@ -77,16 +77,11 @@ class FreeProduct:
         return out
 
     def format(self, x: Element) -> str:
-        if not x:
-            return "e"
-        return "".join(self.names[f] * e for f, e in x)
+        return "".join(self.names[f] * e for f, e in x) or "e"
 
     def generator_letters(self, x: Element) -> List[int]:
         """Expand a normal form into single standard-generator steps."""
-        out = []
-        for f, e in x:
-            out.extend([f] * e)
-        return out
+        return [f for f, e in x for _ in range(e)]
 
     def abelianization(self, x: Element) -> Tuple[int, ...]:
         img = [0] * len(self.orders)

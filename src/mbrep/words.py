@@ -157,9 +157,7 @@ class Word:
         return hash(self.letters)
 
     def __str__(self) -> str:
-        if not self.letters:
-            return "e"
-        return "".join(self.alphabet.names[c] for c in self.letters)
+        return "".join(self.alphabet.names[c] for c in self.letters) or "e"
 
     def __repr__(self) -> str:
         return f"Word({self})"
@@ -262,6 +260,18 @@ def prefix_indices(alphabet: Alphabet, letters: Sequence[int]) -> List[int]:
 def word_index(w: Word) -> int:
     """Dense index of ``w`` within its own sphere (see :func:`sphere`)."""
     return prefix_indices(w.alphabet, w.letters)[-1]
+
+
+def index_word(alphabet: Alphabet, r: int, index: int) -> Word:
+    """The word of length ``r`` >= 1 whose :func:`word_index` is ``index``."""
+    inv, ranks = alphabet.inv, []
+    for _ in range(r - 1):
+        index, rank = divmod(index, len(alphabet) - 1)
+        ranks.append(rank)
+    letters = [index]
+    for rank in reversed(ranks):
+        letters.append(rank + (rank >= inv[letters[-1]]))
+    return Word._of(alphabet, tuple(letters))
 
 
 @dataclass(frozen=True)

@@ -18,4 +18,4 @@ def spherical_space(rank2):
 
 @pytest.fixture(scope="session")
 def seed_a(rank2, spherical_space):
-    return MultVector.seed(spherical_space, {Word.parse(rank2, "a"): [1.0]})
+    return MultVector(spherical_space, 1, {Word.parse(rank2, "a"): [1.0]})

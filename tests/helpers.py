@@ -375,7 +375,7 @@ def find_invariant_subsystem(system: MatrixSystem, seed: int = 0) -> Optional[Su
     means no subsystem was found within 50 rounds.
     """
     n = len(system.alphabet)
-    total = system.total_dim()
+    total = sum(system.dims)
     if total == 0:
         return None
     rng = np.random.default_rng(seed)

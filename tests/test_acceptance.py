@@ -215,7 +215,7 @@ def test_criterion_06_decomposition():
                          for c in comps)
 
     space = RepSpace(system, forms)
-    seed_vec = MultVector.seed(space, {w("a"): np.array([1.0, 1.0]) / np.sqrt(2)})
+    seed_vec = MultVector(space, 1, {w("a"): np.array([1.0, 1.0]) / np.sqrt(2)})
     comp_vectors = []
     for comp in comps:
         comp_space = RepSpace(comp.system, comp.forms)
@@ -347,7 +347,7 @@ def test_criterion_09_virtually_free():
     space = RepSpace(system, forms)
     a_word = Word.parse(datum.basis_alphabet, "a")
     rng = np.random.default_rng(507)
-    blocks = {0: MultVector.seed(space, {a_word: [1.0]}),
+    blocks = {0: MultVector(space, 1, {a_word: [1.0]}),
               2: random_vector(space, rng)}
 
     def coeff(word, u, v):

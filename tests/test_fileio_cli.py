@@ -603,6 +603,25 @@ class TestCli:
         assert "cap" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["-1", "-7", "2.5"])
+    @pytest.mark.parametrize("argv", [
+        ["induce", "--system", "builtin:spherical3", "--quotient", "builtin:index2-quotient",
+         "--trials", "1"],
+        ["selftest"],
+        ["decompose", "--input", "builtin:spherical2"],
+    ], ids=["induce", "selftest", "decompose"])
+    def test_bad_seed_exits_validation(self, argv, value, tmp_path, capsys):
+        # selftest writes no file, so it takes no --output; decompose would
+        # write out-0.json
+        written = [] if argv == ["selftest"] else ["--output", str(tmp_path / "out")]
+        assert cli.main(argv + ["--seed", value] + written) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        err = err.splitlines()
+        assert len(err) == 1 and err[0].startswith("validation failure:")
+        assert "seed" in err[0]
+        assert list(tmp_path.iterdir()) == []
+
     def test_demo_uniform(self, tmp_path):
         out = tmp_path / "demo.csv"
         code = cli.main(["demo-no-hc", "--word", "ab", "--max-power", "3",

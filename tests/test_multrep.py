@@ -50,15 +50,24 @@ class TestDeepen:
     @pytest.mark.parametrize("start,end", [(37, 39), (38, 40), (41, 42)])
     def test_word_indices_past_int64(self, spherical_space, start, end):
         # the rows carry their words' sphere indices, which pass 2^63 on
-        # the rank-2 spheres from radius 40 on
+        # the rank-2 spheres from radius 40 on; there inner and vadd match
+        # them, and cylinder_op keeps a range of them, as Python ints
         assert sphere_size(A2, 39) < 2 ** 63 < sphere_size(A2, 40)
         stem = Word.parse(A2, ("Ba" * 21)[:start])
         v = MultVector(spherical_space, start, {stem: [1.0]})
         deep = deepen(v, end)
-        assert len(deep.values) == 3 ** (end - start)
-        for y, val in deep.values.items():
+        values = deep.values
+        assert len(values) == 3 ** (end - start)
+        for y, val in values.items():
             assert y.starts_with(stem)
             assert np.array_equal(val, evaluate(v, y))
+        assert abs(inner(deep, deep) - inner(v, v)) <= 1e-12
+        assert abs(inner(vadd(deep, v), deep) - 2 * inner(v, v)) <= 1e-12
+        under = Word(A2, next(iter(values)).letters[:end - 1])
+        kept = cylinder_op(under, deep)
+        assert kept.depth == end
+        assert list(kept.values) == [y for y in values if y.starts_with(under)]
+        assert abs(inner(kept, v) - 1 / 3 ** (end - start - 1)) <= 1e-12
 
 
 class TestInner:
@@ -66,8 +75,8 @@ class TestInner:
         assert abs(inner(seed_a, seed_a) - 1.0) <= 1e-14
 
     def test_disjoint_supports(self, spherical_space):
-        f = MultVector.seed(spherical_space, {w("a"): [1.0]})
-        g = MultVector.seed(spherical_space, {w("b"): [1.0]})
+        f = MultVector(spherical_space, 1, {w("a"): [1.0]})
+        g = MultVector(spherical_space, 1, {w("b"): [1.0]})
         assert inner(f, g) == 0
 
     def test_depth_invariance(self, seed_a):
@@ -513,7 +522,8 @@ class TestPointValues:
                         v = literal_value(f, multiply(x.inverse(), fine.stem).letters)
                         if np.any(v != 0):
                             values[fine.stem] = v
-            return values
+            # in sphere order, the lexicographic order of the letters
+            return dict(sorted(values.items(), key=lambda kv: kv[0].letters))
 
         rng = np.random.default_rng(59)
         space, _ = random_system(rng)
@@ -525,9 +535,10 @@ class TestPointValues:
                     moved = act(x, f)
                     want = literal_act(x, f)
                     assert moved.depth == depth + length
-                    assert list(moved.values) == list(want)
+                    got = moved.values
+                    assert list(got) == list(want)
                     for y, v in want.items():
-                        assert np.array_equal(moved.values[y], v), str(y)
+                        assert np.array_equal(got[y], v), str(y)
 
 
 class TestExactMode:

@@ -49,3 +49,19 @@ def test_tracer_counts_herz_layers(tmp_path):
     assert got["boundary_measure.spectral_measure.calls"] == 1
     assert got["boundary_measure.quasi_regular_coefficient.stems"] == 4372
     assert got.get("multrep.deepen.calls", 0) == 0
+
+
+def test_tracer_counts_induce_propagation(tmp_path):
+    # deepen's words_out reads len(out.values), which decodes the level; an
+    # induction with two trials deepens 8 times to 378 words in all
+    counters = tmp_path / "counters.json"
+    proc = subprocess.run(
+        [sys.executable, str(TRACER), "--counters", str(counters), "--",
+         "induce", "--system", "builtin:spherical3", "--quotient", "builtin:index2-quotient",
+         "--trials", "2"],
+        capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(counters.read_text())
+    assert got["multrep.deepen.calls"] == 8
+    assert got["multrep.deepen.words_out"] == 378

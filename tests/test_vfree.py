@@ -204,7 +204,7 @@ class TestRouting:
 class TestInducedCoefficients:
     def _blocks(self, datum, block_space, support=(0,)):
         a = Word.parse(block_space.alphabet, "a")
-        return {u: MultVector.seed(block_space, {a: [1.0]}) for u in support}
+        return {u: MultVector(block_space, 1, {a: [1.0]}) for u in support}
 
     def test_identity_sums_block_norms(self, datum, block_space):
         blocks = self._blocks(datum, block_space, support=(0, 2, 4))
@@ -230,7 +230,7 @@ class TestInducedCoefficients:
         for word in sphere(block_space.alphabet, 1):
             vals[word] = rng.normal(size=1) + 1j * rng.normal(size=1)
         blocks = {0: MultVector(block_space, 1, vals),
-                  3: MultVector.seed(block_space, {Word.parse(block_space.alphabet, "b"): [1.0]})}
+                  3: MultVector(block_space, 1, {Word.parse(block_space.alphabet, "b"): [1.0]})}
         elements = datum.group.ball(2)
         gram = vf_gram(datum, elements, blocks)
         eigs = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
