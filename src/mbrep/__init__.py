@@ -1,6 +1,7 @@
 """Multiplicative boundary representations of free and virtually free groups.
 
-Submodules: ``words`` (reduced-word combinatorics and cylinders), ``system``
+Submodules: ``words`` (reduced-word combinatorics, the geodesic cones of a
+word and the images of cylinders, each given by its stem word), ``system``
 (matrix systems, normalization, decomposition), ``multrep`` (vectors, the
 unitary action, matrix coefficients, boundary operators), ``subgroups``
 (coset tables and Schreier data), ``induce`` (block induction and the
@@ -11,7 +12,7 @@ double precision: exact entries of a system file load as floats, and the
 exact Q(sqrt(k)) oracle and the other literal oracles live with the tests.
 """
 
-from .words import Alphabet, Cylinder, CylinderUnion, Word, cylinder_image, multiply, refine, sphere
+from .words import Alphabet, Word, cylinder_image, multiply, sphere
 from .system import (FormTuple, MatrixSystem, NormalizationResult, compatibility_residual,
                      decompose, normalize, radical_quotient, spherical_system,
                      transfer_apply, validate)

@@ -9,7 +9,7 @@ through it.
 
 The literal inner-product sum over a whole word sphere is the package's
 exponential inner loop.  ``brute_pairing`` seeds each geodesic cone of
-``multrep.cone_walk`` with the (f, g) values at its roots and steps those
+``words.cone_walk`` with the (f, g) values at its roots and steps those
 pairs outward, in chunks of at most ``CHUNK_ROWS`` rows, to three levels
 short of the truncation sphere.  The last three steps are folded into path
 kernels: a sphere word y = u.t, with t a path of one to three letters beyond
@@ -26,6 +26,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+
+from .words import cone_walk
 
 #: a level: last letter -> (rows, keys), keys each row's word_index (a child's is
 #: its parent's times |A|-1 plus its letter's rank), int64 or, past 2^63 words,
@@ -114,13 +116,13 @@ def _pair_sum(maps, inv, kernels, level: Level, rest: int) -> complex:
 def brute_pairing(space, x, f, g, m_depth: int) -> complex:
     """Literal sphere-sum pairing <pi(x) f, g> at truncation depth ``m_depth``.
 
-    The sphere is partitioned into the cones of ``multrep.cone_walk``; each
+    The sphere is partitioned into the cones of ``words.cone_walk``; each
     cone's (f, g) root values, read through one ``multrep.point_values``
     evaluator per vector, are stepped out in chunks towards the sphere of
     radius ``m_depth``; within three steps of it, the path kernels, built
     once per call, pair each level's rows, one term per sphere word.
     """
-    from .multrep import cone_walk, point_values
+    from .multrep import point_values
 
     if m_depth < max(f.depth + len(x), g.depth):
         raise ValueError("truncation depth too small for the brute sum")

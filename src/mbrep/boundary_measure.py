@@ -165,8 +165,8 @@ def no_harish_chandra_demo(mu: CylinderMeasure, w: Word, max_power: int,
     """
     if w.is_identity():
         raise ValidationError("the demo needs a nontrivial group element")
-    if max_power < 0:
-        raise ValidationError(f"max power must be >= 0, got {max_power}")
+    if max_power < 1:
+        raise ValidationError(f"max power must be >= 1, got {max_power}")
     if abs(mu.total - 1.0) > 1e-9:
         raise ValidationError("the demo expects a probability measure")
     rows: List[Tuple[int, int, float]] = []

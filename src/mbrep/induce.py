@@ -32,7 +32,7 @@ from .multrep import (MultVector, RepSpace, act, cylinder_op, inner, key_dtype, 
                       point_values, table_row, vadd, zero_vector)
 from .subgroups import SchreierData, rewrite_to_subgroup
 from .system import FormTuple, MatrixSystem
-from .words import DEFAULT_CAP, Cylinder, Word, cylinder_image, multiply
+from .words import DEFAULT_CAP, Word, cylinder_image, multiply
 
 
 @dataclass
@@ -375,8 +375,8 @@ def induced_boundary_op(f: InducedVector, z: Word) -> InducedVector:
     for u_idx, src in f.blocks.items():
         u_inv = data.transversal[u_idx].inverse()
         acc = zero_vector(f.space, src.depth)
-        for part in cylinder_image(u_inv, Cylinder(z)):
-            for stem in boundary_pullback(data, part.stem):
+        for part in cylinder_image(u_inv, z):
+            for stem in boundary_pullback(data, part):
                 acc = vadd(acc, cylinder_op(stem, src))
         if not acc.is_zero():
             blocks[u_idx] = acc

@@ -1,5 +1,6 @@
 """Multiplicative vectors and their unitary action, inner products and matrix
-coefficients, and boundary cylinder operators.
+coefficients, and boundary cylinder operators, each cylinder given by its
+stem ``Word``.
 
 A vector is a finite germ: values on one word sphere, propagated outward by
 the system maps, held as one ``_kernels.Level`` keyed by word index, int64
@@ -10,9 +11,10 @@ which steps single words one matvec per letter from the longest prefix any
 reader has stepped through.  Every single-word read goes through it;
 :func:`evaluate` alone walks afresh.
 
-Matrix coefficients come in two backends over the cones of
-:func:`cone_walk`, which partitions the sphere by where a word leaves the
-geodesic of the acting word.  ``fast``, :func:`coefficients`, regroups the
+The geodesic cones of ``words.cone_walk`` partition the sphere by where a
+word leaves the geodesic of the acting word.  :func:`act` steps each cone's
+root value out along its tails, and matrix coefficients come in two
+backends over the same cones.  ``fast``, :func:`coefficients`, regroups the
 cone sum into one row carried along the prefixes of a word set, a few small
 matvecs per prefix shared by every word through it: the matrix-product form
 of the coefficients of multiplicative representations.  ``brute``, the
@@ -25,15 +27,15 @@ steps pairs each sphere word's term from the values at its prefix there.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
 from . import _kernels
 from .errors import CapExceededError, DepthError, ValidationError
 from .system import FormTuple, MatrixSystem, compatibility_residual
-from .words import (DEFAULT_CAP, Alphabet, Cylinder, Word, cylinder_image, index_word,
-                    multiply, prefix_indices, refine, sphere_size, word_index)
+from .words import (DEFAULT_CAP, Alphabet, Word, cone_walk, cylinder_image, index_word,
+                    prefix_indices, sphere_size, word_index)
 
 
 class RepSpace:
@@ -241,7 +243,7 @@ def evaluate(f: MultVector, w: Word) -> np.ndarray:
     return v
 
 
-def deepen(f: MultVector, new_depth: int, cap: int = DEFAULT_CAP) -> MultVector:
+def deepen(f: MultVector, new_depth: int) -> MultVector:
     """Re-present the same function on a deeper sphere by propagation.
 
     The level is stepped out one sphere at a time by
@@ -256,9 +258,9 @@ def deepen(f: MultVector, new_depth: int, cap: int = DEFAULT_CAP) -> MultVector:
     alphabet = space.alphabet
     words = sum(len(keys) for _, keys in f.level.values())
     growth = (len(alphabet) - 1) ** (new_depth - f.depth)
-    if words * growth > cap:
+    if words * growth > DEFAULT_CAP:
         raise CapExceededError(
-            f"deepening to {new_depth} would track {words * growth} words, cap {cap}")
+            f"deepening to {new_depth} would track {words * growth} words, cap {DEFAULT_CAP}")
     level = f.level
     if key_dtype(alphabet, new_depth) is object:
         level = {p: (rows, keys.astype(object)) for p, (rows, keys) in level.items()}
@@ -267,12 +269,12 @@ def deepen(f: MultVector, new_depth: int, cap: int = DEFAULT_CAP) -> MultVector:
     return MultVector._of(space, new_depth, level)
 
 
-def _common_depth(f: MultVector, g: MultVector, cap: int = DEFAULT_CAP) -> Tuple[MultVector, MultVector]:
+def _common_depth(f: MultVector, g: MultVector) -> Tuple[MultVector, MultVector]:
     d = max(f.depth, g.depth)
-    return tuple(h if h.depth == d else deepen(h, d, cap=cap) for h in (f, g))
+    return tuple(h if h.depth == d else deepen(h, d) for h in (f, g))
 
 
-def inner(f: MultVector, g: MultVector, cap: int = DEFAULT_CAP) -> complex:
+def inner(f: MultVector, g: MultVector) -> complex:
     """Inner product: the sphere sum of form pairings at the common depth.
 
     Compatibility telescopes the sum, so any admissible depth gives the same
@@ -281,7 +283,7 @@ def inner(f: MultVector, g: MultVector, cap: int = DEFAULT_CAP) -> complex:
     """
     if f.space != g.space:
         raise ValidationError("vectors live on different systems")
-    fd, gd = _common_depth(f, g, cap=cap)
+    fd, gd = _common_depth(f, g)
     forms = f.space.forms
     total = 0.0 + 0.0j
     for p, (frows, fkeys) in fd.level.items():
@@ -296,10 +298,10 @@ def norm(f: MultVector) -> float:
     return float(np.sqrt(max(inner(f, f).real, 0.0)))
 
 
-def vadd(f: MultVector, g: MultVector, cap: int = DEFAULT_CAP) -> MultVector:
+def vadd(f: MultVector, g: MultVector) -> MultVector:
     if f.space != g.space:
         raise ValidationError("vectors live on different systems")
-    fd, gd = _common_depth(f, g, cap=cap)
+    fd, gd = _common_depth(f, g)
     level = dict(fd.level)
     for p, (grows, gkeys) in gd.level.items():
         if p in level:
@@ -333,29 +335,32 @@ def distance(f: MultVector, g: MultVector) -> float:
     return norm(vsub(f, g))
 
 
-def act(x: Word, f: MultVector, cap: int = DEFAULT_CAP) -> MultVector:
+def act(x: Word, f: MultVector) -> MultVector:
     """The unitary action: (act(x, f))(y) = f(x^-1 y), presented at depth
-    f.depth + |x|.  One point evaluator serves every y, so the words x^-1 y
-    share the steps of their common prefixes."""
+    f.depth + |x|.  A geodesic cone of :func:`cone_walk` with roots (u, y0)
+    maps u t to y0 t, so each root value f(u) is read once through the
+    point evaluator and stepped out along the cone's tails, one matvec per
+    word: the evaluator's own chain of products."""
     if x.is_identity():
         return f
     space = f.space
+    maps, inv, n = space.system.maps, space.alphabet.inv, len(space.alphabet)
     new_depth = f.depth + len(x)
-    xinv = x.inverse()
     value_at = point_values(f)
+    roots = [(y0, v) for cone in cone_walk(x, f.depth, 1) for u, y0 in cone
+             if (v := value_at(u)) is not None]
+    # the whole support is held against the cap before any cone is stepped,
+    # so an image over the cap builds none of its words
+    if sum((n - 1) ** (new_depth - len(y0)) for y0, _ in roots) > DEFAULT_CAP:
+        raise CapExceededError(f"action support would exceed cap {DEFAULT_CAP}")
     items = []
-    budget = 0
-    for z in f.values:
-        for part in cylinder_image(x, Cylinder(z)):
-            width = (len(space.alphabet) - 1) ** (new_depth - len(part.stem))
-            budget += width
-            if budget > cap:
-                raise CapExceededError(f"action support would exceed cap {cap}")
-            # refine keeps sphere order: the words under a stem take consecutive keys
-            for k, fine in enumerate(refine(part, new_depth, cap=cap), word_index(part.stem) * width):
-                v = value_at(multiply(xinv, fine.stem).letters)
-                if v is not None:
-                    items.append((fine.stem.last(), k, v))
+    for y0, v in roots:
+        # children in letter order keep each cone's keys ascending
+        tails = [(y0[-1], prefix_indices(space.alphabet, y0)[-1], v)]
+        for _ in range(new_depth - len(y0)):
+            tails = [(c, k * (n - 1) + (c if c < inv[p] else c - 1), m @ row)
+                     for p, k, row in tails for c, m in _kernels._children(maps, inv, p)]
+        items.extend(tails)
     return MultVector._of(space, new_depth, _grouped(space.alphabet, new_depth, items))
 
 
@@ -365,33 +370,6 @@ def _brute_coefficient(x: Word, f: MultVector, g: MultVector, cap: int) -> compl
         raise CapExceededError(
             f"brute sum over sphere {m_depth} exceeds cap {cap} for word {x}")
     return _kernels.brute_pairing(f.space, x, f, g, m_depth)
-
-
-def cone_walk(x: Word, f_depth: int, g_depth: int) -> Iterator[List[Tuple[tuple, tuple]]]:
-    """The root pairs (x^-1 y, y) of each geodesic cone of ``x``, as letter tuples.
-
-    Every reduced y of length > |x| leaves the geodesic of ``x`` after a
-    common prefix x[:i] with one letter c, so y lies in the cone of
-    x[:i] c and x^-1 y in the cone of x^-1[:|x|-i] c.  Per cone, for i = 0,
-    1, ..., |x|, this yields the pairs at the shallowest common extension of
-    those two roots where both vectors have values (depths ``f_depth`` and
-    ``g_depth``); all pairs of one cone share their length and, within a
-    pair, their last letter.
-    """
-    alphabet = x.alphabet
-    n = len(alphabet)
-    inv = alphabet.inv
-    xl = x.letters
-    lx = len(xl)
-    xinv = x.inverse().letters
-    for i in range(lx + 1):
-        for c in range(n):
-            if (i < lx and c == xl[i]) or (i > 0 and c == inv[xl[i - 1]]):
-                continue
-            tails = [(c,)]
-            for _ in range(max(0, f_depth - (lx - i + 1), g_depth - (i + 1))):
-                tails = [t + (d,) for t in tails for d in range(n) if d != inv[t[-1]]]
-            yield [(xinv[: lx - i] + t, xl[:i] + t) for t in tails]
 
 
 def _prefix_step(g: MultVector, cone: Callable, s: Optional[np.ndarray],
@@ -499,14 +477,13 @@ def coefficient(x: Word, f: MultVector, g: MultVector, backend: str = "fast",
     raise ValidationError(f"unknown backend {backend!r}")
 
 
-def cylinder_op(z: Union[Word, Cylinder], f: MultVector) -> MultVector:
-    """Boundary multiplication operator of the cylinder indicator at ``z``:
+def cylinder_op(stem: Word, f: MultVector) -> MultVector:
+    """Boundary multiplication operator of the cylinder indicator at ``stem``:
     keep the values inside the cone, zero the rest.  The cone of a stem at
     least as long as the depth holds one word, the stem, so the result is the
     value there, read by :func:`point_values` and presented at depth |stem|.
     Under a shorter stem of index i lie the keys [i w, (i+1) w), w the count
     of words under it, as word_index is prefix-major."""
-    stem = z.stem if isinstance(z, Cylinder) else z
     if stem.is_identity():
         raise ValidationError("cylinder stem must be nonempty")
     alphabet = f.space.alphabet
@@ -530,6 +507,6 @@ def covariance_check(x: Word, z: Word, f: MultVector) -> float:
     operator of the translated cylinder set."""
     lhs = act(x, cylinder_op(z, act(x.inverse(), f)))
     rhs = zero_vector(f.space, f.depth)
-    for part in cylinder_image(x, Cylinder(z)):
-        rhs = vadd(rhs, cylinder_op(part.stem, f))
+    for stem in cylinder_image(x, z):
+        rhs = vadd(rhs, cylinder_op(stem, f))
     return distance(lhs, rhs)

@@ -1,5 +1,6 @@
 """Reduced words over a symmetric alphabet: free multiplication, spheres,
-boundary cylinders and the group action on them.
+the geodesic cones around a word and the action of a word on boundary
+cylinders, each given by its stem ``Word``.
 
 Letters are small integers indexing into an :class:`Alphabet`; the inverse of
 a letter is a table lookup, so no string handling happens in inner loops.
@@ -7,7 +8,6 @@ a letter is a table lookup, so no string handling happens in inner loops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import CapExceededError, ValidationError
@@ -274,92 +274,45 @@ def index_word(alphabet: Alphabet, r: int, index: int) -> Word:
     return Word._of(alphabet, tuple(letters))
 
 
-@dataclass(frozen=True)
-class Cylinder:
-    """Boundary cylinder: all infinite reduced words starting with ``stem``."""
+def cone_walk(x: Word, f_depth: int, g_depth: int) -> Iterator[List[Tuple[tuple, tuple]]]:
+    """The root pairs (x^-1 y, y) of each geodesic cone of ``x``, as letter tuples.
 
-    stem: Word
-
-    def __post_init__(self):
-        if self.stem.is_identity():
-            raise ValidationError("cylinder stem must be nonempty")
-
-    def __str__(self) -> str:
-        return f"C({self.stem})"
-
-
-class CylinderUnion:
-    """Finite disjoint union of cylinders (no stem a prefix of another)."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: Iterable[Cylinder]):
-        parts = tuple(parts)
-        stems = [c.stem.letters for c in parts]
-        stems_set = set(stems)
-        if len(stems_set) != len(stems):
-            raise ValidationError("cylinder union has repeated parts")
-        for s in stems:
-            for k in range(1, len(s)):
-                if s[:k] in stems_set:
-                    raise ValidationError("cylinder union parts are not disjoint")
-        self.parts = parts
-
-    def __iter__(self) -> Iterator[Cylinder]:
-        return iter(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def stems(self) -> Tuple[Word, ...]:
-        return tuple(c.stem for c in self.parts)
-
-    def __repr__(self) -> str:
-        return "CylinderUnion(" + ", ".join(str(c) for c in self.parts) + ")"
-
-
-def refine(c: Cylinder, depth: int, cap: Optional[int] = DEFAULT_CAP) -> CylinderUnion:
-    """Partition a cylinder into all cylinders of stem length ``depth``."""
-    stem = c.stem
-    if depth < len(stem):
-        raise ValidationError(f"refinement depth {depth} below stem length {len(stem)}")
-    alphabet = stem.alphabet
-    n = len(alphabet)
-    count = (n - 1) ** (depth - len(stem))
-    if cap is not None and count > cap:
-        raise CapExceededError(f"refinement would produce {count} cylinders, cap is {cap}")
-    inv = alphabet.inv
-    out = [stem.letters]
-    for _ in range(depth - len(stem)):
-        nxt = []
-        for s in out:
-            forbidden = inv[s[-1]]
-            nxt.extend(s + (d,) for d in range(n) if d != forbidden)
-        out = nxt
-    return CylinderUnion(Cylinder(Word._of(alphabet, s)) for s in out)
-
-
-def _image_one(x: Word, stem: Word, acc: List[Cylinder]) -> None:
-    z = multiply(x, stem)
-    if not z.is_identity() and z.last() == stem.last():
-        acc.append(Cylinder(z))
-        return
-    # cancellation consumed the stem's final letter: split one level deeper
-    # and recurse; the cancelling suffix strictly shortens each time
-    alphabet = stem.alphabet
-    forbidden = alphabet.inv[stem.last()]
-    for d in range(len(alphabet)):
-        if d != forbidden:
-            _image_one(x, concat(stem, d), acc)
-
-
-def cylinder_image(x: Word, c: Cylinder) -> CylinderUnion:
-    """The set x . C as a disjoint union of cylinders.
-
-    When the stem is longer than ``x`` the image is the single cylinder on
-    ``multiply(x, stem)``; with full cancellation the image is assembled from
-    sibling cylinders one level down.
+    Every reduced y of length > |x| leaves the geodesic of ``x`` after a
+    common prefix x[:i] with one letter c, so y lies in the cone of
+    x[:i] c and x^-1 y in the cone of x^-1[:|x|-i] c.  Per cone, for i = 0,
+    1, ..., |x|, this yields the pairs at the shallowest common extension of
+    those two roots where both vectors have values (depths ``f_depth`` and
+    ``g_depth``); all pairs of one cone share their length and, within a
+    pair, their last letter.
     """
-    acc: List[Cylinder] = []
-    _image_one(x, c.stem, acc)
-    return CylinderUnion(acc)
+    alphabet = x.alphabet
+    n = len(alphabet)
+    inv = alphabet.inv
+    xl = x.letters
+    lx = len(xl)
+    xinv = x.inverse().letters
+    for i in range(lx + 1):
+        for c in range(n):
+            if (i < lx and c == xl[i]) or (i > 0 and c == inv[xl[i - 1]]):
+                continue
+            tails = [(c,)]
+            for _ in range(max(0, f_depth - (lx - i + 1), g_depth - (i + 1))):
+                tails = [t + (d,) for t in tails for d in range(n) if d != inv[t[-1]]]
+            yield [(xinv[: lx - i] + t, xl[:i] + t) for t in tails]
+
+
+def cylinder_image(x: Word, z: Word) -> Tuple[Word, ...]:
+    """The set x . C(z) of boundary points x w, w starting with the nonempty
+    stem ``z``, as the stems of disjoint cylinders, one per geodesic cone of
+    ``x`` that meets it.
+
+    A cone of :func:`cone_walk` with roots (u, y0) maps u t to y0 t, so it
+    meets the image when u and z agree on their common length, in the
+    cylinder on y0 followed by what z has beyond u.  A stem longer than
+    ``x`` meets one cone; full cancellation spreads it over several.
+    """
+    if z.is_identity():
+        raise ValidationError("cylinder stem must be nonempty")
+    zl = z.letters
+    return tuple(Word._of(x.alphabet, y0 + zl[len(u):])
+                 for [(u, y0)] in cone_walk(x, 1, 1) if u[:len(zl)] == zl[:len(u)])

@@ -1,23 +1,25 @@
 """Shared generators for seeded random systems, vectors, and words, and the
 literal oracles and test-only predicates the tests compare the package with:
 the literal sphere sum, the root-by-root cone sum, crossed-product elements,
-the expansion of subgroup words, and the randomized search for an invariant
-subsystem.  The exact Q(sqrt(k)) oracle is in ``exact``."""
+boundary cylinders with their refinement and the splitting recursion for
+their images, the expansion of subgroup words, and the randomized search for
+an invariant subsystem.  The exact Q(sqrt(k)) oracle is in ``exact``."""
 
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from mbrep.fileio import _complex_to_entry
-from mbrep.multrep import (MultVector, RepSpace, act, coefficient, cone_walk, cylinder_op,
+from mbrep.errors import ValidationError
+from mbrep.multrep import (MultVector, RepSpace, act, coefficient, cylinder_op,
                            evaluate, inner, point_values, vadd, vscale, zero_vector)
 from mbrep.subgroups import SchreierData
 from mbrep.system import INVARIANCE_TOL, MatrixSystem, normalize
-from mbrep.words import (DEFAULT_CAP, Alphabet, Cylinder, CylinderUnion, Word, cylinder_image,
-                         multiply, refine, sphere)
+from mbrep.words import (DEFAULT_CAP, Alphabet, Word, concat, cone_walk, cylinder_image,
+                         multiply, sphere)
 
 
 def random_system(rng, alphabet=None, max_dim=3):
@@ -57,27 +59,23 @@ def sphere_coefficient(alphabet: Alphabet, x: Word, f, g, value_at: Callable,
 
 @dataclass(frozen=True)
 class CrossedElement:
-    """Finite sum of (coefficient, cylinder-or-whole-boundary, group element)
-    terms acting by boundary multiplication after translation."""
+    """Finite sum of (coefficient, cylinder stem or None for the whole
+    boundary, group element) terms acting by boundary multiplication after
+    translation."""
 
-    terms: Tuple[Tuple[complex, Optional[Cylinder], Word], ...]
+    terms: Tuple[Tuple[complex, Optional[Word], Word], ...]
 
     @classmethod
     def of(cls, *terms) -> "CrossedElement":
-        packed = []
-        for coeff, cyl, gamma in terms:
-            if cyl is not None and not isinstance(cyl, Cylinder):
-                cyl = Cylinder(cyl)
-            packed.append((complex(coeff), cyl, gamma))
-        return cls(tuple(packed))
+        return cls(tuple((complex(coeff), stem, gamma) for coeff, stem, gamma in terms))
 
 
 def apply_crossed(element: CrossedElement, f: MultVector) -> MultVector:
     out = zero_vector(f.space, f.depth)
-    for coeff, cyl, gamma in element.terms:
+    for coeff, stem, gamma in element.terms:
         moved = act(gamma, f)
-        if cyl is not None:
-            moved = cylinder_op(cyl, moved)
+        if stem is not None:
+            moved = cylinder_op(stem, moved)
         out = vadd(out, vscale(coeff, moved))
     return out
 
@@ -186,15 +184,91 @@ def induced_distance(f, g):
     return float(np.sqrt(total))
 
 
-def union_image(x, u):
-    """The set x . U of a cylinder union U, as a cylinder union."""
-    return CylinderUnion(part for c in u for part in cylinder_image(x, c))
+@dataclass(frozen=True)
+class Cylinder:
+    """Boundary cylinder: all infinite reduced words starting with ``stem``."""
+
+    stem: Word
+
+    def __post_init__(self):
+        if self.stem.is_identity():
+            raise ValidationError("cylinder stem must be nonempty")
 
 
-def refine_union_stems(u, depth):
-    """Stems (as letter tuples) of the depth-``depth`` refinement of a
-    cylinder union: a canonical form to compare boundary sets."""
-    return frozenset(fine.stem.letters for c in u for fine in refine(c, depth))
+class CylinderUnion:
+    """Finite disjoint union of cylinders (no stem a prefix of another)."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: Iterable[Cylinder]):
+        parts = tuple(parts)
+        stems = [c.stem.letters for c in parts]
+        stems_set = set(stems)
+        if len(stems_set) != len(stems):
+            raise ValidationError("cylinder union has repeated parts")
+        for s in stems:
+            for k in range(1, len(s)):
+                if s[:k] in stems_set:
+                    raise ValidationError("cylinder union parts are not disjoint")
+        self.parts = parts
+
+    def __iter__(self) -> Iterator[Cylinder]:
+        return iter(self.parts)
+
+    def __len__(self) -> int:
+        return len(self.parts)
+
+    def stems(self) -> Tuple[Word, ...]:
+        return tuple(c.stem for c in self.parts)
+
+
+def refine(c: Cylinder, depth: int) -> CylinderUnion:
+    """Partition a cylinder into all cylinders of stem length ``depth``, in
+    sphere order."""
+    stem = c.stem
+    if depth < len(stem):
+        raise ValidationError(f"refinement depth {depth} below stem length {len(stem)}")
+    alphabet = stem.alphabet
+    n = len(alphabet)
+    inv = alphabet.inv
+    out = [stem.letters]
+    for _ in range(depth - len(stem)):
+        out = [s + (d,) for s in out for d in range(n) if d != inv[s[-1]]]
+    return CylinderUnion(Cylinder(Word._of(alphabet, s)) for s in out)
+
+
+def recursive_image(x: Word, c: Cylinder) -> CylinderUnion:
+    """The set x . C as a disjoint union of cylinders, by splitting: a stem
+    whose last letter survives multiplication by x is moved whole, any other
+    is split one level deeper, and the cancelling suffix strictly shortens
+    each time.  The oracle of the closed form ``cylinder_image``."""
+    acc: List[Cylinder] = []
+
+    def image_one(stem: Word) -> None:
+        z = multiply(x, stem)
+        if not z.is_identity() and z.last() == stem.last():
+            acc.append(Cylinder(z))
+            return
+        forbidden = stem.alphabet.inv[stem.last()]
+        for d in range(len(stem.alphabet)):
+            if d != forbidden:
+                image_one(concat(stem, d))
+
+    image_one(c.stem)
+    return CylinderUnion(acc)
+
+
+def union_image(x, stems):
+    """The stems of the set x . U of a union U of disjoint cylinders, given
+    by their stems."""
+    return tuple(part for z in stems for part in cylinder_image(x, z))
+
+
+def refine_union_stems(stems, depth):
+    """Stems (as letter tuples) of the depth-``depth`` refinement of a union
+    of cylinders, given by their stems: a canonical form to compare
+    boundary sets."""
+    return frozenset(fine.stem.letters for z in stems for fine in refine(Cylinder(z), depth))
 
 
 def pair_words(data, a):

@@ -516,7 +516,8 @@ class TestCli:
     @pytest.mark.parametrize("argv,word", [
         (["induce", "--system", "builtin:spherical3", "--quotient", "builtin:index2-quotient",
           "--trials", "-2"], "trials"),
-        (["demo-no-hc", "--uniform-rank", "2", "--word", "ab", "--max-power", "-1"], "power")])
+        (["demo-no-hc", "--uniform-rank", "2", "--word", "ab", "--max-power", "-1"], "power"),
+        (["demo-no-hc", "--uniform-rank", "2", "--word", "a", "--max-power", "0"], "power")])
     def test_negative_count_exits_validation(self, argv, word, tmp_path, capsys):
         out = tmp_path / "out"
         assert cli.main(argv + ["--output", str(out)]) == cli.EXIT_VALIDATION

@@ -1,21 +1,23 @@
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from mbrep import _kernels
-from mbrep.errors import DepthError, ValidationError
-from mbrep.multrep import (MultVector, RepSpace, act, coefficient, coefficients, cone_walk,
+from mbrep import _kernels, multrep
+from mbrep.errors import CapExceededError, DepthError, ValidationError
+from mbrep.multrep import (MultVector, RepSpace, act, coefficient, coefficients,
                            covariance_check, cylinder_op, deepen, distance, evaluate,
                            inner, norm, point_values, vadd)
 from mbrep.system import MatrixSystem, normalize, spherical_system
-from mbrep.words import (Alphabet, Cylinder, Word, ball, cylinder_image, multiply, refine,
-                         sphere, sphere_size)
+from mbrep.words import (Alphabet, Word, ball, cone_walk, cylinder_image, multiply, sphere,
+                         sphere_size)
 
 from exact import ExactVector, exact_coefficient, exact_spherical
-from helpers import (CrossedElement, _fast_coefficient, apply_crossed, gram_matrix, random_system,
-                     random_vector, random_word, reference_coefficient)
+from helpers import (Cylinder, CrossedElement, _fast_coefficient, apply_crossed, gram_matrix,
+                     random_system, random_vector, random_word, recursive_image,
+                     reference_coefficient, refine)
 
 A2 = Alphabet.rank(2)
 
@@ -124,6 +126,24 @@ class TestAct:
         once = act(multiply(x, y), seed_a)
         twice = act(x, act(y, seed_a))
         assert distance(once, twice) <= 1e-12
+
+    def test_support_cap(self, seed_a):
+        # the first cone of A^15, the words starting with a, holds 3^15 words at depth 16
+        with pytest.raises(CapExceededError, match="action support would exceed cap"):
+            act(w("A" * 15), seed_a)
+
+    def test_support_cap_checked_before_stepping(self, seed_a, monkeypatch):
+        # under this cap the first two cones of A^11, 177,147 words each, fit
+        # and the third does not: no cone may be stepped out before the error
+        monkeypatch.setattr(multrep, "DEFAULT_CAP", 500_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError, match="exceed cap 500000"):
+                act(w("A" * 11), seed_a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestCoefficient:
@@ -378,9 +398,7 @@ class TestCovariance:
         assert covariance_check(w("e"), w("ab"), seed_a) <= 1e-14
 
     def test_multi_part_example(self, seed_a):
-        from mbrep.words import cylinder_image
-
-        assert len(cylinder_image(w("a"), Cylinder(w("A")))) == 3
+        assert len(cylinder_image(w("a"), w("A"))) == 3
         assert covariance_check(w("a"), w("A"), seed_a) <= 1e-12
 
     def test_random(self):
@@ -517,7 +535,7 @@ class TestPointValues:
             new_depth = f.depth + len(x)
             values = {}
             for z in f.values:
-                for part in cylinder_image(x, Cylinder(z)):
+                for part in recursive_image(x, Cylinder(z)):
                     for fine in refine(part, new_depth):
                         v = literal_value(f, multiply(x.inverse(), fine.stem).letters)
                         if np.any(v != 0):
@@ -528,7 +546,7 @@ class TestPointValues:
         rng = np.random.default_rng(59)
         space, _ = random_system(rng)
         for sp in (space, cut_space(space)):
-            for depth in (1, 2):
+            for depth in (1, 2, 3):
                 f = MultVector(sp, depth, random_vector(space, rng, depth=depth).values)
                 for length in range(1, 5):
                     x = random_word(A2, rng, length)

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mbrep.errors import CapExceededError, ValidationError
-from mbrep.words import (Alphabet, Cylinder, CylinderUnion, Word, ball,
-                         cylinder_image, multiply, refine, sphere, sphere_size,
+from mbrep.words import (Alphabet, Word, ball, cylinder_image, multiply, sphere, sphere_size,
                          word_index)
 
-from helpers import random_word, refine_union_stems, union_image
+from helpers import (Cylinder, CylinderUnion, random_word, recursive_image, refine,
+                     refine_union_stems, union_image)
 
 A2 = Alphabet.rank(2)
 
@@ -167,22 +167,24 @@ class TestSphere:
 
 class TestCylinders:
     def test_stem_must_be_nonempty(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="cylinder stem must be nonempty"):
             Cylinder(w("e"))
+        with pytest.raises(ValidationError, match="cylinder stem must be nonempty"):
+            cylinder_image(w("a"), w("e"))
 
     def test_image_no_cancellation(self):
-        assert cylinder_image(w("a"), Cylinder(w("b"))).stems() == (w("ab"),)
+        assert cylinder_image(w("a"), w("b")) == (w("ab"),)
 
     def test_image_partial_cancellation(self):
-        assert cylinder_image(w("a"), Cylinder(w("Ab"))).stems() == (w("b"),)
+        assert cylinder_image(w("a"), w("Ab")) == (w("b"),)
 
     def test_image_complement_case(self):
-        stems = set(cylinder_image(w("a"), Cylinder(w("A"))).stems())
+        stems = set(cylinder_image(w("a"), w("A")))
         assert stems == {w("A"), w("b"), w("B")}
 
     def test_image_deep_cancellation(self):
         # image of C(BA) under ab: cancels everything and re-expands
-        img = cylinder_image(w("ab"), Cylinder(w("BA")))
+        img = cylinder_image(w("ab"), w("BA"))
         depth = 3
         got = refine_union_stems(img, depth)
         expect = set()
@@ -197,9 +199,7 @@ class TestCylinders:
         for _ in range(100):
             x = random_word(A2, rng, int(rng.integers(0, 4)))
             stem = random_word(A2, rng, len(x) + 1 + int(rng.integers(0, 3)))
-            img = cylinder_image(x, Cylinder(stem))
-            assert len(img) == 1
-            assert img.parts[0].stem == multiply(x, stem)
+            assert cylinder_image(x, stem) == (multiply(x, stem),)
 
     def test_union_disjointness_enforced(self):
         with pytest.raises(ValidationError):
@@ -210,12 +210,30 @@ class TestCylinders:
         for _ in range(60):
             x = random_word(A2, rng, int(rng.integers(0, 4)))
             y = random_word(A2, rng, int(rng.integers(0, 4)))
-            c = Cylinder(random_word(A2, rng, 1 + int(rng.integers(0, 3))))
-            once = union_image(x, cylinder_image(y, c))
-            both = cylinder_image(multiply(x, y), c)
-            depth = max(max((len(s) for s in once.stems()), default=1),
-                        max((len(s) for s in both.stems()), default=1))
+            z = random_word(A2, rng, 1 + int(rng.integers(0, 3)))
+            once = union_image(x, cylinder_image(y, z))
+            both = cylinder_image(multiply(x, y), z)
+            depth = max(max((len(s) for s in once), default=1),
+                        max((len(s) for s in both), default=1))
             assert refine_union_stems(once, depth) == refine_union_stems(both, depth)
+
+    def test_closed_form_matches_recursion(self):
+        """The cone closed form gives the splitting recursion's stems, pairwise
+        prefix-free, for every x with |x| <= 6: against random stems and
+        against each stem of length <= 4 that x cancels entirely."""
+        rng = np.random.default_rng(24)
+        full = 0
+        for x in ball(A2, 6):
+            xinv = x.inverse().letters
+            stems = [random_word(A2, rng, 1 + int(rng.integers(0, 4))) for _ in range(2)]
+            stems += [Word(A2, xinv[:k]) for k in range(1, min(len(x), 4) + 1)]
+            for z in stems:
+                got = cylinder_image(x, z)
+                assert set(got) == set(recursive_image(x, Cylinder(z)).stems())
+                # a union of cylinders with a repeated or nested stem is rejected
+                assert len(CylinderUnion(Cylinder(s) for s in got)) == len(got)
+                full += len(multiply(x, z)) == len(x) - len(z)
+        assert full >= 5752
 
 
 class TestRefine:
