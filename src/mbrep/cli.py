@@ -6,18 +6,29 @@ failure, 3 resource cap.  CSV output uses '.' decimals with 15 significant
 digits.  No command that writes CSV reads a seed or draws a random number,
 so identical configurations give byte-identical reports.  Subcommands
 declare only the flags they read.
+
+Threads: ``python -m mbrep.cli`` and the ``mbrep`` script set
+``OPENBLAS_THREAD_TIMEOUT=4`` before numpy loads, unless it is set already, so
+an idle OpenBLAS worker sleeps after 2^4 cycles instead of spinning a second
+core for the default 2^28 (about 0.1 s after start-up and after each threaded
+call).  The thread count is unchanged.  To override, set the variable (4 to
+30) or ``OPENBLAS_NUM_THREADS``; importing any other module sets nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from importlib import resources
 from typing import List, Optional, Sequence
 
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")  # read once, as numpy loads OpenBLAS
+
 import numpy as np
 
+# Commands import nothing themselves: perfbench/tracer.py rebinds only what this module loads.
 from . import fileio
 from .boundary_measure import (herz_check, no_harish_chandra_demo, spectral_measure,
                                uniform_measure)
@@ -25,10 +36,11 @@ from .errors import (CapExceededError, DegenerateSystemError, MbrepError,
                      NormalizationError, ValidationError)
 from .induce import (InducedVector, induce_system, induced_action,
                      induced_boundary_op, induced_inner, intertwiner_J)
-from .multrep import MultVector, RepSpace, act, coefficient, cylinder_op, distance, inner
+from .multrep import (MultVector, RepSpace, act, coefficient, covariance_check, cylinder_op,
+                      distance, inner)
 from .subgroups import schreier
 from .system import (NORMALIZE_TOL, compatibility_residual, decompose, normalize,
-                     radical_quotient, validate)
+                     radical_quotient, spherical_system, validate)
 from .vfree import vf_gram, vf_validate
 from .words import DEFAULT_CAP, Alphabet, Word, ball, sphere
 
@@ -366,8 +378,6 @@ def cmd_demo_no_hc(args) -> int:
 
 def cmd_selftest(args) -> int:
     """Compact seeded end-to-end checks over the shipped data."""
-    from .system import spherical_system
-
     checks = []
     rng = np.random.default_rng(args.seed)
 
@@ -384,8 +394,6 @@ def cmd_selftest(args) -> int:
     checks.append(("spherical coefficient 3^-1/2", abs(val - 3 ** -0.5) <= 1e-12))
     brute = coefficient(a, f, f, backend="brute")
     checks.append(("backend agreement", abs(val - brute) <= 1e-10))
-
-    from .multrep import covariance_check
 
     worst = 0.0
     for _ in range(10):

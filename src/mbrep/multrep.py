@@ -289,7 +289,9 @@ def inner(f: MultVector, g: MultVector) -> complex:
     for p, (frows, fkeys) in fd.level.items():
         if p in gd.level:
             grows, gkeys = gd.level[p]
-            _, at_f, at_g = np.intersect1d(fkeys, gkeys, assume_unique=True, return_indices=True)
+            # a table with itself pairs every row, in intersect1d's sorted order
+            at_f, at_g = ((np.argsort(fkeys),) * 2 if fkeys is gkeys else
+                          np.intersect1d(fkeys, gkeys, assume_unique=True, return_indices=True)[1:])
             total += np.vdot(grows[at_g], frows[at_f] @ forms[p].T)
     return complex(total)
 

@@ -859,3 +859,35 @@ class TestCli:
             for action in parser._actions:
                 if action.dest != "help":
                     assert f"args.{action.dest}" in source, (name, action.dest)
+
+
+class TestStartup:
+    """What a fresh interpreter loads and sets when it imports the package."""
+
+    @staticmethod
+    def child(script, **env):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**base, "PYTHONPATH": src, **env}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip()
+
+    def test_package_root_loads_no_submodule(self):
+        script = ("import sys, mbrep; print(sorted(m for m in sys.modules "
+                  "if m == 'numpy' or m.startswith(('numpy.', 'mbrep.'))))")
+        assert self.child(script) == "[]"
+
+    # prints the wait that numpy's import saw, then the wait after the import
+    WAIT = ("import os, sys\n"
+            "seen = []\n"
+            "sys.addaudithook(lambda event, args: event == 'import' and args[0] == 'numpy'"
+            " and seen.append(os.environ.get('OPENBLAS_THREAD_TIMEOUT')))\n"
+            "import mbrep.cli\n"
+            "print(*seen, os.environ.get('OPENBLAS_THREAD_TIMEOUT'))")
+
+    def test_cli_sets_the_openblas_wait_before_numpy_loads(self):
+        assert self.child(self.WAIT) == "4 4"
+
+    def test_a_preset_openblas_wait_wins(self):
+        assert self.child(self.WAIT, OPENBLAS_THREAD_TIMEOUT="28") == "28 28"

@@ -1,11 +1,10 @@
 """The package ships only code that a command can run.
 
 Each top-level function and class of ``src/mbrep`` must be named by another
-live definition there, by a module-level statement of a module other than
-``__init__`` (which only re-exports), or by the benchmark scripts in
-``perfbench/``, which are only read.  A definition named only by dead ones
-is dead too, so names drop out until none is left to drop.  Oracles that
-only tests call live under ``tests/``.
+live definition there, by a module-level statement of any of its modules,
+or by the benchmark scripts in ``perfbench/``, which are only read.  A
+definition named only by dead ones is dead too, so names drop out until
+none is left to drop.  Oracles that only tests call live under ``tests/``.
 """
 
 import ast
@@ -28,7 +27,7 @@ def unreached_definitions():
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 definitions[f"{path.stem}.{node.name}"] = _names_in(node) - {node.name}
-            elif path.stem != "__init__":
+            else:
                 roots |= _names_in(node)
     for script in (ROOT / "perfbench").glob("*.py"):
         roots |= set(re.findall(r"\w+", script.read_text()))
