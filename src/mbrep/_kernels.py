@@ -3,9 +3,12 @@
 A level holds the values of a function on one word sphere, grouped by the
 last letter of the word: one array per letter whose rows (the trailing axis
 is the letter's space) are the values at the words ending in it.
-``level_step`` moves a level one step outward with one matmul per (parent,
-child) letter pair; ``multrep.deepen`` and ``brute_pairing`` both propagate
-through it.
+``level_step`` moves a level one step outward; ``multrep.deepen``,
+``multrep.act``, the spectral measure and ``brute_pairing`` all propagate
+through it.  Its product is the point evaluator's, ``m @ row`` for one row,
+stacked over the rows of a level: batched gemm rounds a row differently
+from that matvec, and differently again with the number of rows sharing
+the call, so with one product a value's bits depend only on its word.
 
 The literal inner-product sum over a whole word sphere is the package's
 exponential inner loop.  ``brute_pairing`` seeds each geodesic cone of
@@ -41,11 +44,11 @@ CHUNK_ROWS = 1 << 15
 def level_step(maps, inv, level: Level) -> Level:
     """The next level outward: each row at a word ending in ``p`` grows one
     child row ``maps[c][p] @ row`` for every letter c other than the inverse
-    of p.  A ``None`` map is zero and adds no rows.  Each child array holds
-    its rows by parent letter, then parent row, along its second-to-last
-    axis; leading axes are carried through, and each letter pair's matmul
-    writes straight into its slice of the child array.
-    """
+    of p, by one stacked matvec per letter pair, bit for bit the point
+    evaluator's product, written straight into its slice of the child array.
+    A ``None`` map is zero and adds no rows.  Each child array holds its rows
+    by parent letter, then parent row, along its second-to-last axis;
+    leading axes are carried through."""
     feeds: Dict[int, list] = {}
     for p, (rows, keys) in level.items():
         for c, m in _children(maps, inv, p):
@@ -58,7 +61,7 @@ def level_step(maps, inv, level: Level) -> Level:
         start = 0
         for m, rows, _, _ in parts:
             stop = start + rows.shape[-2]
-            np.matmul(rows, m.T, out=out[..., start:stop, :])
+            np.matmul(m, rows[..., None], out=out[..., start:stop, :, None])
             start = stop
         grown[c] = (out, None if parts[0][2] is None
                     else np.concatenate([k * (len(maps) - 1) + r for _, _, k, r in parts]))

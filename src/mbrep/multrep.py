@@ -4,17 +4,19 @@ stem ``Word``.
 
 A vector is a finite germ: values on one word sphere, propagated outward by
 the system maps, held as one ``_kernels.Level`` keyed by word index, int64
-or, past 2^63 words, Python ints.  :func:`deepen` steps it through
-``_kernels.level_step``, :func:`inner` and :func:`vadd` match its keys letter
-by letter; :func:`point_values` is each vector's one memoized evaluator,
-which steps single words one matvec per letter from the longest prefix any
-reader has stepped through.  Every single-word read goes through it;
-:func:`evaluate` alone walks afresh.
+or, past 2^63 words, Python ints.  :func:`deepen` and :func:`act` step
+levels through ``_kernels.level_step``, :func:`inner` and :func:`vadd` match
+keys letter by letter; :func:`point_values` is each vector's one memoized
+evaluator, which steps single words one matvec per letter from the longest
+prefix any reader has stepped through.  Every single-word read goes through
+it; :func:`evaluate` alone walks afresh.  That matvec is the one product of
+propagation, which ``level_step`` stacks over a level's rows, so a value's
+bits depend only on its word, never on which reader propagated it.
 
 The geodesic cones of ``words.cone_walk`` partition the sphere by where a
-word leaves the geodesic of the acting word.  :func:`act` steps each cone's
-root value out along its tails, and matrix coefficients come in two
-backends over the same cones.  ``fast``, :func:`coefficients`, regroups the
+word leaves the geodesic of the acting word.  :func:`act` steps the cones'
+root values out as levels, and matrix coefficients come in two backends
+over the same cones.  ``fast``, :func:`coefficients`, regroups the
 cone sum into one row carried along the prefixes of a word set, a few small
 matvecs per prefix shared by every word through it: the matrix-product form
 of the coefficients of multiplicative representations.  ``brute``, the
@@ -140,7 +142,7 @@ class MultVector:
         return not self.level
 
     def __repr__(self) -> str:
-        return f"MultVector(depth={self.depth}, support={len(self.values)})"
+        return f"MultVector(depth={self.depth}, support={sum(len(k) for _, k in self.level.values())})"
 
 
 def key_dtype(alphabet: Alphabet, depth: int):
@@ -244,29 +246,29 @@ def evaluate(f: MultVector, w: Word) -> np.ndarray:
 
 
 def deepen(f: MultVector, new_depth: int) -> MultVector:
-    """Re-present the same function on a deeper sphere by propagation.
-
-    The level is stepped out one sphere at a time by
-    :func:`_kernels.level_step`; rows that become zero are dropped at each
-    step, so the new level, like every level, holds no zero rows.
-    """
+    """Re-present the same function on a deeper sphere (:func:`_step_out`)."""
     if new_depth < f.depth:
         raise ValidationError(f"cannot deepen from {f.depth} to shallower {new_depth}")
     if new_depth == f.depth:
         return f
-    space = f.space
-    alphabet = space.alphabet
     words = sum(len(keys) for _, keys in f.level.values())
-    growth = (len(alphabet) - 1) ** (new_depth - f.depth)
+    growth = (len(f.space.alphabet) - 1) ** (new_depth - f.depth)
     if words * growth > DEFAULT_CAP:
         raise CapExceededError(
             f"deepening to {new_depth} would track {words * growth} words, cap {DEFAULT_CAP}")
-    level = f.level
-    if key_dtype(alphabet, new_depth) is object:
+    return MultVector._of(f.space, new_depth, _step_out(f.space, f.level, f.depth, new_depth))
+
+
+def _step_out(space: RepSpace, level: _kernels.Level, depth: int, new_depth: int) -> _kernels.Level:
+    """A level at ``depth`` stepped out to ``new_depth`` one sphere at a
+    time by :func:`_kernels.level_step`, its keys cast to the deeper
+    :func:`key_dtype` first; rows that become zero are dropped at each step,
+    so the new level, like every level, holds no zero rows."""
+    if key_dtype(space.alphabet, new_depth) is object:
         level = {p: (rows, keys.astype(object)) for p, (rows, keys) in level.items()}
-    for _ in range(new_depth - f.depth):
-        level = live_rows(_kernels.level_step(space.system.maps, alphabet.inv, level))
-    return MultVector._of(space, new_depth, level)
+    for _ in range(new_depth - depth):
+        level = live_rows(_kernels.level_step(space.system.maps, space.alphabet.inv, level))
+    return level
 
 
 def _common_depth(f: MultVector, g: MultVector) -> Tuple[MultVector, MultVector]:
@@ -341,29 +343,29 @@ def act(x: Word, f: MultVector) -> MultVector:
     """The unitary action: (act(x, f))(y) = f(x^-1 y), presented at depth
     f.depth + |x|.  A geodesic cone of :func:`cone_walk` with roots (u, y0)
     maps u t to y0 t, so each root value f(u) is read once through the
-    point evaluator and stepped out along the cone's tails, one matvec per
-    word: the evaluator's own chain of products."""
+    point evaluator; the roots of each length, as one level, are stepped out
+    by :func:`_step_out`, and as the cones are disjoint the parts of each
+    last letter are concatenated."""
     if x.is_identity():
         return f
-    space = f.space
-    maps, inv, n = space.system.maps, space.alphabet.inv, len(space.alphabet)
+    space, alphabet, n = f.space, f.space.alphabet, len(f.space.alphabet)
     new_depth = f.depth + len(x)
     value_at = point_values(f)
-    roots = [(y0, v) for cone in cone_walk(x, f.depth, 1) for u, y0 in cone
-             if (v := value_at(u)) is not None]
+    roots: Dict[int, list] = {}
+    for cone in cone_walk(x, f.depth, 1):
+        for u, y0 in cone:
+            if (v := value_at(u)) is not None:
+                roots.setdefault(len(y0), []).append((y0[-1], prefix_indices(alphabet, y0)[-1], v))
     # the whole support is held against the cap before any cone is stepped,
     # so an image over the cap builds none of its words
-    if sum((n - 1) ** (new_depth - len(y0)) for y0, _ in roots) > DEFAULT_CAP:
+    if sum(len(r) * (n - 1) ** (new_depth - k) for k, r in roots.items()) > DEFAULT_CAP:
         raise CapExceededError(f"action support would exceed cap {DEFAULT_CAP}")
-    items = []
-    for y0, v in roots:
-        # children in letter order keep each cone's keys ascending
-        tails = [(y0[-1], prefix_indices(space.alphabet, y0)[-1], v)]
-        for _ in range(new_depth - len(y0)):
-            tails = [(c, k * (n - 1) + (c if c < inv[p] else c - 1), m @ row)
-                     for p, k, row in tails for c, m in _kernels._children(maps, inv, p)]
-        items.extend(tails)
-    return MultVector._of(space, new_depth, _grouped(space.alphabet, new_depth, items))
+    parts: Dict[int, list] = {}
+    for k, r in roots.items():
+        for p, part in _step_out(space, _grouped(alphabet, k, r), k, new_depth).items():
+            parts.setdefault(p, []).append(part)
+    return MultVector._of(space, new_depth, {p: tuple(map(np.concatenate, zip(*ps)))
+                                             for p, ps in parts.items()})
 
 
 def _brute_coefficient(x: Word, f: MultVector, g: MultVector, cap: int) -> complex:

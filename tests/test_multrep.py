@@ -145,6 +145,18 @@ class TestAct:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_memory_bounded_by_output(self, seed_a):
+        # the image of A^10, 236,193 words, is stepped out as arrays: no
+        # Python object per word, so the peak stays within a few output sizes
+        tracemalloc.start()
+        try:
+            moved = act(w("A" * 10), seed_a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = sum(rows.nbytes + keys.nbytes for rows, keys in moved.level.values())
+        assert peak < 3 * out
+
 
 class TestCoefficient:
     def test_spherical_value(self, seed_a):
