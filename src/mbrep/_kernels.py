@@ -17,11 +17,13 @@ pairs outward, in chunks of at most ``CHUNK_ROWS`` rows, to three levels
 short of the truncation sphere.  The last three steps are folded into path
 kernels: a sphere word y = u.t, with t a path of one to three letters beyond
 u and M the product of the maps along t, has the term conj(g(u))^T K f(u)
-with K = M^T B^T conj(M) in row form, so each path's kernel pairs the rows
-of u's level directly, the three outer spheres are never formed and memory
-does not grow with |x|.  The sum stays literal: every sphere word adds its
-own term, no kernels are added together and compatibility is never used.
-It is the independent oracle for the cone-collapsed ``fast`` backend.
+with K = M^T B^T conj(M) in row form, bilinear in u's pair, so the rows of
+each letter of u's level are summed once into their moment F^T conj(G),
+which the kernels of all paths pair in one product.  The three outer spheres
+are never formed and memory does not grow with |x|.  Only the order of the
+sum changes: every sphere word adds its own term, no kernels are added
+together and compatibility is never used.  It is the independent oracle for
+the cone-collapsed ``fast`` backend.
 """
 
 from __future__ import annotations
@@ -76,37 +78,42 @@ def _children(maps, inv, p: int):
             yield c, m
 
 
-def _path_kernels(maps, inv, forms) -> List[List[List[np.ndarray]]]:
-    """Per last letter p, the row-form kernels K = M^T B^T conj(M) of the
-    paths of 0 to 3 letters beyond p, indexed by path length: M is the
-    product of the maps along the path, grown one letter at a time, and B the
-    form of its last letter.  A path through a ``None`` map has no kernel."""
+def _path_kernels(maps, inv, forms) -> List[List[np.ndarray]]:
+    """Per last letter p and path length 0 to 3, the row-form kernels
+    K = M^T B^T conj(M) of the T paths beyond p as the columns of a
+    (d_p^2, T) matrix: M is the product of the maps along the path, grown one
+    letter at a time, and B the form of its last letter.  A path through a
+    ``None`` map has no kernel, and T may be 0."""
     kernels = []
     for p in range(len(maps)):
-        by_length: List[List[np.ndarray]] = [[forms[p].T]]
-        paths = [(p, np.eye(len(forms[p])))]
+        d = len(forms[p])
+        by_length, paths = [[forms[p].T]], [(p, np.eye(d))]
         for _ in range(3):
             paths = [(c, m @ path) for q, path in paths for c, m in _children(maps, inv, q)]
             by_length.append([path.T @ forms[c].T @ path.conj() for c, path in paths])
-        kernels.append(by_length)
+        kernels.append([np.array(ks, dtype=np.complex128).reshape(-1, d * d).T
+                        for ks in by_length])
     return kernels
 
 
-def _pair(kernel, rows) -> complex:
-    """Sum of conj(g)^T K f over stacked rows of shape (2, n, d), with K in
-    row form (the transpose of its column form): the f block, then the g
-    block, each contiguous in its rows."""
-    return np.vdot(rows[1], rows[0] @ kernel)
+def _pair(kernels, rows) -> complex:
+    """Sum of conj(g)^T K f over stacked rows of shape (2, n, d), the f block
+    then the g block, and over the row-form kernels K, the columns of
+    ``kernels``: the rows are summed first, into their moment F^T conj(G),
+    which pairs every kernel in one product, n.d^2 + T.d^2 work for n.T terms."""
+    moment = rows[0].T @ rows[1].conj()
+    return (moment.reshape(-1) @ kernels).sum()
 
 
 def _pair_sum(maps, inv, kernels, level: Level, rest: int) -> complex:
     """Sum conj(g)^T B f over every word ``rest`` steps beyond a level of
     stacked (f, g) rows of shape (2, n, d).  Within three steps of the
-    sphere, each path's kernel from :func:`_path_kernels` pairs the level's
-    rows, one term per sphere word; further out the level steps outward,
-    halved first when the next level would exceed ``CHUNK_ROWS`` rows."""
+    sphere, each letter's rows pair the kernels of its paths of that length
+    from :func:`_path_kernels` through one moment, one term per sphere word;
+    further out the level steps outward, halved first when the next level
+    would exceed ``CHUNK_ROWS`` rows."""
     if rest <= 3:
-        return sum(_pair(k, rows) for p, (rows, _) in level.items() for k in kernels[p][rest])
+        return sum(_pair(kernels[p][rest], rows) for p, (rows, _) in level.items())
     width = sum(rows.shape[-2] for rows, _ in level.values())
     if width > 1 and width * (len(maps) - 1) > CHUNK_ROWS:
         # halve the level to bound the memory of the next step
@@ -122,8 +129,9 @@ def brute_pairing(space, x, f, g, m_depth: int) -> complex:
     The sphere is partitioned into the cones of ``words.cone_walk``; each
     cone's (f, g) root values, read through one ``multrep.point_values``
     evaluator per vector, are stepped out in chunks towards the sphere of
-    radius ``m_depth``; within three steps of it, the path kernels, built
-    once per call, pair each level's rows, one term per sphere word.
+    radius ``m_depth``; within three steps of it, each letter's rows are
+    reduced to one moment that the path kernels, built once per call, pair,
+    one term per sphere word.
     """
     from .multrep import point_values
 

@@ -91,7 +91,8 @@ def _block(masses: np.ndarray, inv: Sequence[int], prefix: Tuple[int, ...], inde
         size = (len(inv) - 1) * width
         masses = masses[index * size:(index + 1) * size]
         drop = None if drop is None else drop - (drop > inv[prefix[-1]])
-    return masses if drop is None else np.delete(masses, slice(drop * width, (drop + 1) * width))
+    return masses if drop is None else np.concatenate(
+        (masses[:drop * width], masses[(drop + 1) * width:]))
 
 
 def quasi_regular_coefficient(mu: CylinderMeasure, x: Word, depth: int,

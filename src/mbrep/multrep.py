@@ -22,8 +22,8 @@ matvecs per prefix shared by every word through it: the matrix-product form
 of the coefficients of multiplicative representations.  ``brute``, the
 literal sphere-sum oracle (exponential, see ``_kernels``), steps the cones'
 root values outward with the same level step as ``deepen`` to three levels
-short of the truncation sphere, where one kernel per path of the last three
-steps pairs each sphere word's term from the values at its prefix there.
+short of the truncation sphere, where one moment per letter of those values
+meets the kernels of the paths of the last three steps, one term per word.
 """
 
 from __future__ import annotations
@@ -467,10 +467,11 @@ def coefficient(x: Word, f: MultVector, g: MultVector, backend: str = "fast",
     word set each new prefix costs one step, shared by every word through
     it.  ``brute`` steps the root values of the cones of :func:`cone_walk`
     outward with ``_kernels.level_step``, in bounded chunks, to three levels
-    short of the truncation sphere and pairs every sphere word there through
-    the kernel of its last one to three steps; each word still adds its own
-    term, so it stays the independent oracle, and its cost grows as
-    (|A|-1)^|x| but not its memory.
+    short of the truncation sphere, sums each letter's rows there into one
+    moment F^T conj(G), as a sphere word's term is bilinear in its prefix's
+    values, and pairs it with the kernel of every path of the last one to
+    three steps; each word still adds its own term, so it stays the
+    independent oracle, and its cost grows as (|A|-1)^|x| but not its memory.
     """
     if f.space != g.space:
         raise ValidationError("vectors live on different systems")

@@ -120,9 +120,9 @@ def test_criterion_03_backend_equivalence_and_scaling(system_pool, seed_a, monke
     paired = [0]
     pair = _kernels._pair
 
-    def counting(kernel, rows):
-        paired[0] += rows.shape[-2]
-        return pair(kernel, rows)
+    def counting(kernels, rows):
+        paired[0] += rows.shape[-2] * kernels.shape[-1]
+        return pair(kernels, rows)
 
     lengths = list(range(2, 13))
     terms, fast_t = {}, {}

@@ -283,6 +283,61 @@ class TestCoefficient:
                     seen.update(min(rest, 4) for rest in rests)
             assert {1, 2, 3, 4} <= seen
 
+    @pytest.mark.parametrize("chunk_rows", [_kernels.CHUNK_ROWS, 1])
+    def test_pair_sum_matches_per_word_loop(self, chunk_rows, monkeypatch):
+        # within three steps of the sphere, the moment form against pairing
+        # each row with each path's kernel one by one: on a full system, on
+        # one with a None map, and on a hand-built table where some letters
+        # have no path of some length
+        monkeypatch.setattr(_kernels, "CHUNK_ROWS", chunk_rows)
+
+        def per_word(maps, inv, forms, level, rest):
+            total, empty = 0.0 + 0.0j, set()
+            for p, (rows, _) in level.items():
+                ends = [(p, np.eye(rows.shape[-1]))]
+                for _ in range(rest):
+                    ends = [(c, maps[c][q] @ m) for q, m in ends for c in range(len(maps))
+                            if c != inv[q] and maps[c][q] is not None]
+                if not ends:
+                    empty.add(p)
+                for c, m in ends:
+                    # conj(M g)^T B (M f), with f and g as rows
+                    kernel = (m.conj().T @ forms[c] @ m).T
+                    for f, g in zip(rows[0], rows[1]):
+                        total += np.vdot(g, f @ kernel)
+            return total, empty
+
+        rng = np.random.default_rng(59)
+        space, _ = random_system(rng)
+        cases = [(sp.system.maps, sp.alphabet.inv, sp.forms)
+                 for sp in (space, cut_space(space))]
+        # a grows nothing, A only A B a, B only B a, and b every path
+        dims = (2, 1, 3, 2)
+        grows = {0: (), 1: (3,), 3: (0,), 2: (0, 1, 2)}
+        maps = [[rng.normal(size=(dims[c], dims[p])) + 1j * rng.normal(size=(dims[c], dims[p]))
+                 if c in grows[p] else None for p in range(4)] for c in range(4)]
+        forms = []
+        for d in dims:
+            h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            forms.append(h @ h.conj().T + np.eye(d))
+        cases.append((maps, A2.inv, forms))
+        for maps, inv, forms in cases:
+            kernels = _kernels._path_kernels(maps, inv, forms)
+            level = {}
+            for p, b in enumerate(forms):
+                shape = (2, int(rng.integers(1, 6)), len(b))
+                level[p] = (rng.normal(size=shape) + 1j * rng.normal(size=shape), None)
+            empties = set()
+            for rest in range(4):
+                want, empty = per_word(maps, inv, forms, level, rest)
+                got = _kernels._pair_sum(maps, inv, kernels, level, rest)
+                assert abs(got - want) <= 1e-12 * abs(want)
+                for p in empty:
+                    assert _kernels._pair_sum(maps, inv, kernels, {p: level[p]}, rest) == 0
+                    empties.add((p, rest))
+        # the hand-built table has letters without paths at lengths 1 to 3
+        assert {(0, 1), (3, 2), (1, 3)} <= empties
+
     def test_fast_walk_matches_per_root_sum(self):
         # the oracle's cone sum against every root value evaluated from the
         # vector's depth along its whole root word
