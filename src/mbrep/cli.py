@@ -70,13 +70,7 @@ class Report:
         self.rows: List[List[str]] = []
 
     def add(self, *cells) -> None:
-        out = []
-        for c in cells:
-            if isinstance(c, float):
-                out.append(_fmt(c))
-            else:
-                out.append(str(c))
-        self.rows.append(out)
+        self.rows.append([_fmt(c) if isinstance(c, float) else str(c) for c in cells])
 
     def render(self) -> str:
         lines = [f"# {k}={v}" for k, v in self.meta.items()]
@@ -192,6 +186,7 @@ def cmd_decompose(args) -> int:
     total = sum(sum(c.system.dims) for c in components)
     print(f"components={len(components)}")
     print(f"commutant_dim={components.commutant_dim}")
+    print(f"commutant_margin={components.commutant_margin:.3e}")
     print("cascade=" + (",".join(f"{t:g}" for t in components.cascade) or "none"))
     for k, comp in enumerate(components):
         print(f"component {k}: dims={comp.system.dims}")
@@ -491,10 +486,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (DegenerateSystemError, NormalizationError) as err:
         print(f"solver failure: {err}", file=sys.stderr)
         return EXIT_MATH
-    except ValidationError as err:
-        print(f"validation failure: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as err:  # a missing, unreadable or directory path
+    except (ValidationError, OSError) as err:  # OSError: a missing, unreadable or directory path
         print(f"validation failure: {err}", file=sys.stderr)
         return EXIT_VALIDATION
     except MbrepError as err:

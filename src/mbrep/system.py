@@ -15,7 +15,7 @@ subgroup system whose fixed point is left near 1e-10 can miss them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -187,24 +187,16 @@ class NormalizationResult:
 def _power_iterate(system: MatrixSystem, start: FormTuple, tol: float,
                    max_iter: int) -> Tuple[FormTuple, float, float, int]:
     b = _trace_normalize(_hermitize(start))
-    best = None
-    best_res = np.inf
-    best_rho = 0.0
-    stall = 0
+    best, best_res, best_rho, stall = None, np.inf, 0.0, 0
     for it in range(1, max_iter + 1):
         tb = _hermitize(transfer_apply(system, b))
         rho = _tuple_dot(tb, b) / _tuple_dot(b, b)
         if rho <= 0 or tb.total_trace() <= 0:
             raise DegenerateSystemError("transfer map annihilated the iterate: all paths die out")
         res = _max_diff(FormTuple([f / rho for f in tb.forms]), b)
+        stall = 0 if res < best_res and res <= 0.5 * best_res else stall + 1
         if res < best_res:
-            if res > 0.5 * best_res:
-                stall += 1
-            else:
-                stall = 0
             best, best_res, best_rho = b, res, rho
-        else:
-            stall += 1
         if res <= tol:
             return b, rho, res, it
         if stall > 200:
@@ -301,8 +293,7 @@ def normalize(system: MatrixSystem, tol: float = NORMALIZE_TOL) -> Normalization
 
     b, rho, res, iters = _power_iterate(system, FormTuple.identity(system.dims), tol,
                                         NORMALIZE_MAX_ITER)
-    degenerate = False
-    solver = "power"
+    degenerate, solver = False, "power"
     if res > max(tol, 1e-10):
         b, rho, res, degenerate = _dense_fixed_point(system)
         solver = "dense"
@@ -379,52 +370,83 @@ class Component:
 
 class Decomposition(list):
     """The components of :func:`decompose`, with the solver's decisions:
-    the dimension of the top-level commutant and the cluster tolerance of
-    each split, in recursion order."""
+    the dimension and rank margin of the top-level commutant (see
+    :func:`_null_space`) and the cluster tolerance of each split, in
+    recursion order."""
 
     def __init__(self, components: List[Component], commutant_dim: int,
-                 cascade: List[float]):
+                 commutant_margin: float, cascade: List[float]):
         super().__init__(components)
-        self.commutant_dim = commutant_dim
-        self.cascade = cascade
+        self.commutant_dim, self.commutant_margin, self.cascade = commutant_dim, commutant_margin, cascade
 
 
-def _hermitian_constraints(system: MatrixSystem) -> np.ndarray:
-    """The real matrix of the commutant constraints E_b H_ba - H_ba E_a on
-    Hermitian tuples.
-
-    Letter a owns d_a * d_a columns, one per coordinate of :func:`_hermitian`;
-    the rows are the real parts and then the imaginary parts of every
-    E_b H_ba - H_ba E_a, row-major, so a pair's rows against a basis element
-    P are those of P H_ba on letter b and of -H_ba P on letter a.
-    """
-    bases, offsets = _hermitian_bases(system.dims)
-    pairs = [(b, a, m) for b, a, m in system.nonzero_pairs() if m.size]
-    nr = sum(m.size for _, _, m in pairs)
-    mat = np.zeros((2 * nr, offsets[-1]))
-    row = 0
-    for b, a, m in pairs:
-        left = (bases[b] @ m).reshape(-1, m.size).T
-        right = (m @ bases[a]).reshape(-1, m.size).T
-        for r, part in ((row, np.real), (nr + row, np.imag)):
-            mat[r:r + m.size, offsets[b]:offsets[b + 1]] += part(left)
-            mat[r:r + m.size, offsets[a]:offsets[a + 1]] -= part(right)
-        row += m.size
-    return mat
+def _hermitian_entries(d: int) -> List[np.ndarray]:
+    """The nonzero entries k, p, q, w of the basis of :func:`_hermitian`:
+    element k has weight w at (p, q), at most one entry per row."""
+    s, t = np.divmod(np.arange(d * d), d)
+    off = np.flatnonzero(s != t)
+    w = np.where(s == t, 1.0, np.where(s < t, _HALF_ROOT, -1j * _HALF_ROOT))
+    return [np.concatenate(x) for x in ((np.arange(d * d), off), (s, t[off]), (t, s[off]),
+                                        (w, w[off].conj()))]
 
 
-def _commutant_basis(system: MatrixSystem) -> List[List[np.ndarray]]:
-    """Frobenius-orthonormal real basis of the selfadjoint commutant of a
-    system in form-orthonormal coordinates (identity forms): the Hermitian
-    tuples with E_b H_ba = H_ba E_a.  The singular values are those of the
-    triangular factor of the constraint matrix, whose SVD also gives every
-    null direction when there are fewer constraints than unknowns."""
+def _pair_rows(system: MatrixSystem):
+    """Per nonzero letter pair (b, a), the columns of letters b and a (a's
+    last) and the real rows of E_b H_ba - H_ba E_a on them: Hermitian
+    coordinates of :func:`_hermitian`, d * d per letter, against the real
+    and then the imaginary parts of the pair's entries, row-major.  A basis
+    element has at most one entry per row and column, so its products with
+    H_ba are scattered entry by entry, not multiplied out."""
     dims = system.dims
-    r = np.linalg.qr(_hermitian_constraints(system), mode="r")
-    _, s, vt = np.linalg.svd(r)
-    rank = int(np.sum(s > 1e-9 * max(1.0, s[0] if len(s) else 1.0)))
+    offsets = np.concatenate([[0], np.cumsum([d * d for d in dims])]).astype(int)
+    entries = [_hermitian_entries(d) for d in dims]
+    for b, a, m in system.nonzero_pairs():
+        (kb, pb, qb, wb), (ka, pa, qa, wa) = entries[b], entries[a]
+        cols = np.concatenate([np.arange(offsets[c], offsets[c + 1]) for c in dict.fromkeys((b, a))])
+        left, right, ka = wb[:, None] * m[qb], m[:, pa] * wa, ka + cols.size - dims[a] ** 2
+        rows = np.zeros((2, dims[b], dims[a], cols.size))
+        for part, x in zip(rows, (np.real, np.imag)):
+            part[pb, :, kb] = x(left)
+            part[:, qa, ka] -= x(right)
+        yield cols, rows.reshape(2 * m.size, cols.size)
+
+
+def _null_space(blocks: Callable[[], Iterable], n: int) -> Tuple[np.ndarray, float]:
+    """Orthonormal null vectors (columns) of the real matrix C with n columns
+    whose row blocks ``blocks()`` yields as (columns, rows), and the rank
+    margin: the least singular value kept out over the threshold.
+
+    The rank rule counts singular values s > 1e-9 * max(1, s0), s0 the
+    largest.  C is never formed: G = C^T C is summed block by block, the
+    eigenvectors V_c of G with eigenvalue up to 1e-4 * s0^2 (singular value
+    up to 1e-2 * s0) are the candidates, and the rule is applied to the SVD
+    of C V_c, rebuilt block by block; past the cut the margin reads sqrt of
+    G's eigenvalue.  The cut is safe: forming G and eigh (error |dG| <~
+    5e-13 * s0^2) move a true null direction out of span(V_c) by a C-norm of
+    at most about |dG| / (1e-2 * s0), at worst 5e-11 * s0, at least 20 times
+    under the threshold, and typically near 1e-12 * s0."""
+    gram = np.zeros((n, n))
+    for cols, rows in blocks():
+        gram[np.ix_(cols, cols)] += rows.T @ rows
+    lam, vecs = np.linalg.eigh(gram)
+    top = lam.max(initial=0.0)
+    cand = vecs[:, lam <= 1e-4 * top]
+    cut, thr = cand.shape[1], 1e-9 * max(1.0, np.sqrt(top))
+    _, s, vt = np.linalg.svd(np.concatenate(  # zero rows: vt holds every null direction
+        [np.zeros((cut, cut))] + [rows @ cand[cols] for cols, rows in blocks()]), full_matrices=False)
+    rank = int(np.sum(s > thr))
+    kept = s[rank - 1] if rank else np.sqrt(lam[cut]) if cut < n else np.inf
+    return cand @ vt[rank:].T, float(kept / thr)
+
+
+def _commutant_basis(system: MatrixSystem) -> Tuple[List[List[np.ndarray]], float]:
+    """Frobenius-orthonormal real basis of the selfadjoint commutant of a
+    system in form-orthonormal coordinates (identity forms), the Hermitian
+    tuples with E_b H_ba = H_ba E_a, and the rank margin of :func:`_null_space`."""
+    dims = system.dims
+    null, margin = _null_space(lambda: _pair_rows(system), sum(d * d for d in dims))
     ends = np.cumsum([d * d for d in dims])[:-1]
-    return [[_hermitian(x, d) for x, d in zip(np.split(v, ends), dims)] for v in vt[rank:]]
+    return [[_hermitian(x, d) for x, d in zip(np.split(v, ends), dims)] for v in null.T], margin
 
 
 def _orthonormal_coordinates(system: MatrixSystem,
@@ -447,7 +469,8 @@ def decompose(system: MatrixSystem, forms: FormTuple, seed: int = 0) -> Decompos
     The system is written once in form-orthonormal coordinates
     (:func:`_orthonormal_coordinates`), where the forms are identities and
     the form-selfadjoint commutant elements are the Hermitian tuples
-    commuting with the maps.  The splitting engine diagonalizes a random
+    commuting with the maps, taken by :func:`_null_space` (rank rule, Gram
+    cut and its bound there).  The splitting engine diagonalizes a random
     such element; its eigenspaces are invariant, mutually orthogonal, and
     carry the restricted system, again with identity forms.  Recursion
     stops when the commutant is one-dimensional.  That rules out a
@@ -465,11 +488,11 @@ def decompose(system: MatrixSystem, forms: FormTuple, seed: int = 0) -> Decompos
             "forms are not strictly positive definite; apply radical_quotient first")
 
     unit, downs = _orthonormal_coordinates(system, forms)
-    commutant = _commutant_basis(unit)
+    commutant, margin = _commutant_basis(unit)
     cascade: List[float] = []
     rng = np.random.default_rng(seed) if len(commutant) > 1 else None
     components = _decompose_rec(unit, commutant, downs, rng, cascade)
-    return Decomposition(components, len(commutant), cascade)
+    return Decomposition(components, len(commutant), margin, cascade)
 
 
 def _decompose_rec(system: MatrixSystem, commutant: List[List[np.ndarray]],
@@ -491,7 +514,7 @@ def _decompose_rec(system: MatrixSystem, commutant: List[List[np.ndarray]],
                 out: List[Component] = []
                 for sub_system, sub_bases in split:
                     comp_carried = [carried[a] @ sub_bases[a] for a in range(n)]
-                    out.extend(_decompose_rec(sub_system, _commutant_basis(sub_system),
+                    out.extend(_decompose_rec(sub_system, _commutant_basis(sub_system)[0],
                                               comp_carried, rng, cascade))
                 return out
     raise NormalizationError("decomposition nonconvergence (tolerance cascade exhausted)")
@@ -502,18 +525,11 @@ def _split_by_element(system: MatrixSystem, element: List[np.ndarray], cluster_t
     element; None if the element fails to separate or the split does not
     verify."""
     per_letter = [np.linalg.eigh(e) for e in element]
-    all_vals = sorted(v for w, _ in per_letter for v in w.tolist())
-    if not all_vals:
+    vals = np.sort(np.concatenate([w for w, _ in per_letter]))
+    breaks = np.flatnonzero(np.diff(vals) > cluster_tol)  # gaps between eigenvalue clusters
+    if not breaks.size:
         return None
-    clusters = [[all_vals[0]]]
-    for v in all_vals[1:]:
-        if v - clusters[-1][-1] <= cluster_tol:
-            clusters[-1].append(v)
-        else:
-            clusters.append([v])
-    if len(clusters) < 2:
-        return None
-    bounds = [(c[0] - cluster_tol / 2, c[-1] + cluster_tol / 2) for c in clusters]
+    bounds = zip(vals[np.r_[0, breaks + 1]] - cluster_tol / 2, vals[np.r_[breaks, -1]] + cluster_tol / 2)
 
     pieces = []
     for lo, hi in bounds:

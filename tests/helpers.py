@@ -2,8 +2,9 @@
 literal oracles and test-only predicates the tests compare the package with:
 the literal sphere sum, the root-by-root cone sum, crossed-product elements,
 boundary cylinders with their refinement and the splitting recursion for
-their images, the expansion of subgroup words, and the randomized search for
-an invariant subsystem.  The exact Q(sqrt(k)) oracle is in ``exact``."""
+their images, the expansion of subgroup words, the randomized search for an
+invariant subsystem, and the QR rank rule of the commutant.  The exact
+Q(sqrt(k)) oracle is in ``exact``."""
 
 import json
 import math
@@ -339,6 +340,17 @@ def coset_contains(table, w):
 def is_psd(forms, tol=1e-10):
     """Whether every form of a tuple is positive semidefinite up to ``tol``."""
     return forms.min_eigenvalue() >= -tol
+
+
+def qr_null_space(mat, null_tol=1e-9):
+    """Orthonormal null vectors (columns) of a dense real matrix under the
+    commutant's rank rule, by its earlier path: the triangular factor of a
+    QR, then the full SVD of that factor, singular values up to
+    ``null_tol * max(1, s0)`` counted null."""
+    r = np.linalg.qr(mat, mode="r")
+    _, s, vt = np.linalg.svd(r)
+    rank = int(np.sum(s > null_tol * max(1.0, s[0] if len(s) else 1.0)))
+    return vt[rank:].T
 
 
 def save_vector(path, vector):

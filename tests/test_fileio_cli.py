@@ -839,6 +839,9 @@ class TestCli:
         # the two summands are inequivalent, and one split at the first
         # stage of the tolerance cascade separates them
         assert "commutant_dim=2" in out
+        margin = next(float(line.split("=", 1)[1]) for line in out
+                      if line.startswith("commutant_margin="))
+        assert margin >= 1
         assert "cascade=1e-06" in out
         for k in range(2):
             comp, cf = fileio.load_system(str(tmp_path / f"comp-{k}.json"))
