@@ -4,22 +4,23 @@ group words through the table, and induced matrix coefficients.
 
 Normal forms are alternating syllables (factor, exponent); the factorization
 table realizes t . s = basis_word . t' for every transversal element t and
-standard generator s, which lets any product be routed left to right while
-accumulating a free-subgroup word.  Routing is a cocycle, route(t, lam mu) =
-route(t, lam) route(t', mu), so :func:`vf_gram` routes each element only once.
+standard generator s, so products route left to right into a free-subgroup
+word.  Routing is a cocycle, route(t, lam mu) = route(t, lam) route(t', mu), so
+:func:`vf_gram` routes each element once and joins all pairs' routes in arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import CapExceededError, ValidationError
 from .multrep import MultVector, coefficients
-from .words import DEFAULT_CAP, Alphabet, Word, multiply, product_letters
+from .words import DEFAULT_CAP, Alphabet, Word, multiply
 
 Element = Tuple[Tuple[int, int], ...]  # alternating (factor, exponent) syllables
 
@@ -215,20 +216,11 @@ def vf_validate(datum: VFGroupDatum) -> List[str]:
                     f"table entry ({t_idx},{grp.names[f]}) violates t.s = word.t'")
 
     # the subgroup generated by the basis must meet the transversal only at e
-    seen = {(): True}
-    frontier: List[Element] = [()]
+    seen = {()}
     for _ in range(4):
-        nxt = []
-        for x in frontier:
-            for j in range(len(datum.basis_alphabet)):
-                y = grp.multiply(x, datum.basis_elements[j])
-                if y not in seen:
-                    seen[y] = True
-                    nxt.append(y)
-        frontier = nxt
-    for t in datum.transversal[1:]:
-        if t in seen:
-            problems.append(f"transversal element {grp.format(t)} lies in the free subgroup")
+        seen |= {grp.multiply(x, y) for x in seen for y in datum.basis_elements}
+    problems += [f"transversal element {grp.format(t)} lies in the free subgroup"
+                 for t in datum.transversal[1:] if t in seen]
 
     # every relation f^order = e, routed from every transversal index
     for t_idx, t in enumerate(datum.transversal):
@@ -252,47 +244,85 @@ def induce_to_vf(datum: VFGroupDatum, coeff: Callable[[Word, MultVector, MultVec
     the term at transversal element t pairs the block at the routed endpoint,
     moved by the accumulated basis word, with the block at t; an endpoint
     without a block adds 0."""
-    total = 0.0 + 0.0j
-    for t in range(len(datum.transversal)):
-        if t in blocks:
-            word, end_idx = datum.route(t, lam)
-            if end_idx in blocks:
-                total += coeff(word, blocks[end_idx], blocks[t])
-    return complex(total)
+    routes = ((t, *datum.route(t, lam)) for t in range(len(datum.transversal)) if t in blocks)
+    return complex(sum((coeff(word, blocks[end], blocks[t]) for t, word, end in routes if end in blocks), 0j))
+
+
+class _Junction:
+    """Routes (word, end) as padded letter arrays; called with broadcast head
+    and tail rows, it gives each pair's cancellation c and the code
+    num(word) * ends + end of its product.  Joining xs (length n) to ys
+    (length m) cancels the common prefix of ys and the inverted reversal of
+    xs.  num has the letters plus one as digits in base B = |A| + 1, fixing
+    the word and its length: num(xs[:n-c] ys[c:]) = num(xs[:n-c]) B^(m-c) +
+    num(ys) mod B^(m-c).  Codes that could pass int64 are exact Python ints.
+    """
+
+    def __init__(self, alphabet: Alphabet, heads: Sequence[Tuple[Word, int]],
+                 tails: Sequence[Tuple[Word, int]]):
+        base, self.ends = len(alphabet) + 1, max(e for _, e in tails) + 1
+        num = [list(accumulate(w.letters, lambda v, c: v * base + c + 1, initial=0))
+               for w, _ in [*heads, *tails]]
+        width = max(map(len, num))  # the longest route plus one: a padding column
+        self.dtype = np.int64 if base ** (2 * width - 2) * self.ends < 2 ** 63 else object
+        self.pw = np.array([base ** p for p in range(width)], dtype=self.dtype)
+        self.hnum = np.array([x + (width - len(x)) * [0] for x in num[:len(heads)]], dtype=self.dtype)
+        self.tnum = np.array([x[-1] for x in num[len(heads):]], dtype=self.dtype)
+        self.hrev = np.array([w.inverse().letters + (width - len(w)) * (-1,) for w, _ in heads], np.int8)
+        self.tlet = np.array([w.letters + (width - len(w)) * (-2,) for w, _ in tails], np.int8)
+        self.hlen, self.hend = np.array([(len(w), e) for w, e in heads]).T
+        self.tlen, self.tend = np.array([(len(w), e) for w, e in tails]).T
+
+    def __call__(self, hi: np.ndarray, ti: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        c = (self.hrev[hi] == self.tlet[ti]).argmin(axis=-1)  # the paddings -1 and -2 never match
+        b = self.pw[self.tlen[ti] - c]
+        return c, (self.hnum[hi, self.hlen[hi] - c] * b + self.tnum[ti] % b) * self.ends + self.tend[ti]
 
 
 def vf_gram(datum: VFGroupDatum, elements: Sequence[Element],
             blocks: Dict[int, MultVector]) -> np.ndarray:
     """Gram matrix [phi(lam_i^-1 lam_j)] of the induced coefficient phi.
 
-    Routing is a Schreier cocycle: lam_i^-1 is routed once from each index t
-    carrying a block, lam_j once from each transversal index, and the route
-    of lam_i^-1 lam_j from t joins the two on letter tuples.  Each pair gets
-    the index of its key, the (letters, end) of its routes over the carriers;
-    the words of each (end, carrier) block pair go through one
-    :func:`multrep.coefficients` call, and a key's terms add up in the order
-    of :func:`induce_to_vf`.
+    lam_i^-1 is routed once from each index t carrying a block (head c k + i
+    for the c-th carrier), lam_j once from each transversal index s (tail
+    s k + j), and a :class:`_Junction` joins the routes about 2^18 pairs at a
+    time.  The first carrier's route (w, e) fixes lam_i^-1 lam_j = t^-1 w t_e,
+    so its codes alone partition the pairs; each pair's code index waits in
+    the Gram buffer until the values are known.  A code is decoded once per
+    carrier, from one pair; each (end, carrier) block pair's words go through
+    one :func:`multrep.coefficients` call, summed in :func:`induce_to_vf`'s order.
     """
-    grp = datum.group
-    inv = datum.basis_alphabet.inv
-    carriers = [t for t in range(len(datum.transversal)) if t in blocks]
-    k = len(elements)
-    if not carriers:
+    carriers, k = [t for t in range(len(datum.transversal)) if t in blocks], len(elements)
+    if not carriers or not k:
         return np.zeros((k, k), dtype=np.complex128)
-    heads = [[datum.route(t, li) for t in carriers] for li in map(grp.inverse, elements)]
-    tails = [[(word.letters, end_idx) for word, end_idx in (datum.route(s, lj) for lj in elements)]
-             for s in range(len(datum.transversal))]
-    keys: Dict[Tuple[Tuple[Tuple[int, ...], int], ...], int] = {}
-    index = np.empty((k, k), dtype=np.int32 if k * k < 2 ** 31 else np.int64)
-    for i in range(k):
-        # entry j of carrier t's column is the route of lam_i^-1 lam_j from t
-        columns = [[(product_letters(inv, word.letters, tail), end_idx) for tail, end_idx in tails[s]]
-                   for word, s in heads[i]]
-        index[i] = [keys.setdefault(key, len(keys)) for key in zip(*columns)]
-    values = {(e, t): coefficients({key[c][0] for key in keys if key[c][1] == e}, blocks[e], blocks[t])
-              for c, t in enumerate(carriers) for e in blocks}
-    return np.array([sum((values[e, t][letters] for t, (letters, e) in zip(carriers, key)
-                          if e in blocks), 0.0 + 0.0j) for key in keys], dtype=np.complex128)[index]
+    heads = [datum.route(t, li) for t in carriers for li in map(datum.group.inverse, elements)]
+    tails = [datum.route(s, lj) for s in range(len(datum.transversal)) for lj in elements]
+    junction, gram = _Junction(datum.basis_alphabet, heads, tails), np.empty((k, k), dtype=np.complex128)
+    slots = gram.view(np.int64)[:, :k]  # each pair's code index, in the first half of its row
+    step, cols, codes = max(1, 2 ** 18 // k), np.arange(k), []
+    for i0 in range(0, k, step):
+        rows = np.arange(i0, min(i0 + step, k))[:, None]
+        code, inverse = np.unique(junction(rows, junction.hend[rows] * k + cols)[1], return_inverse=True)
+        slots[i0:i0 + step] = inverse.reshape(-1, k) + sum(map(len, codes))
+        codes.append(code)
+    keys, where = np.unique(np.concatenate(codes), return_inverse=True)
+    pair, vals = np.empty(len(keys), dtype=np.int64), np.zeros(len(keys), dtype=np.complex128)
+    for i0 in range(0, k, step):
+        slots[i0:i0 + step] = where[slots[i0:i0 + step]]
+        pair[slots[i0:i0 + step]] = np.arange(i0 * k, min(i0 + step, k) * k).reshape(-1, k)
+    for c, t in enumerate(carriers):
+        hi = c * k + pair // k
+        ti = junction.hend[hi] * k + pair % k
+        cut = junction(hi, ti)[0]
+        for e in blocks:
+            sel = np.flatnonzero(junction.tend[ti] == e)
+            batch = [heads[h][0].letters[:n] + tails[j][0].letters[x:] for h, j, n, x in
+                     zip(*(a[sel].tolist() for a in (hi, ti, junction.hlen[hi] - cut, cut)))]
+            values = coefficients(batch, blocks[e], blocks[t])
+            vals[sel] += [values[w] for w in batch]
+    for i0 in range(0, k, step):
+        gram[i0:i0 + step] = vals[slots[i0:i0 + step]]
+    return gram
 
 
 def _basis_word_search(grp: FreeProduct, basis: List[Element],

@@ -1,3 +1,4 @@
+import functools
 from collections import Counter
 
 import numpy as np
@@ -9,9 +10,9 @@ from mbrep.multrep import MultVector, RepSpace, coefficient, inner
 from mbrep.system import spherical_system
 from mbrep.vfree import (FreeProduct, VFGroupDatum, induce_to_vf, psl2z_datum,
                          vf_gram, vf_validate)
-from mbrep.words import Alphabet, Word, multiply, sphere
+from mbrep.words import Alphabet, Word, multiply, product_letters, sphere
 
-from helpers import random_system, random_vector
+from helpers import random_system, random_vector, random_word
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +202,58 @@ class TestRouting:
             assert Word(datum.basis_alphabet, got[0].letters) == word  # reduced
 
 
+class TestJunction:
+    """The array junction behind vf_gram against a product_letters fold."""
+
+    @staticmethod
+    def _routes(rng, alphabet, lengths):
+        """Head and tail routes whose junctions cancel fully, partly and not
+        at all: each tail is a random word or the inverse of a head, cut
+        short or extended; the empty word is among both."""
+        heads = [(random_word(alphabet, rng, int(n)), int(rng.integers(3))) for n in lengths]
+        tails = [(Word.identity(alphabet), 0)]
+        for (x, _), n in zip(heads, rng.permutation(lengths)):
+            xinv = x.inverse()
+            tails.append((random_word(alphabet, rng, int(n)), int(rng.integers(3))))
+            tails.append((xinv, int(rng.integers(3))))  # cancels all of its head
+            cut = Word(alphabet, xinv.letters[:int(rng.integers(len(x) + 1))])
+            tails.append((multiply(cut, random_word(alphabet, rng, int(n))), int(rng.integers(3))))
+        return heads, tails
+
+    @staticmethod
+    def _check(alphabet, heads, tails):
+        junction = vfree._Junction(alphabet, heads, tails)
+        cut, code = junction(np.arange(len(heads))[:, None], np.arange(len(tails)))
+        products, kinds = {}, Counter()
+        for i, (x, _) in enumerate(heads):
+            for j, (y, e) in enumerate(tails):
+                want = product_letters(alphabet.inv, x.letters, y.letters)
+                c = int(cut[i, j])
+                assert (len(x) + len(y) - len(want)) // 2 == c
+                assert x.letters[:len(x) - c] + y.letters[c:] == want
+                assert products.setdefault(code[i, j], (want, e)) == (want, e)
+                kinds[(c == len(x) > 0, 0 < c < min(len(x), len(y)), c == 0, len(x) == 0, len(y) == 0,
+                       len(x) != len(y))] += 1
+        # codes and products (word, end) correspond one to one
+        assert len(products) == len({p for p in products.values()})
+        for k in range(6):
+            assert any(kind[k] for kind in kinds), f"no pair of kind {k}"
+        return junction
+
+    def test_codes_partition_products(self):
+        alphabet = Alphabet.rank(2)
+        rng = np.random.default_rng(31)
+        heads, tails = self._routes(rng, alphabet, [0, 1, 2, 3, 5, 6, 6, 8])
+        assert self._check(alphabet, heads, tails).dtype == np.int64
+
+    def test_codes_past_int64_are_exact(self):
+        # products of up to 34 letters: base-5 numerals pass 2^63
+        alphabet = Alphabet.rank(2)
+        rng = np.random.default_rng(37)
+        heads, tails = self._routes(rng, alphabet, [0, 3, 9, 14, 16, 17])
+        assert self._check(alphabet, heads, tails).dtype == object
+
+
 class TestInducedCoefficients:
     def _blocks(self, datum, block_space, support=(0,)):
         a = Word.parse(block_space.alphabet, "a")
@@ -262,6 +315,36 @@ class TestInducedCoefficients:
                            for lj in elements] for li in elements])
         assert np.array_equal(gram, naive)
 
+    @pytest.mark.parametrize("support", [(0,), (0, 4), tuple(range(6))])
+    def test_gram_matches_double_loop_at_ball6(self, datum, support):
+        # longer routes than at ball(3), cancelling deeper at the junction;
+        # the oracle's coefficient calls are memoized per (word, blocks)
+        rng = np.random.default_rng(41)
+        space, _ = random_system(rng, datum.basis_alphabet)
+        blocks = {u: random_vector(space, rng, depth=1 + u % 2) for u in support}
+        grp = datum.group
+        elements = grp.ball(6)
+        coeff = functools.cache(coeff_fast)
+        naive = np.array([[induce_to_vf(datum, coeff, grp.multiply(grp.inverse(li), lj), blocks)
+                           for lj in elements] for li in elements])
+        assert np.array_equal(vf_gram(datum, elements, blocks), naive)
+
+    def test_gram_on_exact_codes_matches_int64_codes(self, datum, monkeypatch):
+        # the same partition when the junction codes are Python ints
+        rng = np.random.default_rng(43)
+        space, _ = random_system(rng, datum.basis_alphabet)
+        blocks = {u: random_vector(space, rng, depth=1 + u % 2) for u in (0, 3)}
+        elements = datum.group.ball(5)
+        want = vf_gram(datum, elements, blocks)
+
+        class Exact(vfree._Junction):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.pw, self.hnum, self.tnum = (a.astype(object) for a in (self.pw, self.hnum, self.tnum))
+
+        monkeypatch.setattr(vfree, "_Junction", Exact)
+        assert np.array_equal(vf_gram(datum, elements, blocks), want)
+
     def test_gram_steps_each_prefix_once(self, datum, block_space, monkeypatch):
         # one batch per (end, carrier) block pair over the Gram words of
         # ball(3): one trie step per nonempty prefix of its words, each once
@@ -299,8 +382,11 @@ class TestInducedCoefficients:
 
         counted(VFGroupDatum, "route", "route")
         counted(FreeProduct, "multiply", "multiply")
-        # the pairs' routes are joined on letter tuples, never by words.multiply
+        # the pairs' routes are joined in arrays, never by words.multiply, and
+        # product_letters, as vfree would bind it, runs at most once per head
         counted(vfree, "multiply", "words.multiply")
+        monkeypatch.setattr(vfree, "product_letters", product_letters, raising=False)
+        counted(vfree, "product_letters", "product_letters")
         blocks = self._blocks(datum, block_space, support=(0, 4))
         elements = datum.group.ball(4)
         calls.clear()
@@ -309,6 +395,7 @@ class TestInducedCoefficients:
         assert calls["route"] <= k * (len(blocks) + len(datum.transversal))
         assert calls["multiply"] <= k
         assert calls["words.multiply"] == 0
+        assert calls["product_letters"] <= k * len(blocks)
 
     def test_unitarity_diagonal(self, datum, block_space):
         blocks = self._blocks(datum, block_space, support=(0, 1))
